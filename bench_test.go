@@ -93,7 +93,7 @@ func BenchmarkAblationEarlyAbort(b *testing.B) {
 	}{{"with-abort", false}, {"without-abort", true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := coopt.CoOptimize(s, 32, coopt.Options{
+				_, err := coopt.Solve(s, 32, coopt.Options{
 					MaxTAMs:      6,
 					SkipFinal:    true,
 					NoEarlyAbort: tc.disable,
@@ -133,8 +133,8 @@ func BenchmarkAblationEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFinalStep compares the exact engines for the final
-// optimization step (and skipping it entirely).
+// BenchmarkAblationFinalStep measures the exact final optimization step
+// (assign.SolveExact) against skipping it entirely.
 func BenchmarkAblationFinalStep(b *testing.B) {
 	s := socdata.D695()
 	for _, tc := range []struct {
@@ -142,13 +142,12 @@ func BenchmarkAblationFinalStep(b *testing.B) {
 		opt  coopt.Options
 	}{
 		{"branch-and-bound", coopt.Options{MaxTAMs: 3}},
-		{"ilp", coopt.Options{MaxTAMs: 3, FinalSolver: coopt.SolverILP}},
 		{"skipped", coopt.Options{MaxTAMs: 3, SkipFinal: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var last soctam.Cycles
 			for i := 0; i < b.N; i++ {
-				res, err := coopt.CoOptimize(s, 32, tc.opt)
+				res, err := coopt.Solve(s, 32, tc.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +170,7 @@ func BenchmarkAblationTieBreaks(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var last soctam.Cycles
 			for i := 0; i < b.N; i++ {
-				res, err := coopt.CoOptimize(s, 32, coopt.Options{
+				res, err := coopt.Solve(s, 32, coopt.Options{
 					MaxTAMs:         6,
 					SkipFinal:       true,
 					PlainCoreAssign: tc.plain,

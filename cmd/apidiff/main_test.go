@@ -56,11 +56,11 @@ func TestSurfaceListsRedesignEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"Backend = coopt.Backend",
 		"BackendInfo = coopt.BackendInfo",
 		"func Solvers() []BackendInfo",
 		"func ParseStrategySpec(spec string) (Strategy, string, error)",
-		"func LookupBackend(name string) (Backend, bool)",
+		"func SolveContext(ctx context.Context, s *SOC, totalWidth int, opt Options) (Result, error)",
+		"func CoOptimizeFixedTAMs(s *SOC, totalWidth, numTAMs int, opt Options) (Result, error)",
 		"StrategyExhaustive = coopt.StrategyExhaustive",
 		"ProgressEvent = coopt.ProgressEvent",
 	} {

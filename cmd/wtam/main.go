@@ -7,28 +7,31 @@
 //
 //	wtam -benchmark d695 -width 32
 //	wtam -soc chip.soc -width 64 -tams 3
-//	wtam -benchmark p93791 -width 64 -exhaustive -max-tams 3
+//	wtam -benchmark p93791 -width 64 -strategy exhaustive -max-tams 3
+//	wtam -benchmark d695 -width 32 -strategy exhaustive -tams 2
 //	wtam -benchmark d695 -width 32 -strategy packing
 //	wtam -benchmark d695 -width 32 -strategy portfolio -progress
-//	wtam -benchmark d695 -width 16 -strategy exhaustive
+//	wtam -benchmark d695 -width 16 -strategy ilp
 //	wtam -benchmark d695 -width 16 -strategy portfolio:partition,exhaustive
 //	wtam -benchmark d695 -width 32 -max-power 1800 -gantt
 //	wtam -benchmark p21241 -width 64 -workers 8
-//	wtam -benchmark p93791 -width 64 -exhaustive -deadline 100ms
+//	wtam -benchmark p93791 -width 64 -strategy exhaustive -deadline 100ms
 //
-// With -tams 0 (the default) the TAM count is optimized too (problem
-// P_NPAW); a fixed -tams solves P_PAW. -exhaustive switches from the
-// paper's heuristic flow to the exact enumerate-and-solve baseline.
-// -strategy selects any backend registered in the solver-engine
-// registry: packing (or diagonal) replaces the partition flow with one
-// of the two rectangle bin-packing heuristics (wires are re-divided
-// between cores over time instead of forming fixed test buses), and
-// exhaustive selects the exact baseline over the full TAM-count range.
+// -strategy is the one backend selector: it names any backend
+// registered in the solver-engine registry, and every solve runs
+// through soctam.Solve. partition (the default) is the paper's
+// heuristic flow; packing (or diagonal) replaces it with one of the two
+// rectangle bin-packing heuristics (wires are re-divided between cores
+// over time instead of forming fixed test buses); exhaustive is the
+// exact enumerate-and-solve baseline of [8] and ilp the exact
+// LP-pruned branch and bound, both proven optimal. With -tams 0 (the
+// default) the TAM count is optimized too (problem P_NPAW); a fixed
+// -tams solves P_PAW with the partition or exhaustive strategy.
 // -strategy portfolio races every heuristic backend concurrently and
 // reports the winner with per-backend attribution; a subset spec
 // (portfolio:partition,exhaustive) races exactly the named backends —
-// the only way the exponential exhaustive engine joins a race. Ties go
-// to the earlier-registered backend whatever the spec's order.
+// the only way an exact engine joins a race. Ties go to the
+// earlier-registered backend whatever the spec's order.
 // -progress streams solver events (backend start/finish/cancellation,
 // incumbent improvements) to stderr while the solve runs. -trace
 // records the same events as a span tree — one child span per backend,
@@ -44,26 +47,21 @@
 // error, and without a deadline results are bit-for-bit identical to
 // an unbounded run (see ARCHITECTURE.md §13).
 //
-// -serve <addr> runs wtam as the solver service instead of solving one
-// job: the escape hatch for environments that only ship the wtam
-// binary. It takes no other flags; use the dedicated cmd/wtamd daemon
-// for the pool and cache knobs (see API.md and ARCHITECTURE.md §10).
+// The solver service is the separate cmd/wtamd daemon (see API.md and
+// ARCHITECTURE.md §10).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"soctam"
-	"soctam/internal/serve"
 )
 
 func main() {
@@ -85,23 +83,20 @@ var errBadFlags = errors.New("bad flags")
 func run(args []string) error {
 	flags := flag.NewFlagSet("wtam", flag.ContinueOnError)
 	var (
-		socPath    = flags.String("soc", "", "path to a .soc file describing the SOC")
-		benchmark  = flags.String("benchmark", "", "built-in benchmark SOC: d695, p21241, p31108 or p93791")
-		width      = flags.Int("width", 32, "total TAM width W (wires available for test access)")
-		tams       = flags.Int("tams", 0, "fixed number of TAMs B (0 = optimize the TAM count too)")
-		maxTAMs    = flags.Int("max-tams", 10, "largest TAM count explored when -tams is 0")
-		exhaustive = flags.Bool("exhaustive", false, "use the exact enumerate-and-solve baseline of [8] instead of the heuristic")
-		useILP     = flags.Bool("ilp", false, "use the ILP engine for exact optimization instead of branch and bound")
-		nodeLimit  = flags.Int64("node-limit", 0, "node budget per exact solve (0 = default)")
-		strategy   = flags.String("strategy", "partition", "co-optimization backend ("+strings.Join(soctam.StrategyNames(), ", ")+") or a portfolio subset spec like portfolio:partition,exhaustive")
-		workers    = flags.Int("workers", 0, "partition-evaluation goroutines (0 = all CPUs, 1 = paper's sequential order)")
-		maxPower   = flags.Int("max-power", 0, "peak-power ceiling on concurrent tests (0 = the SOC's own maxpower, if any)")
-		deadline   = flags.Duration("deadline", 0, "wall-clock budget for the solve; past it the best incumbent so far is returned with its optimality gap (0 = unbounded)")
-		progress   = flags.Bool("progress", false, "stream solver progress (backend lifecycle, incumbent improvements) to stderr while solving")
-		trace      = flags.Bool("trace", false, "record the solve as a span tree (one child span per backend, incumbents as events) and print it to stderr afterwards")
-		verbose    = flags.Bool("v", false, "print per-core wrapper usage on the chosen architecture")
-		gantt      = flags.Bool("gantt", false, "print the test schedule as a Gantt chart with utilization")
-		serveAddr  = flags.String("serve", "", "run as the solver service on this address instead of solving (escape hatch for cmd/wtamd)")
+		socPath   = flags.String("soc", "", "path to a .soc file describing the SOC")
+		benchmark = flags.String("benchmark", "", "built-in benchmark SOC: d695, p21241, p31108 or p93791")
+		width     = flags.Int("width", 32, "total TAM width W (wires available for test access)")
+		tams      = flags.Int("tams", 0, "fixed number of TAMs B for the partition and exhaustive strategies (0 = optimize the TAM count too)")
+		maxTAMs   = flags.Int("max-tams", 10, "largest TAM count explored when -tams is 0")
+		nodeLimit = flags.Int64("node-limit", 0, "node budget per exact solve (0 = default)")
+		strategy  = flags.String("strategy", "partition", "co-optimization backend ("+strings.Join(soctam.StrategyNames(), ", ")+") or a portfolio subset spec like portfolio:partition,exhaustive")
+		workers   = flags.Int("workers", 0, "partition-evaluation goroutines (0 = all CPUs, 1 = paper's sequential order)")
+		maxPower  = flags.Int("max-power", 0, "peak-power ceiling on concurrent tests (0 = the SOC's own maxpower, if any)")
+		deadline  = flags.Duration("deadline", 0, "wall-clock budget for the solve; past it the best incumbent so far is returned with its optimality gap (0 = unbounded)")
+		progress  = flags.Bool("progress", false, "stream solver progress (backend lifecycle, incumbent improvements) to stderr while solving")
+		trace     = flags.Bool("trace", false, "record the solve as a span tree (one child span per backend, incumbents as events) and print it to stderr afterwards")
+		verbose   = flags.Bool("v", false, "print per-core wrapper usage on the chosen architecture")
+		gantt     = flags.Bool("gantt", false, "print the test schedule as a Gantt chart with utilization")
 	)
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -111,39 +106,26 @@ func run(args []string) error {
 		return errBadFlags
 	}
 
-	if *serveAddr != "" {
-		// The service solves jobs it receives over HTTP; every local
-		// solve flag is meaningless, so reject any the user set. The
-		// daemon's own knobs (pool size, cache capacity) live on
-		// cmd/wtamd — this hatch serves with the defaults.
-		var set []string
-		flags.Visit(func(f *flag.Flag) {
-			if f.Name != "serve" {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return fmt.Errorf("-serve takes no other flags (got %s); use cmd/wtamd for the pool and cache knobs",
-				strings.Join(set, ", "))
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return serve.Run(ctx, *serveAddr, serve.Config{}, os.Stdout)
-	}
-
 	s, err := loadSOC(*socPath, *benchmark)
 	if err != nil {
 		return err
 	}
+	strat, subset, err := soctam.ParseStrategySpec(*strategy)
+	if err != nil {
+		// The spec parser's error lists every valid strategy/backend name.
+		return err
+	}
+	if err := rejectFlags(flags, strat); err != nil {
+		return err
+	}
 	opt := soctam.Options{
+		Strategy:  strat,
+		Portfolio: subset,
 		MaxTAMs:   *maxTAMs,
 		NodeLimit: *nodeLimit,
 		Workers:   *workers,
 		MaxPower:  *maxPower,
 		Budget:    *deadline,
-	}
-	if *useILP {
-		opt.FinalSolver = soctam.SolverILP
 	}
 	if *progress {
 		opt.Progress = progressPrinter(os.Stderr)
@@ -163,117 +145,39 @@ func run(args []string) error {
 			opt.Progress = func(ev soctam.ProgressEvent) { hook(ev); prev(ev) }
 		}
 	}
-	// finishTrace closes the trace with the solve's outcome and prints
-	// the span tree; call it right after every solve, error or not.
-	finishTrace := func(res soctam.Result, err error) {
-		if st == nil {
-			return
-		}
-		st.Finish(res, err)
-		st.WriteTree(os.Stderr)
-	}
-	strat, subset, err := soctam.ParseStrategySpec(*strategy)
-	if err != nil {
-		// The spec parser's error lists every valid strategy/backend name.
-		return err
-	}
-	opt.Strategy = strat
-	opt.Portfolio = subset
-	switch strat {
-	case soctam.StrategyPartition:
-	case soctam.StrategyExhaustive:
-		// The [8] baseline behind Solve: sequential, full B range. The
-		// legacy -exhaustive flag (which additionally supports -tams)
-		// keeps working on the partition route below.
-		if err := rejectFlags(flags, strat.String(), "the baseline solves every partition of every TAM count sequentially",
-			"tams", "workers", "exhaustive"); err != nil {
-			return err
-		}
-		res, err := soctam.Solve(s, *width, opt)
-		finishTrace(res, err)
-		if err != nil {
-			return err
-		}
-		return printPartitionResult(s, res, false, true, *verbose, *gantt)
-	case soctam.StrategyILP:
-		// The exact branch-and-bound engine: sequential like the [8]
-		// baseline it reproduces, already solving through the ILP (so
-		// -ilp is implied); -node-limit budgets its per-partition
-		// solves.
-		if err := rejectFlags(flags, strat.String(), "the exact engine is sequential and already prunes through the ILP relaxation",
-			"tams", "workers", "exhaustive", "ilp"); err != nil {
-			return err
-		}
-		res, err := soctam.Solve(s, *width, opt)
-		finishTrace(res, err)
-		if err != nil {
-			return err
-		}
-		return printPartitionResult(s, res, false, true, *verbose, *gantt)
-	case soctam.StrategyPacking, soctam.StrategyDiagonal:
-		// The packers have no fixed TAMs, no exact step, no partition
-		// enumeration: every flag tuning those is silently meaningless,
-		// so reject any the user explicitly set. (-gantt and -max-power
-		// are meaningful: the packed schedule renders as a wire-band
-		// chart and the packers honor the power ceiling.)
-		if err := rejectFlags(flags, strat.String(), "no fixed TAMs, no exact step, no partition enumeration",
-			"tams", "exhaustive", "ilp", "node-limit", "max-tams", "workers"); err != nil {
-			return err
-		}
-		res, err := soctam.Solve(s, *width, opt)
-		finishTrace(res, err)
-		if err != nil {
-			return err
-		}
-		return printPacking(s, res, *verbose, *gantt)
-	case soctam.StrategyPortfolio:
-		// -workers, -max-tams, -ilp and -node-limit tune the partition
-		// racer and pass through; a fixed TAM count and the exhaustive
-		// baseline have no portfolio counterpart.
-		if err := rejectFlags(flags, strat.String(), "the race runs the full P_NPAW flows",
-			"tams", "exhaustive"); err != nil {
-			return err
-		}
-		res, err := soctam.Solve(s, *width, opt)
-		finishTrace(res, err)
-		if err != nil {
-			return err
-		}
-		printPortfolio(res)
-		if res.Packing != nil {
-			return printPacking(s, res, *verbose, *gantt)
-		}
-		// The stats note reflects the worker count the partition racer
-		// actually got (the portfolio reserves workers for the packers).
-		return printPartitionResult(s, res, opt.PortfolioPartitionParallel(), false, *verbose, *gantt)
-	}
-
-	if *exhaustive {
-		// The [8] baseline enumerates sequentially; reject an explicit
-		// -workers rather than silently ignoring it.
-		workersSet := false
-		flags.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-		if workersSet {
-			return fmt.Errorf("-exhaustive does not use -workers (the [8] baseline solves every partition sequentially)")
-		}
-	}
 
 	var res soctam.Result
 	switch {
-	case *exhaustive && *tams > 0:
+	case *tams > 0 && strat == soctam.StrategyExhaustive:
 		res, err = soctam.Exhaustive(s, *width, *tams, opt)
-	case *exhaustive:
-		res, err = soctam.ExhaustiveRange(s, *width, opt)
 	case *tams > 0:
 		res, err = soctam.CoOptimizeFixedTAMs(s, *width, *tams, opt)
 	default:
-		res, err = soctam.CoOptimize(s, *width, opt)
+		res, err = soctam.Solve(s, *width, opt)
 	}
-	finishTrace(res, err)
+	if st != nil {
+		st.Finish(res, err)
+		st.WriteTree(os.Stderr)
+	}
 	if err != nil {
 		return err
 	}
-	return printPartitionResult(s, res, opt.ParallelEvaluation(), *exhaustive, *verbose, *gantt)
+
+	// The stats note reflects the worker count the partition flow
+	// actually got (the portfolio reserves workers for the packers); the
+	// exact engines enumerate sequentially.
+	parallelStats := opt.ParallelEvaluation()
+	switch strat {
+	case soctam.StrategyPortfolio:
+		printPortfolio(res)
+		parallelStats = opt.PortfolioPartitionParallel()
+	case soctam.StrategyExhaustive, soctam.StrategyILP:
+		parallelStats = false
+	}
+	if res.Packing != nil {
+		return printPacking(s, res, *verbose, *gantt)
+	}
+	return printPartitionResult(s, res, parallelStats, *verbose, *gantt)
 }
 
 // progressPrinter renders the Options.Progress event stream as one
@@ -304,19 +208,35 @@ func progressPrinter(w io.Writer) soctam.ProgressFunc {
 	}
 }
 
+// unusableFlags lists, per strategy, the flags it cannot use and why.
+// The packers have no fixed TAMs, no exact step and no partition
+// enumeration; -gantt and -max-power stay meaningful everywhere (a
+// packed schedule renders as a wire-band chart and every backend honors
+// the power ceiling).
+var unusableFlags = map[soctam.Strategy]struct {
+	reason string
+	names  []string
+}{
+	soctam.StrategyExhaustive: {"the baseline solves every partition sequentially", []string{"workers"}},
+	soctam.StrategyILP:        {"the exact engine is sequential and sweeps every TAM count", []string{"tams", "workers"}},
+	soctam.StrategyPacking:    {"no fixed TAMs, no exact step, no partition enumeration", []string{"tams", "node-limit", "max-tams", "workers"}},
+	soctam.StrategyDiagonal:   {"no fixed TAMs, no exact step, no partition enumeration", []string{"tams", "node-limit", "max-tams", "workers"}},
+	soctam.StrategyPortfolio:  {"the race runs the full P_NPAW flows", []string{"tams"}},
+}
+
 // rejectFlags errors when the user explicitly set a flag the chosen
-// strategy cannot use, naming every offender and the reason.
-func rejectFlags(flags *flag.FlagSet, strategy, reason string, names ...string) error {
+// strategy cannot use, naming every offender and the reason, instead of
+// silently ignoring it.
+func rejectFlags(flags *flag.FlagSet, strat soctam.Strategy) error {
+	rule := unusableFlags[strat]
 	var unusable []string
 	flags.Visit(func(f *flag.Flag) {
-		for _, n := range names {
-			if f.Name == n {
-				unusable = append(unusable, "-"+n)
-			}
+		if slices.Contains(rule.names, f.Name) {
+			unusable = append(unusable, "-"+f.Name)
 		}
 	})
 	if len(unusable) > 0 {
-		return fmt.Errorf("-strategy %s does not use %s (%s)", strategy, strings.Join(unusable, ", "), reason)
+		return fmt.Errorf("-strategy %s does not use %s (%s)", strat, strings.Join(unusable, ", "), rule.reason)
 	}
 	return nil
 }
@@ -325,7 +245,7 @@ func rejectFlags(flags *flag.FlagSet, strategy, reason string, names ...string) 
 // architecture, the evaluation statistics and the optional wrapper and
 // Gantt detail. parallelStats says whether the evaluation that produced
 // Stats ran on a worker pool (its split is then order dependent).
-func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, exhaustive, verbose, gantt bool) error {
+func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, verbose, gantt bool) error {
 	fmt.Printf("SOC:              %s\n", s)
 	fmt.Printf("total TAM width:  %d\n", res.TotalWidth)
 	fmt.Printf("TAMs:             %d\n", res.NumTAMs)
@@ -336,7 +256,7 @@ func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, exhau
 	fmt.Printf("proven optimal:   %v (for the chosen partition)\n", res.AssignmentOptimal)
 	printAnytime(res)
 	statsNote := ""
-	if !exhaustive && parallelStats {
+	if parallelStats {
 		// The completed/pruned split depends on parallel evaluation
 		// order; the chosen partition and times do not.
 		statsNote = " (split varies across runs; -workers 1 makes it deterministic)"

@@ -38,9 +38,12 @@ func TestHelpAndParseErrors(t *testing.T) {
 	}
 }
 
-// TestTracePrintsSpanTree runs a real solve with -trace and asserts
-// the span tree lands on stderr: a trace header named after the
-// benchmark, a root span and the solve's strategy attribute.
+// TestTracePrintsSpanTree runs a real solve with -trace and -progress
+// and asserts the span tree lands on stderr: a trace header named after
+// the benchmark, a root span and the solve's strategy attribute. The
+// default path runs through Solve, so the partition backend is framed
+// like every other: its span closes with the final time instead of
+// rendering as still open, and -progress prints its start and finish.
 func TestTracePrintsSpanTree(t *testing.T) {
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -48,7 +51,7 @@ func TestTracePrintsSpanTree(t *testing.T) {
 	}
 	orig := os.Stderr
 	os.Stderr = w
-	runErr := run([]string{"-benchmark", "d695", "-width", "16", "-trace"})
+	runErr := run([]string{"-benchmark", "d695", "-width", "16", "-trace", "-progress"})
 	os.Stderr = orig
 	w.Close()
 	var sb strings.Builder
@@ -59,15 +62,29 @@ func TestTracePrintsSpanTree(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", runErr, sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"trace d695", "solve", "strategy=partition"} {
+	for _, want := range []string{"trace d695", "solve", "strategy=partition",
+		"partition  started", "partition  finished: 42787 cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "(open)") {
+		t.Errorf("trace left a span open:\n%s", out)
+	}
+	closed := false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "partition [") {
+			closed = strings.HasSuffix(line, "time=42787")
+		}
+	}
+	if !closed {
+		t.Errorf("partition span does not close with time=42787:\n%s", out)
+	}
 }
 
 // TestStrategyFlagCompatibility checks the per-strategy flag rejection:
-// partition-only flags fail fast with the packers and the portfolio.
+// partition-only flags fail fast with the packers and the portfolio,
+// and -tams fixes B only for the partition and exhaustive strategies.
 func TestStrategyFlagCompatibility(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -75,13 +92,13 @@ func TestStrategyFlagCompatibility(t *testing.T) {
 	}{
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "packing", "-tams", "3"}, "-tams"},
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "diagonal", "-workers", "2"}, "-workers"},
-		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "portfolio", "-exhaustive"}, "-exhaustive"},
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "portfolio", "-tams", "2"}, "-tams"},
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "portfolio", "-workers", "2", "-max-tams", "4"}, ""},
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "diagonal"}, ""},
-		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "exhaustive", "-tams", "2"}, "-tams"},
+		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "exhaustive", "-tams", "2"}, ""},
 		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "exhaustive", "-workers", "2"}, "-workers"},
-		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "exhaustive", "-exhaustive"}, "-exhaustive"},
+		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "ilp", "-tams", "2"}, "-tams"},
+		{[]string{"-benchmark", "d695", "-width", "12", "-tams", "2", "-workers", "2"}, ""},
 		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "exhaustive", "-max-tams", "3"}, ""},
 		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "portfolio:partition,exhaustive"}, ""},
 		{[]string{"-benchmark", "d695", "-width", "12", "-strategy", "portfolio:packing,diagonal", "-progress"}, ""},
@@ -157,20 +174,5 @@ func TestPartitionString(t *testing.T) {
 	}
 	if got := partitionString(nil); got != "" {
 		t.Errorf("partitionString(nil) = %q", got)
-	}
-}
-
-// TestServeRejectsSolveFlags pins the -serve escape hatch contract:
-// it is all-or-nothing, naming every conflicting flag the user set and
-// pointing at cmd/wtamd for the real knobs.
-func TestServeRejectsSolveFlags(t *testing.T) {
-	err := run([]string{"-serve", ":0", "-benchmark", "d695", "-width", "32"})
-	if err == nil {
-		t.Fatal("-serve with solve flags accepted")
-	}
-	for _, want := range []string{"-benchmark", "-width", "wtamd"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
 	}
 }

@@ -38,7 +38,7 @@ func main() {
 	fmt.Println("    W   B  partition             T_heur (cycles)   elapsed     T_exh(B=2)   exh elapsed   dT vs exh")
 
 	for _, w := range []int{16, 24, 32, 40, 48, 56, 64} {
-		res, err := soctam.CoOptimize(s, w, soctam.Options{MaxTAMs: 10})
+		res, err := soctam.Solve(s, w, soctam.Options{MaxTAMs: 10})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func main() {
 	// One call designs the whole architecture: how many test buses, how
 	// wide each one is, which cores share which bus, and a wrapper per
 	// core — minimizing the SOC testing time.
-	res, err := soctam.CoOptimize(s, 32, soctam.Options{})
+	res, err := soctam.Solve(s, 32, soctam.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func show(s *soctam.SOC, width, fixedTAMs int, title string) {
 	if fixedTAMs > 0 {
 		res, err = soctam.CoOptimizeFixedTAMs(s, width, fixedTAMs, soctam.Options{})
 	} else {
-		res, err = soctam.CoOptimize(s, width, soctam.Options{})
+		res, err = soctam.Solve(s, width, soctam.Options{})
 	}
 	if err != nil {
 		log.Fatal(err)

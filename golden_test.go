@@ -110,21 +110,29 @@ func canonNil(s []int) []int {
 }
 
 // TestExhaustiveStrategyEndToEnd covers the promoted engine through the
-// library surface: -strategy exhaustive equals ExhaustiveRange, and a
-// portfolio spec racing it returns the exact optimum when the exact
-// optimum is strictly better.
+// library surface: -strategy exhaustive equals the best of the fixed-B
+// Exhaustive runs over B = 1..MaxTAMs (the first B attaining it — the
+// sweep shares no bound across TAM counts), and a portfolio spec racing
+// it returns the exact optimum when the exact optimum is strictly
+// better.
 func TestExhaustiveStrategyEndToEnd(t *testing.T) {
 	s := soctam.D695()
 	viaSolve, err := soctam.Solve(s, 16, soctam.Options{Strategy: soctam.StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := soctam.ExhaustiveRange(s, 16, soctam.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var direct soctam.Result
+	for b := 1; b <= 10; b++ {
+		fixed, err := soctam.Exhaustive(s, 16, b, soctam.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == 1 || fixed.Time < direct.Time {
+			direct = fixed
+		}
 	}
 	if viaSolve.Time != direct.Time || !reflect.DeepEqual(viaSolve.Partition, direct.Partition) {
-		t.Errorf("Solve(exhaustive) (%d, %v) != ExhaustiveRange (%d, %v)",
+		t.Errorf("Solve(exhaustive) (%d, %v) != best fixed-B Exhaustive (%d, %v)",
 			viaSolve.Time, viaSolve.Partition, direct.Time, direct.Partition)
 	}
 	if viaSolve.Strategy != soctam.StrategyExhaustive || !viaSolve.AssignmentOptimal {

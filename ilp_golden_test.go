@@ -158,12 +158,12 @@ func TestILPStrategyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := soctam.ExhaustiveRange(s, 16, soctam.Options{})
+	direct, err := soctam.Solve(s, 16, soctam.Options{Strategy: soctam.StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaILP.Time != direct.Time {
-		t.Errorf("Solve(ilp) %d cycles != ExhaustiveRange %d", viaILP.Time, direct.Time)
+		t.Errorf("Solve(ilp) %d cycles != Solve(exhaustive) %d", viaILP.Time, direct.Time)
 	}
 	if viaILP.Strategy != soctam.StrategyILP || !viaILP.Proven {
 		t.Errorf("Solve(ilp) strategy %s, proven %t", viaILP.Strategy, viaILP.Proven)

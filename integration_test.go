@@ -54,9 +54,9 @@ func TestLowerBoundHoldsOnAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: LowerBound(%d): %v", name, w, err)
 			}
-			res, err := soctam.CoOptimize(s, w, soctam.Options{MaxTAMs: 6})
+			res, err := soctam.Solve(s, w, soctam.Options{MaxTAMs: 6})
 			if err != nil {
-				t.Fatalf("%s: CoOptimize(%d): %v", name, w, err)
+				t.Fatalf("%s: Solve(%d): %v", name, w, err)
 			}
 			if res.Time < lb {
 				t.Errorf("%s W=%d: achieved %d below lower bound %d", name, w, res.Time, lb)
@@ -73,9 +73,9 @@ func TestScheduleConsistentWithResult(t *testing.T) {
 		"d695": soctam.D695, "p31108": soctam.P31108,
 	} {
 		s := get()
-		res, err := soctam.CoOptimize(s, 24, soctam.Options{MaxTAMs: 4})
+		res, err := soctam.Solve(s, 24, soctam.Options{MaxTAMs: 4})
 		if err != nil {
-			t.Fatalf("%s: CoOptimize: %v", name, err)
+			t.Fatalf("%s: Solve: %v", name, err)
 		}
 		tl, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
 		if err != nil {
@@ -101,7 +101,7 @@ func TestPartitionedBeatsSingleBus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single bus: %v", err)
 	}
-	multi, err := soctam.CoOptimize(s, w, soctam.Options{})
+	multi, err := soctam.Solve(s, w, soctam.Options{})
 	if err != nil {
 		t.Fatalf("co-optimized: %v", err)
 	}
@@ -146,9 +146,9 @@ func TestRunAllQuick(t *testing.T) {
 // final step may only improve its own partition's time.
 func TestAnomalyReproduction(t *testing.T) {
 	s := soctam.P21241()
-	res, err := coopt.CoOptimize(s, 40, coopt.Options{MaxTAMs: 10})
+	res, err := coopt.Solve(s, 40, coopt.Options{MaxTAMs: 10})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Time > res.HeuristicTime {
 		t.Errorf("final step worsened the heuristic: %d -> %d", res.HeuristicTime, res.Time)

@@ -444,33 +444,6 @@ func RelaxationBound(in *Instance) (bound soc.Cycles, ok bool, err error) {
 	return soc.Cycles(math.Ceil(sol.Objective - 1e-6)), true, nil
 }
 
-// SolveILPCutoff solves the instance's ILP restricted to assignments
-// strictly faster than cutoff cycles (cutoff > 0). found reports whether
-// such an assignment exists within the node budget; proven reports a
-// completed search — with found it means a proven optimum, without it a
-// proof that nothing below the cutoff exists (the caller's incumbent of
-// value cutoff is therefore optimal).
-func SolveILPCutoff(in *Instance, opt ILPOptions, cutoff soc.Cycles) (a Assignment, found, proven bool, err error) {
-	model := BuildILP(in)
-	res, err := ilp.Solve(model, ilp.Options{NodeLimit: opt.NodeLimit, Cutoff: float64(cutoff)})
-	if err != nil {
-		return Assignment{}, false, false, err
-	}
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		a, err = decodeILP(in, res.X)
-		if err != nil {
-			return Assignment{}, false, false, err
-		}
-		return a, true, res.Proven, nil
-	case ilp.Cutoff:
-		return Assignment{}, false, true, nil
-	case ilp.Limit:
-		return Assignment{}, false, false, nil
-	}
-	return Assignment{}, false, false, fmt.Errorf("assign: cutoff ILP solve ended with status %v", res.Status)
-}
-
 // decodeILP reads the 0/1 assignment out of an ILP solution vector.
 func decodeILP(in *Instance, x []float64) (Assignment, error) {
 	n, nb := in.NumCores(), in.NumTAMs()

@@ -85,36 +85,3 @@ func TestRelaxationBoundSound(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// SolveILPCutoff mirrors SolveExactCutoff through the simplex-based
-// integer solver; the two must agree on both sides of the cutoff.
-func TestSolveILPCutoffAgainstOptimum(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		in := randomInstance(r, 5, 3)
-		opt, optimal, err := SolveExact(in, ExactOptions{})
-		if err != nil || !optimal {
-			return false
-		}
-		_, found, proven, err := SolveILPCutoff(in, ILPOptions{}, opt.Time)
-		if err != nil || found || !proven {
-			t.Logf("seed %d: ILP cutoff at optimum %d: found=%v proven=%v err=%v",
-				seed, opt.Time, found, proven, err)
-			return false
-		}
-		a, found, proven, err := SolveILPCutoff(in, ILPOptions{}, opt.Time+1)
-		if err != nil || !found || !proven {
-			t.Logf("seed %d: ILP cutoff above optimum: found=%v proven=%v err=%v",
-				seed, found, proven, err)
-			return false
-		}
-		if a.Time != opt.Time {
-			t.Logf("seed %d: ILP cutoff found %d, optimum is %d", seed, a.Time, opt.Time)
-			return false
-		}
-		return a.Validate(in) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

@@ -78,7 +78,7 @@ func TestExpiredDeadlineReturnsIncumbent(t *testing.T) {
 	}
 }
 
-// The legacy entry points thread deadlines too.
+// The fixed-TAM-count entry points thread deadlines too.
 func TestExpiredDeadlineLegacyEntryPoints(t *testing.T) {
 	s := socdata.D695()
 	opt := Options{Workers: 1, Deadline: expired}
@@ -86,14 +86,8 @@ func TestExpiredDeadlineLegacyEntryPoints(t *testing.T) {
 		name  string
 		solve func() (Result, error)
 	}{
-		{"CoOptimize", func() (Result, error) { return CoOptimize(s, 32, opt) }},
 		{"PartitionEvaluate", func() (Result, error) { return PartitionEvaluate(s, 32, 3, opt) }},
 		{"Exhaustive", func() (Result, error) { return Exhaustive(s, 16, 2, opt) }},
-		{"ExhaustiveRange", func() (Result, error) {
-			o := opt
-			o.MaxTAMs = 3
-			return ExhaustiveRange(s, 16, o)
-		}},
 	} {
 		res, err := tc.solve()
 		if err != nil {

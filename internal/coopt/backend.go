@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"soctam/internal/pack"
 	"soctam/internal/soc"
 )
 
@@ -42,38 +43,23 @@ type BackendInfo struct {
 	Combinator bool
 }
 
-// Backend is one co-optimization engine behind Solve: it designs a test
-// access architecture for the SOC under a total TAM width budget.
-// Implementations must be safe for concurrent use and must honor the
-// contract their BackendInfo advertises (a Cancellable backend polls
-// ctx; a PowerAware backend enforces the effective ceiling).
-type Backend interface {
-	// Info returns the backend's registration metadata.
-	Info() BackendInfo
-	// Solve runs the engine. Cancellation via ctx never alters the
-	// result of a run that completes.
-	Solve(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error)
-}
-
 // engine is a registered backend: the BackendInfo plus the strategy
 // constant it answers to and its solve function. The solve function
 // receives the progress sink of the enclosing Solve call so that one
 // call's events — whether the engine runs alone or inside a portfolio
-// race — share a single serialized stream.
+// race — share a single serialized stream. Engines must be safe for
+// concurrent use and honor the contract their BackendInfo advertises (a
+// Cancellable engine polls ctx; a PowerAware engine enforces the
+// effective ceiling).
 type engine struct {
 	info     BackendInfo
 	strategy Strategy
-	solve    func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error)
+	solve    solveFunc
 }
 
-// Info implements Backend.
-func (e *engine) Info() BackendInfo { return e.info }
-
-// Solve implements Backend, with the same progress framing SolveContext
-// delivers: start, improvements, then exactly one done or cancelled.
-func (e *engine) Solve(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
-	return runFramed(ctx, e, s, width, opt.resolveDeadline(), newProgressSink(opt.Progress))
-}
+// solveFunc is a registered engine's entry point; SolveContext frames
+// it with the start and done/cancelled events.
+type solveFunc func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error)
 
 // registry holds the registered engines in registration order — the
 // order that fixes the portfolio's tie-break ranks and the StrategyNames
@@ -85,7 +71,7 @@ var registry []*engine
 // constant and returns it. It panics on a duplicate name or strategy:
 // registration happens at init time and a collision is a programming
 // error, not a runtime condition.
-func register(info BackendInfo, strategy Strategy, solve func(context.Context, *soc.SOC, int, Options, *progressSink) (Result, error)) *engine {
+func register(info BackendInfo, strategy Strategy, solve solveFunc) *engine {
 	name := canonicalName(info.Name)
 	if name == "" || name == portfolioName || strings.ContainsAny(name, ":, \t") {
 		panic(fmt.Sprintf("coopt: invalid backend name %q", info.Name))
@@ -114,34 +100,26 @@ func init() {
 		Description: "the paper's flow: TAM width partitioning with Partition_evaluate plus the exact final step",
 		PowerAware:  true,
 		Cancellable: true,
-	}, StrategyPartition, func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-		return coOptimizeSink(ctx, s, width, opt, sink)
-	})
+	}, StrategyPartition, solvePartition)
 	register(BackendInfo{
 		Name:        "packing",
 		Description: "rectangle bin-packing: cores become width x time rectangles placed into the W x T bin",
 		PowerAware:  true,
 		Cancellable: true,
-	}, StrategyPacking, func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-		return solvePacking(ctx, s, width, opt)
-	})
+	}, StrategyPacking, packEngine(StrategyPacking, pack.PackContext))
 	register(BackendInfo{
 		Name:        "diagonal",
 		Description: "rectangle bin-packing with the diagonal-length heuristic of arXiv:1008.4446",
 		PowerAware:  true,
 		Cancellable: true,
-	}, StrategyDiagonal, func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-		return solveDiagonal(ctx, s, width, opt)
-	})
+	}, StrategyDiagonal, packEngine(StrategyDiagonal, pack.PackDiagonalContext))
 	register(BackendInfo{
 		Name:        exhaustiveBackendName,
 		Description: "the exact enumerate-and-solve baseline of the earlier JETTA 2002 paper [8]; exponential cost",
 		PowerAware:  true,
 		Cancellable: true,
 		Exact:       true,
-	}, StrategyExhaustive, func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-		return solveExhaustive(ctx, s, width, opt, sink)
-	})
+	}, StrategyExhaustive, solveExhaustive)
 }
 
 // portfolioName is the reserved name of the combinator; it lives outside
@@ -176,17 +154,6 @@ func Solvers() []BackendInfo {
 		out = append(out, e.info)
 	}
 	return append(out, portfolioInfo())
-}
-
-// LookupBackend returns the registered engine with the given name
-// (whitespace-trimmed, case-insensitive), or false. The portfolio
-// combinator is not an engine and is not found here.
-func LookupBackend(name string) (Backend, bool) {
-	e, ok := lookupEngine(name)
-	if !ok {
-		return nil, false
-	}
-	return e, true
 }
 
 func lookupEngine(name string) (*engine, bool) {

@@ -43,47 +43,34 @@ func TestSolversListing(t *testing.T) {
 	}
 }
 
-// TestLookupBackendSolvesLikeSolve checks that the Backend interface is
-// a real entry point: solving through a looked-up engine matches Solve
-// with the matching strategy.
-func TestLookupBackendSolvesLikeSolve(t *testing.T) {
+// TestFixedTAMEntryPointsSolveLikeSolve checks that the fixed-TAM-count
+// entry points are Solve narrowed to one B: each delivers the engine's
+// start → improved* → done framing, and at B = 1 (where the sweep of
+// B = 1..MaxTAMs has nothing to carry across TAM counts) it returns
+// exactly what Solve returns with MaxTAMs 1.
+func TestFixedTAMEntryPointsSolveLikeSolve(t *testing.T) {
 	s := socdata.D695()
-	for _, name := range []string{"partition", "PACKING", " diagonal "} {
-		b, ok := LookupBackend(name)
-		if !ok {
-			t.Fatalf("LookupBackend(%q) not found", name)
+	for _, tc := range []struct {
+		strat Strategy
+		fixed func(opt Options) (Result, error)
+	}{
+		{StrategyPartition, func(opt Options) (Result, error) { return PartitionEvaluate(s, 16, 1, opt) }},
+		{StrategyExhaustive, func(opt Options) (Result, error) { return Exhaustive(s, 16, 1, opt) }},
+	} {
+		var events []ProgressEvent
+		got, err := tc.fixed(Options{Workers: 1, Progress: func(ev ProgressEvent) { events = append(events, ev) }})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.strat, err)
 		}
-		strat, err := ParseStrategy(name)
+		checkFraming(t, tc.strat.String(), events, got)
+		want, err := Solve(s, 16, Options{Workers: 1, MaxTAMs: 1, Strategy: tc.strat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Info().Name != strat.String() {
-			t.Errorf("LookupBackend(%q).Info().Name = %q, want %q", name, b.Info().Name, strat)
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v at B=1: fixed-B entry point %+v != Solve %+v", tc.strat, got, want)
 		}
-		// Backend.Solve delivers the same progress framing as
-		// SolveContext: start first, done last.
-		var kinds []ProgressKind
-		got, err := b.Solve(context.Background(), s, 24, Options{Strategy: strat,
-			Progress: func(ev ProgressEvent) { kinds = append(kinds, ev.Kind) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(kinds) < 2 || kinds[0] != ProgressBackendStart || kinds[len(kinds)-1] != ProgressBackendDone {
-			t.Errorf("%s: Backend.Solve events %v lack start/done framing", name, kinds)
-		}
-		want, err := Solve(s, 24, Options{Strategy: strat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Time != want.Time {
-			t.Errorf("%s: Backend.Solve %d cycles != Solve %d cycles", name, got.Time, want.Time)
-		}
-	}
-	if _, ok := LookupBackend("portfolio"); ok {
-		t.Error("the portfolio combinator must not resolve as an engine")
-	}
-	if _, ok := LookupBackend("simulated-annealing"); ok {
-		t.Error("unknown backend resolved")
 	}
 }
 
@@ -356,34 +343,44 @@ func TestProgressStreamSequential(t *testing.T) {
 	if len(events) < 3 {
 		t.Fatalf("only %d events", len(events))
 	}
-	if events[0].Kind != ProgressBackendStart || events[0].Backend != "partition" {
-		t.Errorf("first event %+v, want partition start", events[0])
+	checkFraming(t, "partition", events, res)
+	if improved := len(events) - 2; improved != res.Stats.Improved {
+		t.Errorf("%d improvement events, Stats.Improved = %d", improved, res.Stats.Improved)
+	}
+}
+
+// checkFraming asserts one enumerating engine's event discipline: a
+// start, improvements with strictly decreasing times and increasing
+// partition counts ending at the heuristic winner, then exactly one
+// done carrying the final time.
+func checkFraming(t *testing.T, backend string, events []ProgressEvent, res Result) {
+	t.Helper()
+	if len(events) < 2 {
+		t.Fatalf("%s: only %d events", backend, len(events))
+	}
+	if events[0].Kind != ProgressBackendStart || events[0].Backend != backend {
+		t.Errorf("first event %+v, want %s start", events[0], backend)
 	}
 	last := events[len(events)-1]
-	if last.Kind != ProgressBackendDone || last.Time != res.Time {
-		t.Errorf("last event %+v, want done with %d cycles", last, res.Time)
+	if last.Kind != ProgressBackendDone || last.Backend != backend || last.Time != res.Time {
+		t.Errorf("last event %+v, want %s done with %d cycles", last, backend, res.Time)
 	}
-	improved := 0
 	var prevTime soc.Cycles
 	prevCount := 0
-	for _, ev := range events[1 : len(events)-1] {
-		if ev.Kind != ProgressImproved || ev.Backend != "partition" {
+	for i, ev := range events[1 : len(events)-1] {
+		if ev.Kind != ProgressImproved || ev.Backend != backend {
 			t.Fatalf("unexpected mid-stream event %+v", ev)
 		}
-		if improved > 0 && ev.Time >= prevTime {
+		if i > 0 && ev.Time >= prevTime {
 			t.Errorf("improvement did not improve: %d after %d", ev.Time, prevTime)
 		}
 		if ev.Partitions <= prevCount {
 			t.Errorf("partition counts not increasing: %d after %d", ev.Partitions, prevCount)
 		}
 		prevTime, prevCount = ev.Time, ev.Partitions
-		improved++
-	}
-	if improved != res.Stats.Improved {
-		t.Errorf("%d improvement events, Stats.Improved = %d", improved, res.Stats.Improved)
 	}
 	// The last improvement is the heuristic winner.
-	if prevTime != res.HeuristicTime {
+	if len(events) > 2 && prevTime != res.HeuristicTime {
 		t.Errorf("final incumbent %d != heuristic time %d", prevTime, res.HeuristicTime)
 	}
 }

@@ -14,9 +14,9 @@ func TestLowerBoundSoundOnSmallSOC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LowerBound(%d): %v", w, err)
 		}
-		opt, err := ExhaustiveRange(s, w, Options{MaxTAMs: 4})
+		opt, err := Solve(s, w, Options{MaxTAMs: 4, Strategy: StrategyExhaustive})
 		if err != nil {
-			t.Fatalf("ExhaustiveRange(%d): %v", w, err)
+			t.Fatalf("Solve(exhaustive, %d): %v", w, err)
 		}
 		if !opt.AssignmentOptimal {
 			t.Fatalf("W=%d: exhaustive run not optimal", w)
@@ -58,9 +58,9 @@ func TestLowerBoundTightOnP31108Floor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LowerBound: %v", err)
 	}
-	res, err := CoOptimize(s, 64, Options{MaxTAMs: 8})
+	res, err := Solve(s, 64, Options{MaxTAMs: 8})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Time < lb {
 		t.Fatalf("achieved %d below lower bound %d", res.Time, lb)

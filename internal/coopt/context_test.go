@@ -46,8 +46,8 @@ func TestSolveContextMatchesSolve(t *testing.T) {
 }
 
 func TestOptionsNormalized(t *testing.T) {
-	n := Options{Workers: 8, NodeLimit: -3, ILPNodeLimit: -1, MaxPower: -2}.Normalized()
-	if n.Workers != 0 || n.NodeLimit != 0 || n.ILPNodeLimit != 0 || n.MaxPower != 0 {
+	n := Options{Workers: 8, NodeLimit: -3, MaxPower: -2}.Normalized()
+	if n.Workers != 0 || n.NodeLimit != 0 || n.MaxPower != 0 {
 		t.Errorf("sentinels survived normalization: %+v", n)
 	}
 	if n.MaxTAMs != 10 {

@@ -44,8 +44,8 @@ const (
 	// subset; empty races every registered non-exact engine.
 	StrategyPortfolio
 	// StrategyExhaustive is the exact enumerate-and-solve baseline of
-	// the earlier JETTA 2002 paper [8] (ExhaustiveRange behind Solve):
-	// every unique width partition for B = 1..MaxTAMs solved exactly.
+	// the earlier JETTA 2002 paper [8]: every unique width partition for
+	// B = 1..MaxTAMs solved exactly.
 	// Proven optimal, exponential cost — selectable and raceable, but
 	// never part of the bare portfolio race.
 	StrategyExhaustive
@@ -69,30 +69,6 @@ func (s Strategy) String() string {
 		return e.info.Name
 	}
 	return fmt.Sprintf("Strategy(%d)", uint8(s))
-}
-
-// Solver selects the exact engine for final optimization and for the
-// exhaustive baseline.
-type Solver uint8
-
-// Exact engines.
-const (
-	// SolverBB is the combinatorial branch and bound (fast, default).
-	SolverBB Solver = iota
-	// SolverILP is the Section 3.2 integer linear program solved with
-	// the in-repo simplex branch and bound — the paper's lpsolve path.
-	SolverILP
-)
-
-// String names the solver.
-func (s Solver) String() string {
-	switch s {
-	case SolverBB:
-		return "branch-and-bound"
-	case SolverILP:
-		return "ilp"
-	}
-	return fmt.Sprintf("Solver(%d)", uint8(s))
 }
 
 // Enumeration selects how width partitions are generated.
@@ -133,13 +109,10 @@ type Options struct {
 	// MaxTAMs bounds the TAM count explored by the P_NPAW flows; <= 0
 	// means 10 (the paper evaluates up to ten TAMs).
 	MaxTAMs int
-	// FinalSolver picks the exact engine for the final step.
-	FinalSolver Solver
-	// NodeLimit caps each exact branch-and-bound solve; <= 0 uses the
-	// package defaults.
+	// NodeLimit caps each exact P_AW solve (assign.SolveExact: the
+	// partition flow's final step and every partition of the exact
+	// engines); <= 0 uses the package defaults.
 	NodeLimit int64
-	// ILPNodeLimit caps each exact ILP solve; <= 0 uses the default.
-	ILPNodeLimit int
 	// SkipFinal skips the exact final optimization step (ablation).
 	SkipFinal bool
 	// NoEarlyAbort disables the Core_assign lines 18–20 abort during
@@ -157,8 +130,8 @@ type Options struct {
 	// order and is therefore reproducible only with Workers = 1.
 	Workers int
 	// Strategy picks the Solve backend (a registered engine or the
-	// portfolio combinator). The partition-specific entry points ignore
-	// it.
+	// portfolio combinator). The fixed-TAM-count entry points
+	// (PartitionEvaluate, Exhaustive) set it themselves.
 	Strategy Strategy
 	// Portfolio is the portfolio race's backend subset as a
 	// comma-separated list of registered backend names (the spec tail of
@@ -207,13 +180,17 @@ type Options struct {
 	// nil recompute identical curves themselves, so results never depend
 	// on it and Normalized clears it.
 	curves *wrapper.CurveSet
+	// tams, when > 0, narrows an enumerating engine's TAM-count sweep to
+	// exactly this B (problem P_PAW) — set only by the fixed-TAM-count
+	// entry points, so one B loop per engine serves both problems.
+	tams int
 }
 
 // resolveDeadline collapses Budget (a relative duration) into Deadline
 // (an absolute instant), keeping the earlier of the two, and zeroes
-// Budget. Every public entry point resolves once on the way in, so the
-// engines below only ever consult Deadline; resolving an already
-// resolved Options is a no-op. The clock is read only when a budget is
+// Budget. SolveContext resolves once on the way in, so the engines
+// below only ever consult Deadline; resolving an already resolved
+// Options is a no-op. The clock is read only when a budget is
 // actually set — no-deadline runs never touch time.Now here.
 func (o Options) resolveDeadline() Options {
 	if o.Budget > 0 {
@@ -230,6 +207,31 @@ func (o Options) maxTAMs() int {
 		return 10
 	}
 	return o.MaxTAMs
+}
+
+// tamRange is the TAM counts an enumerating engine sweeps: exactly the
+// fixed count of a P_PAW entry point, else 1..MaxTAMs capped at the
+// width (a B above W has no partition).
+func (o Options) tamRange(width int) (lo, hi int) {
+	if o.tams > 0 {
+		return o.tams, o.tams
+	}
+	return 1, min(o.maxTAMs(), width)
+}
+
+// exact is the budget of every exact P_AW solve the run makes.
+func (o Options) exact() assign.ExactOptions {
+	return assign.ExactOptions{NodeLimit: o.NodeLimit}
+}
+
+// tables returns the run's testing-time tables: the curves a portfolio
+// race shares with its racers when present, else a fresh TimeTables
+// sweep (which validates the SOC and width).
+func (o Options) tables(s *soc.SOC, width int) ([][]soc.Cycles, error) {
+	if o.curves != nil {
+		return o.curves.Tables(), nil
+	}
+	return TimeTables(s, width)
 }
 
 // effectiveCeiling resolves the peak-power ceiling a run enforces:
@@ -277,9 +279,6 @@ func (o Options) Normalized() Options {
 	o.Budget = 0
 	if o.NodeLimit < 0 {
 		o.NodeLimit = 0
-	}
-	if o.ILPNodeLimit < 0 {
-		o.ILPNodeLimit = 0
 	}
 	if o.MaxPower < 0 {
 		o.MaxPower = 0
@@ -670,7 +669,7 @@ func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc
 		Truncated:     truncated,
 	}
 	if !opt.SkipFinal && !truncated {
-		final, optimal, err := solveExact(inst, opt)
+		final, optimal, err := assign.SolveExact(inst, opt.exact())
 		if err != nil {
 			return Result{}, err
 		}
@@ -691,28 +690,20 @@ func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc
 	return res, nil
 }
 
-// solveExact dispatches to the configured exact engine.
-func solveExact(in *assign.Instance, opt Options) (assign.Assignment, bool, error) {
-	if opt.FinalSolver == SolverILP {
-		return assign.SolveILP(in, assign.ILPOptions{NodeLimit: opt.ILPNodeLimit})
-	}
-	return assign.SolveExact(in, assign.ExactOptions{NodeLimit: opt.NodeLimit})
-}
-
 // Solve is the unified co-optimization entry point: it dispatches on
 // Options.Strategy to the matching registered backend — the paper's
-// partition flow (CoOptimize), the two rectangle bin-packing engines
-// (package pack), the exhaustive baseline of [8] — or to the portfolio
-// combinator that races a subset of them (Options.Portfolio)
-// concurrently.
+// partition flow, the two rectangle bin-packing engines (package pack),
+// the exact engines (the exhaustive baseline of [8] and the ILP branch
+// and bound) — or to the portfolio combinator that races a subset of
+// them (Options.Portfolio) concurrently.
 func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 	return SolveContext(context.Background(), s, width, opt)
 }
 
 // SolveContext is Solve with cancellation: every backend polls ctx (the
 // partition flow every cancelCheckMask+1 partitions, the packers at
-// each placement budget, the exhaustive baseline at every partition,
-// the portfolio through each racer's derived context) and returns ctx's
+// each placement budget, the exact engines at every partition, the
+// portfolio through each racer's derived context) and returns ctx's
 // error once it fires. Cancellation never alters the result of a run
 // that completes — it is the seam the serving layer (internal/serve)
 // uses to abandon in-flight solves on shutdown, and what the portfolio
@@ -723,6 +714,10 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 // incumbent, tagged Truncated with its optimality gap, once the
 // instant passes — never an error, provided a first incumbent exists.
 // See ARCHITECTURE.md §13.
+//
+// Every run is framed on the progress stream: a single engine emits
+// start, its own improvement events, then exactly one done or
+// cancelled; a portfolio race frames each racer the same way.
 func SolveContext(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
 	opt = opt.resolveDeadline()
 	sink := newProgressSink(opt.Progress)
@@ -733,15 +728,6 @@ func SolveContext(ctx context.Context, s *soc.SOC, width int, opt Options) (Resu
 	if !ok {
 		return Result{}, fmt.Errorf("coopt: no registered backend for strategy %v", opt.Strategy)
 	}
-	return runFramed(ctx, e, s, width, opt, sink)
-}
-
-// runFramed runs one engine inside the documented progress framing:
-// start, the engine's own improvement events, then exactly one done or
-// cancelled. Shared by SolveContext's dispatch and Backend.Solve so
-// every single-engine entry point delivers the same per-backend event
-// discipline.
-func runFramed(ctx context.Context, e *engine, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	sink.start(e.info.Name)
 	res, err := e.solve(ctx, s, width, opt, sink)
 	switch {
@@ -756,12 +742,45 @@ func runFramed(ctx context.Context, e *engine, s *soc.SOC, width int, opt Option
 }
 
 // PartitionEvaluate solves P_PAW heuristically for a fixed TAM count:
-// Figure 3 restricted to one B, plus the exact final step (unless
-// disabled). The returned Stats are the basis of the paper's Table 1.
+// the partition engine's Figure 3 sweep narrowed to one B, plus the
+// exact final step (unless disabled), run through Solve so it carries
+// the same progress framing. The returned Stats are the basis of the
+// paper's Table 1.
 func PartitionEvaluate(s *soc.SOC, width, numTAMs int, opt Options) (Result, error) {
+	return solveFixedTAMs(StrategyPartition, s, width, numTAMs, opt)
+}
+
+// Exhaustive reproduces the baseline of [8] for a fixed TAM count: the
+// exhaustive engine narrowed to one B, run through Solve. Every unique
+// width partition is solved exactly, with no bound shared between
+// partitions (the paper notes the ILP "cannot be halted prematurely",
+// so the baseline must not prune across partitions). The best partition
+// and its proven-optimal assignment are returned.
+func Exhaustive(s *soc.SOC, width, numTAMs int, opt Options) (Result, error) {
+	return solveFixedTAMs(StrategyExhaustive, s, width, numTAMs, opt)
+}
+
+// solveFixedTAMs runs an enumerating engine through Solve with its
+// TAM-count sweep narrowed to numTAMs.
+func solveFixedTAMs(strategy Strategy, s *soc.SOC, width, numTAMs int, opt Options) (Result, error) {
+	if numTAMs < 1 {
+		return Result{}, fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)
+	}
+	opt.Strategy = strategy
+	opt.tams = numTAMs
+	return Solve(s, width, opt)
+}
+
+// solvePartition is the partition engine (StrategyPartition): the
+// Figure 3 sweep over the run's TAM counts (tamRange: B = 1..MaxTAMs
+// for P_NPAW) with the best-known bound carried across them, followed
+// by the exact final optimization step on the winning partition. ctx is
+// polled during partition evaluation (every cancelCheckMask+1
+// partitions on the sequential path, every batch on the worker pool);
+// cancellation never alters the result of a run that completes.
+func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	opt = opt.resolveDeadline()
-	tables, err := TimeTables(s, width)
+	tables, err := opt.tables(s, width)
 	if err != nil {
 		return Result{}, err
 	}
@@ -769,69 +788,12 @@ func PartitionEvaluate(s *soc.SOC, width, numTAMs int, opt Options) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	sink := newProgressSink(opt.Progress)
-	if opt.workers() > 1 {
-		p := newParEvaluator(tables, opt, pc)
-		p.sink = sink
-		if err := p.evaluateB(width, numTAMs); err != nil {
-			return Result{}, err
-		}
-		return p.finish(width, started)
-	}
-	e := &evaluator{tables: tables, opt: opt, pc: pc, sink: sink}
-	if err := e.evaluateB(width, numTAMs); err != nil {
-		return Result{}, err
-	}
-	return e.finish(width, started)
-}
-
-// CoOptimize solves P_NPAW: the full Figure 3 sweep over B = 1..MaxTAMs
-// with the best-known bound carried across TAM counts, followed by the
-// exact final optimization step on the winning partition.
-func CoOptimize(s *soc.SOC, width int, opt Options) (Result, error) {
-	return coOptimize(nil, s, width, opt)
-}
-
-// coOptimize is CoOptimize with cancellation: a non-nil ctx is polled
-// during partition evaluation (every cancelCheckMask+1 partitions on the
-// sequential path, every batch on the worker pool) and its error is
-// returned once it fires. The portfolio racer uses it to stop a
-// partition backend that can no longer win; cancellation never alters
-// the result of a run that completes.
-func coOptimize(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
-	return coOptimizeSink(ctx, s, width, opt.resolveDeadline(), newProgressSink(opt.Progress))
-}
-
-// coOptimizeSink is coOptimize delivering progress into an existing
-// sink — the form the partition engine registers, so a Solve call's
-// events stay on one serialized stream whether the engine runs alone or
-// inside a portfolio race.
-func coOptimizeSink(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-	tables, err := TimeTables(s, width)
-	if err != nil {
-		return Result{}, err
-	}
-	return coOptimizeTables(ctx, s, tables, width, opt, sink)
-}
-
-// coOptimizeTables is coOptimize on precomputed testing-time tables —
-// the seam the portfolio racer uses so the tables it derives its
-// cancellation bound from are not computed a second time.
-func coOptimizeTables(ctx context.Context, s *soc.SOC, tables [][]soc.Cycles, width int, opt Options, sink *progressSink) (Result, error) {
-	started := time.Now()
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	maxB := opt.maxTAMs()
-	if maxB > width {
-		maxB = width
-	}
+	lo, hi := opt.tamRange(width)
 	if opt.workers() > 1 {
 		p := newParEvaluator(tables, opt, pc)
 		p.ctx = ctx
 		p.sink = sink
-		for b := 1; b <= maxB && !p.truncated; b++ {
+		for b := lo; b <= hi && !p.truncated; b++ {
 			if err := p.evaluateB(width, b); err != nil {
 				return Result{}, err
 			}
@@ -839,7 +801,7 @@ func coOptimizeTables(ctx context.Context, s *soc.SOC, tables [][]soc.Cycles, wi
 		return p.finish(width, started)
 	}
 	e := &evaluator{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink}
-	for b := 1; b <= maxB && !e.truncated; b++ {
+	for b := lo; b <= hi && !e.truncated; b++ {
 		if err := e.evaluateB(width, b); err != nil {
 			return Result{}, err
 		}
@@ -847,42 +809,13 @@ func coOptimizeTables(ctx context.Context, s *soc.SOC, tables [][]soc.Cycles, wi
 	return e.finish(width, started)
 }
 
-// Exhaustive reproduces the baseline of [8] for a fixed TAM count: every
-// unique width partition is solved exactly, with no bound shared between
-// partitions (the paper notes the ILP "cannot be halted prematurely", so
-// the baseline must not prune across partitions). The best partition and
-// its proven-optimal assignment are returned.
-func Exhaustive(s *soc.SOC, width, numTAMs int, opt Options) (Result, error) {
-	started := time.Now()
-	opt = opt.resolveDeadline()
-	tables, err := TimeTables(s, width)
-	if err != nil {
-		return Result{}, err
-	}
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	e := exhaustiveState{tables: tables, opt: opt, pc: pc, sink: newProgressSink(opt.Progress)}
-	if err := e.run(width, numTAMs); err != nil {
-		return Result{}, err
-	}
-	return e.result(width, started)
-}
-
-// ExhaustiveRange runs the [8] baseline over B = 1..MaxTAMs.
-func ExhaustiveRange(s *soc.SOC, width int, opt Options) (Result, error) {
-	return solveExhaustive(nil, s, width, opt.resolveDeadline(), newProgressSink(opt.Progress))
-}
-
-// solveExhaustive is ExhaustiveRange as a registered engine: the [8]
-// baseline over B = 1..MaxTAMs with cancellation polled at every
-// partition (each costs one exact solve, so per-partition polling is
-// cheap relative to the work it can save) and progress delivered into
-// the enclosing Solve call's sink.
+// solveExhaustive is the exhaustive engine (StrategyExhaustive): the [8]
+// baseline over the run's TAM counts (tamRange) with cancellation
+// polled at every partition (each costs one exact solve, so
+// per-partition polling is cheap relative to the work it can save).
 func solveExhaustive(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	tables, err := TimeTables(s, width)
+	tables, err := opt.tables(s, width)
 	if err != nil {
 		return Result{}, err
 	}
@@ -890,12 +823,9 @@ func solveExhaustive(ctx context.Context, s *soc.SOC, width int, opt Options, si
 	if err != nil {
 		return Result{}, err
 	}
-	e := exhaustiveState{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink}
-	maxB := opt.maxTAMs()
-	if maxB > width {
-		maxB = width
-	}
-	for b := 1; b <= maxB && !e.truncated; b++ {
+	e := exhaustiveState{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink, allOptimal: true}
+	lo, hi := opt.tamRange(width)
+	for b := lo; b <= hi && !e.truncated; b++ {
 		if err := e.run(width, b); err != nil {
 			return Result{}, err
 		}
@@ -907,8 +837,8 @@ type exhaustiveState struct {
 	tables [][]soc.Cycles
 	opt    Options
 	pc     *powerContext
-	ctx    context.Context // nil = never cancelled
-	sink   *progressSink   // nil = no observer
+	ctx    context.Context
+	sink   *progressSink // nil = no observer
 
 	best            soc.Cycles
 	bestPart        []int
@@ -917,18 +847,12 @@ type exhaustiveState struct {
 	truncated       bool
 	evaluated       int
 	powerInfeasible int
-	started         bool
 }
 
 func (e *exhaustiveState) run(width, numTAMs int) error {
-	if !e.started {
-		e.allOptimal = true
-		e.started = true
-	}
 	var innerErr error
 	partition.Enumerate(width, numTAMs, func(parts []int) bool {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			innerErr = e.ctx.Err()
+		if innerErr = e.ctx.Err(); innerErr != nil {
 			return false
 		}
 		// Deadline poll per partition (each costs one exact solve, so
@@ -943,7 +867,7 @@ func (e *exhaustiveState) run(width, numTAMs int) error {
 			innerErr = err
 			return false
 		}
-		a, optimal, err := solveExact(inst, e.opt)
+		a, optimal, err := assign.SolveExact(inst, e.opt.exact())
 		if err != nil {
 			innerErr = err
 			return false

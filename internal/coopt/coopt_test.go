@@ -2,7 +2,6 @@ package coopt
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"soctam/internal/assign"
@@ -86,13 +85,13 @@ func TestEarlyAbortDoesNotChangeResult(t *testing.T) {
 	// Pruning levels must never alter the chosen testing time, only the
 	// work done.
 	s := testSOC()
-	base, err := CoOptimize(s, 14, Options{MaxTAMs: 4})
+	base, err := Solve(s, 14, Options{MaxTAMs: 4})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	noAbort, err := CoOptimize(s, 14, Options{MaxTAMs: 4, NoEarlyAbort: true})
+	noAbort, err := Solve(s, 14, Options{MaxTAMs: 4, NoEarlyAbort: true})
 	if err != nil {
-		t.Fatalf("CoOptimize(NoEarlyAbort): %v", err)
+		t.Fatalf("Solve(NoEarlyAbort): %v", err)
 	}
 	if base.HeuristicTime != noAbort.HeuristicTime || base.Time != noAbort.Time {
 		t.Errorf("early abort changed results: %d/%d vs %d/%d",
@@ -157,13 +156,15 @@ func TestCoOptimizeVsExhaustive(t *testing.T) {
 	// this small SOC it should land within 25% of it.
 	s := testSOC()
 	opt := Options{MaxTAMs: 3}
-	heur, err := CoOptimize(s, 12, opt)
+	heur, err := Solve(s, 12, opt)
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	exact, err := ExhaustiveRange(s, 12, opt)
+	exactOpt := opt
+	exactOpt.Strategy = StrategyExhaustive
+	exact, err := Solve(s, 12, exactOpt)
 	if err != nil {
-		t.Fatalf("ExhaustiveRange: %v", err)
+		t.Fatalf("Solve(exhaustive): %v", err)
 	}
 	if !exact.AssignmentOptimal {
 		t.Fatal("exhaustive run not fully optimal")
@@ -201,13 +202,13 @@ func TestExhaustiveFixedB(t *testing.T) {
 func TestCoOptimizeWiderNeverWorse(t *testing.T) {
 	// More TAM wires can only help: T(W=16) <= T(W=8).
 	s := testSOC()
-	t8, err := CoOptimize(s, 8, Options{MaxTAMs: 3})
+	t8, err := Solve(s, 8, Options{MaxTAMs: 3})
 	if err != nil {
-		t.Fatalf("CoOptimize(8): %v", err)
+		t.Fatalf("Solve(8): %v", err)
 	}
-	t16, err := CoOptimize(s, 16, Options{MaxTAMs: 3})
+	t16, err := Solve(s, 16, Options{MaxTAMs: 3})
 	if err != nil {
-		t.Fatalf("CoOptimize(16): %v", err)
+		t.Fatalf("Solve(16): %v", err)
 	}
 	if t16.Time > t8.Time {
 		t.Errorf("T(16) = %d worse than T(8) = %d", t16.Time, t8.Time)
@@ -216,35 +217,39 @@ func TestCoOptimizeWiderNeverWorse(t *testing.T) {
 
 func TestCoOptimizeDeterministic(t *testing.T) {
 	s := testSOC()
-	a, err := CoOptimize(s, 12, Options{MaxTAMs: 4})
+	a, err := Solve(s, 12, Options{MaxTAMs: 4})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	b, err := CoOptimize(s, 12, Options{MaxTAMs: 4})
+	b, err := Solve(s, 12, Options{MaxTAMs: 4})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if a.Time != b.Time || !reflect.DeepEqual(a.Partition, b.Partition) ||
 		!reflect.DeepEqual(a.Assignment.TAMOf, b.Assignment.TAMOf) {
-		t.Error("CoOptimize is not deterministic")
+		t.Error("the partition flow is not deterministic")
 	}
 }
 
+// TestCoOptimizeILPFinal holds the final exact step (assign.SolveExact,
+// the combinatorial branch and bound) to the paper's Section 3.2 ILP:
+// solving the winning partition's 0/1 model through the simplex must
+// prove the same optimum.
 func TestCoOptimizeILPFinal(t *testing.T) {
 	s := testSOC()
-	bb, err := CoOptimize(s, 10, Options{MaxTAMs: 2, FinalSolver: SolverBB})
+	bb, err := Solve(s, 10, Options{MaxTAMs: 2})
 	if err != nil {
-		t.Fatalf("CoOptimize(BB): %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	ilpRes, err := CoOptimize(s, 10, Options{MaxTAMs: 2, FinalSolver: SolverILP})
+	if !bb.AssignmentOptimal {
+		t.Error("final exact step did not mark the assignment optimal")
+	}
+	ilpA, optimal, err := assign.SolveILP(mustInstance(t, bb), assign.ILPOptions{})
 	if err != nil {
-		t.Fatalf("CoOptimize(ILP): %v", err)
+		t.Fatalf("SolveILP: %v", err)
 	}
-	if bb.Time != ilpRes.Time {
-		t.Errorf("final step disagrees: B&B %d vs ILP %d", bb.Time, ilpRes.Time)
-	}
-	if !ilpRes.AssignmentOptimal {
-		t.Error("ILP final solve did not mark the assignment optimal")
+	if !optimal || ilpA.Time != bb.Time {
+		t.Errorf("final step disagrees: B&B %d vs ILP %d (proven %t)", bb.Time, ilpA.Time, optimal)
 	}
 	// The heuristic flow cannot prove its answer (its gap against the
 	// volume bound stays positive here); the registered exact engine
@@ -256,16 +261,16 @@ func TestCoOptimizeILPFinal(t *testing.T) {
 	if !exact.Proven {
 		t.Errorf("exact engine returned unproven result (gap %f)", exact.Gap)
 	}
-	if exact.Time != ilpRes.Time {
-		t.Errorf("heuristic flow returned %d cycles, exact engine proves %d", ilpRes.Time, exact.Time)
+	if exact.Time != bb.Time {
+		t.Errorf("heuristic flow returned %d cycles, exact engine proves %d", bb.Time, exact.Time)
 	}
 }
 
 func TestMaxTAMsCappedByWidth(t *testing.T) {
 	// Width 3 cannot host 10 TAMs; the sweep must cap B at W.
-	res, err := CoOptimize(testSOC(), 3, Options{MaxTAMs: 10})
+	res, err := Solve(testSOC(), 3, Options{MaxTAMs: 10})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.NumTAMs > 3 {
 		t.Errorf("NumTAMs = %d with width 3", res.NumTAMs)
@@ -285,17 +290,8 @@ func TestErrors(t *testing.T) {
 		// than return an empty result.
 		t.Error("exhaustive with B > W returned no error")
 	}
-	if _, err := CoOptimize(&soc.SOC{}, 8, Options{}); err == nil {
+	if _, err := Solve(&soc.SOC{}, 8, Options{}); err == nil {
 		t.Error("empty SOC accepted")
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	if SolverBB.String() != "branch-and-bound" || SolverILP.String() != "ilp" {
-		t.Error("solver names wrong")
-	}
-	if !strings.HasPrefix(Solver(9).String(), "Solver(") {
-		t.Error("unknown solver string")
 	}
 }
 

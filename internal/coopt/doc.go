@@ -6,10 +6,14 @@
 // flow, rectangle bin-packing (StrategyPacking), diagonal-length
 // bin-packing (StrategyDiagonal), the exhaustive enumerate-and-solve
 // baseline of the earlier JETTA 2002 work [8] (StrategyExhaustive),
-// and the portfolio combinator (StrategyPortfolio) that races any
-// registered subset concurrently against a shared incumbent bound and
-// returns the winner. Options.Progress streams backend lifecycle and
-// incumbent-improvement events from any run (progress.go).
+// the exact LP-pruned branch and bound over the same partitions
+// (StrategyILP), and the portfolio combinator (StrategyPortfolio) that
+// races any registered subset concurrently against a shared incumbent
+// bound and returns the winner. Solve/SolveContext is the one way to
+// run any of them; PartitionEvaluate and Exhaustive are Solve with the
+// engine's TAM-count sweep narrowed to one B. Options.Progress streams
+// backend lifecycle and incumbent-improvement events from any run
+// (progress.go).
 //
 // The partition flow mirrors the paper exactly:
 //
@@ -20,8 +24,9 @@
 //  3. every partition is scored with the Core_assign heuristic (package
 //     assign) under the running best bound, which aborts hopeless
 //     partitions early — the paper's three levels of pruning;
-//  4. the winning partition is re-solved exactly (ILP or combinatorial
-//     branch and bound) as the final optimization step.
+//  4. the winning partition is re-solved exactly (assign.SolveExact,
+//     the combinatorial branch and bound) as the final optimization
+//     step.
 //
 // Steps 2–3 run on the Options.Workers goroutine pool; results are
 // bit-for-bit identical at any worker count, including under the

@@ -50,14 +50,14 @@ func init() {
 // incumbent, and the incumbent only ever updates on strict improvement
 // in the exhaustive baseline too, so the engine returns the baseline's
 // testing time on every instance. (The simplex-based integer solver of
-// internal/ilp stays on the Options.FinalSolver path: solving each
+// internal/ilp, assign.SolveILP, is not called here: solving each
 // partition's 0/1 model through it costs milliseconds where the
-// combinatorial search under a cutoff costs microseconds — here the
-// ILP contributes its relaxation, the bound lpsolve would compute at
-// the root.)
+// combinatorial search under a cutoff costs microseconds — the ILP
+// contributes its relaxation, the bound lpsolve would compute at the
+// root.)
 func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	tables, err := TimeTables(s, width)
+	tables, err := opt.tables(s, width)
 	if err != nil {
 		return Result{}, err
 	}
@@ -74,11 +74,8 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 		globalLB:  lowerBoundPC(tables, pc, width),
 		allProven: true,
 	}
-	maxB := opt.maxTAMs()
-	if maxB > width {
-		maxB = width
-	}
-	for b := 1; b <= maxB && !e.truncated && !e.atBound(); b++ {
+	lo, hi := opt.tamRange(width)
+	for b := lo; b <= hi && !e.truncated && !e.atBound(); b++ {
 		if err := e.run(width, b); err != nil {
 			return Result{}, err
 		}
@@ -91,8 +88,8 @@ type ilpState struct {
 	tables [][]soc.Cycles
 	opt    Options
 	pc     *powerContext
-	ctx    context.Context // nil = never cancelled
-	sink   *progressSink   // nil = no observer
+	ctx    context.Context
+	sink   *progressSink // nil = no observer
 
 	// globalLB is the architecture-independent lower bound: the floor
 	// every partition bound starts from, and the early-stop target.
@@ -143,8 +140,7 @@ func (e *ilpState) partitionBound(parts []int) soc.Cycles {
 func (e *ilpState) run(width, numTAMs int) error {
 	var innerErr error
 	partition.Enumerate(width, numTAMs, func(parts []int) bool {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			innerErr = e.ctx.Err()
+		if innerErr = e.ctx.Err(); innerErr != nil {
 			return false
 		}
 		// Deadline poll per partition, as in the exhaustive baseline;
@@ -191,7 +187,7 @@ func (e *ilpState) run(width, numTAMs int) error {
 		if e.bestPart == nil {
 			// First incumbent: a plain proven solve seeds the cutoff.
 			var err error
-			a, proven, err = assign.SolveExact(inst, assign.ExactOptions{NodeLimit: e.opt.NodeLimit})
+			a, proven, err = assign.SolveExact(inst, e.opt.exact())
 			if err != nil {
 				innerErr = err
 				return false
@@ -199,8 +195,7 @@ func (e *ilpState) run(width, numTAMs int) error {
 		} else {
 			found := false
 			var err error
-			a, found, proven, err = assign.SolveExactCutoff(inst,
-				assign.ExactOptions{NodeLimit: e.opt.NodeLimit}, e.best)
+			a, found, proven, err = assign.SolveExactCutoff(inst, e.opt.exact(), e.best)
 			if err != nil {
 				innerErr = err
 				return false

@@ -8,29 +8,21 @@ import (
 	"soctam/internal/soc"
 )
 
-// solvePacking runs the rectangle bin-packing backend (package pack) and
-// wraps its schedule as a Result. Partition/Assignment stay empty: a
-// packed architecture re-divides the W wires between cores over time
-// instead of fixing test buses, so there is no width partition to
-// report — the schedule itself (Result.Packing) is the architecture.
-func solvePacking(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
-	started := time.Now()
-	sch, err := pack.PackContext(ctx, s, width, pack.Options{MaxPower: opt.MaxPower, Curves: opt.curves, Deadline: opt.Deadline})
-	if err != nil {
-		return Result{}, err
+// packEngine adapts one of package pack's packers (PackContext,
+// PackDiagonalContext) into a registered engine that wraps the
+// schedule as a Result. Partition/Assignment stay empty: a packed
+// architecture re-divides the W wires between cores over time instead
+// of fixing test buses, so there is no width partition to report — the
+// schedule itself (Result.Packing) is the architecture.
+func packEngine(strategy Strategy, packer func(context.Context, *soc.SOC, int, pack.Options) (*pack.Schedule, error)) solveFunc {
+	return func(ctx context.Context, s *soc.SOC, width int, opt Options, _ *progressSink) (Result, error) {
+		started := time.Now()
+		sch, err := packer(ctx, s, width, pack.Options{MaxPower: opt.MaxPower, Curves: opt.curves, Deadline: opt.Deadline})
+		if err != nil {
+			return Result{}, err
+		}
+		return packingResult(strategy, sch, width, started), nil
 	}
-	return packingResult(StrategyPacking, sch, width, started), nil
-}
-
-// solveDiagonal runs the diagonal-length bin-packing backend
-// (pack.PackDiagonal); the Result has the same shape as solvePacking's.
-func solveDiagonal(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
-	started := time.Now()
-	sch, err := pack.PackDiagonalContext(ctx, s, width, pack.Options{MaxPower: opt.MaxPower, Curves: opt.curves, Deadline: opt.Deadline})
-	if err != nil {
-		return Result{}, err
-	}
-	return packingResult(StrategyDiagonal, sch, width, started), nil
 }
 
 // packingResult wraps a packed schedule as a Result. The gap is

@@ -82,8 +82,8 @@ func newParEvaluator(tables [][]soc.Cycles, opt Options, pc *powerContext) *parE
 }
 
 // evaluateB enumerates all width partitions for a fixed TAM count and
-// scores them on the worker pool. Successive calls (the B sweep of
-// CoOptimize) share the running bound and the sequence order.
+// scores them on the worker pool. Successive calls (the partition
+// engine's B sweep) share the running bound and the sequence order.
 func (p *parEvaluator) evaluateB(width, numTAMs int) error {
 	if numTAMs < 1 || width < numTAMs {
 		return fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)

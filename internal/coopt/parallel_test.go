@@ -15,12 +15,12 @@ import (
 func TestParallelMatchesSequential(t *testing.T) {
 	s := testSOC()
 	for _, enum := range []Enumeration{EnumCanonical, EnumOdometer, EnumNaive} {
-		seq, err := CoOptimize(s, 14, Options{MaxTAMs: 4, Workers: 1, Enumeration: enum})
+		seq, err := Solve(s, 14, Options{MaxTAMs: 4, Workers: 1, Enumeration: enum})
 		if err != nil {
 			t.Fatalf("sequential (%v): %v", enum, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := CoOptimize(s, 14, Options{MaxTAMs: 4, Workers: workers, Enumeration: enum})
+			par, err := Solve(s, 14, Options{MaxTAMs: 4, Workers: workers, Enumeration: enum})
 			if err != nil {
 				t.Fatalf("workers=%d (%v): %v", workers, enum, err)
 			}
@@ -77,7 +77,7 @@ func TestParallelZeroTimeSOC(t *testing.T) {
 		{Outputs: 2, Patterns: 0},
 		{Outputs: 3, Patterns: 0},
 	}}
-	seq, err := CoOptimize(s, 6, Options{MaxTAMs: 3, Workers: 1})
+	seq, err := Solve(s, 6, Options{MaxTAMs: 3, Workers: 1})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestParallelZeroTimeSOC(t *testing.T) {
 		t.Fatalf("zero-time SOC scored %d cycles", seq.Time)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := CoOptimize(s, 6, Options{MaxTAMs: 3, Workers: workers})
+		par, err := Solve(s, 6, Options{MaxTAMs: 3, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -135,12 +135,23 @@ func TestSolveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve(partition): %v", err)
 	}
-	direct, err := CoOptimize(s, 12, Options{MaxTAMs: 3})
-	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+	if part.Strategy != StrategyPartition {
+		t.Errorf("Solve(partition) answered by %v", part.Strategy)
 	}
-	if part.Strategy != StrategyPartition || part.Time != direct.Time {
-		t.Errorf("Solve(partition) = %v/%d, CoOptimize = %d", part.Strategy, part.Time, direct.Time)
+	// The sweep and the fixed-B entry point run the same B loop: the
+	// sweep's heuristic winner is the best per-B heuristic winner.
+	var bestHeur soc.Cycles
+	for b := 1; b <= 3; b++ {
+		fixed, err := PartitionEvaluate(s, 12, b, Options{})
+		if err != nil {
+			t.Fatalf("PartitionEvaluate(B=%d): %v", b, err)
+		}
+		if b == 1 || fixed.HeuristicTime < bestHeur {
+			bestHeur = fixed.HeuristicTime
+		}
+	}
+	if part.HeuristicTime != bestHeur {
+		t.Errorf("Solve(partition) heuristic time %d, best fixed-B heuristic time %d", part.HeuristicTime, bestHeur)
 	}
 	packed, err := Solve(s, 12, Options{Strategy: StrategyPacking})
 	if err != nil {
@@ -177,7 +188,7 @@ func TestStrategyString(t *testing.T) {
 func TestParallelMatchesSequentialPower(t *testing.T) {
 	s := socdata.D695()
 	for _, pmax := range []int{2500, 1800, 1200} {
-		seq, err := CoOptimize(s, 32, Options{Workers: 1, MaxPower: pmax})
+		seq, err := Solve(s, 32, Options{Workers: 1, MaxPower: pmax})
 		if err != nil {
 			t.Fatalf("sequential Pmax=%d: %v", pmax, err)
 		}
@@ -185,7 +196,7 @@ func TestParallelMatchesSequentialPower(t *testing.T) {
 			t.Errorf("sequential Pmax=%d: peak %d above ceiling", pmax, seq.PeakPower)
 		}
 		for _, workers := range []int{2, 4} {
-			par, err := CoOptimize(s, 32, Options{Workers: workers, MaxPower: pmax})
+			par, err := Solve(s, 32, Options{Workers: workers, MaxPower: pmax})
 			if err != nil {
 				t.Fatalf("workers=%d Pmax=%d: %v", workers, pmax, err)
 			}

@@ -186,13 +186,6 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 	tables := curves.Tables()
 	lb := portfolioLowerBound(tables, s, opt, width)
 
-	// Workers split: every racer but the partition flow is
-	// single-threaded, so each reserves one resolved worker and the
-	// partition flow's pool gets the rest (never below one).
-	partOpt := opt
-	partOpt.Strategy = StrategyPartition
-	partOpt.Workers = opt.partitionWorkersForRace(len(backends))
-
 	type outcome struct {
 		res     Result
 		err     error
@@ -211,21 +204,20 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 			defer wg.Done()
 			t0 := time.Now()
 			sink.start(b.info.Name)
-			var res Result
-			var err error
+			runOpt := opt
+			runOpt.Strategy = b.strategy
+			// The racers share the memoized wrapper curves the
+			// cancellation bound's tables came from — result-neutral
+			// (see Options.curves).
+			runOpt.curves = curves
 			if b.strategy == StrategyPartition {
-				// The partition racer re-uses the precomputed tables (the
-				// same ones the cancellation bound derives from); every
-				// other engine runs through its registered entry point.
-				res, err = coOptimizeTables(ctx, s, tables, width, partOpt, sink)
-			} else {
-				runOpt := opt
-				runOpt.Strategy = b.strategy
-				// The racers share the memoized wrapper curves the tables
-				// above came from — result-neutral (see Options.curves).
-				runOpt.curves = curves
-				res, err = b.solve(ctx, s, width, runOpt, sink)
+				// Workers split: every racer but the partition flow is
+				// single-threaded, so each reserves one resolved worker
+				// and the partition flow's pool gets the rest (never
+				// below one).
+				runOpt.Workers = opt.partitionWorkersForRace(len(backends))
 			}
+			res, err := b.solve(ctx, s, width, runOpt, sink)
 			if err == nil {
 				bound.offer(res.Time, rank)
 				sink.done(b.info.Name, res.Time, nil)

@@ -173,9 +173,9 @@ func TestCoOptimizeCancellation(t *testing.T) {
 	cancel()
 	s := socdata.D695()
 	for _, workers := range []int{1, 4} {
-		_, err := coOptimize(ctx, s, 32, Options{Workers: workers})
+		_, err := SolveContext(ctx, s, 32, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: cancelled coOptimize returned %v, want context.Canceled", workers, err)
+			t.Errorf("workers=%d: cancelled partition solve returned %v, want context.Canceled", workers, err)
 		}
 	}
 }

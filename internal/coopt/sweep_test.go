@@ -18,7 +18,7 @@ func TestBenchmarkSweepShapes(t *testing.T) {
 		t.Helper()
 		times := make([]soc.Cycles, 0, len(widths))
 		for _, w := range widths {
-			res, err := CoOptimize(s, w, Options{MaxTAMs: 10})
+			res, err := Solve(s, w, Options{MaxTAMs: 10})
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}

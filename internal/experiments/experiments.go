@@ -21,8 +21,6 @@ type Options struct {
 	MaxTAMs int
 	// NodeLimit caps each exact solve; <= 0 uses the solver default.
 	NodeLimit int64
-	// FinalSolver picks the exact engine for final optimization.
-	FinalSolver coopt.Solver
 	// Workers is the partition-evaluation goroutine count passed through
 	// to coopt (0 = all CPUs, 1 = the paper's sequential order). Table 1
 	// always runs sequentially — its pruning statistics depend on the
@@ -46,10 +44,9 @@ func (o Options) maxTAMs() int {
 
 func (o Options) cooptOptions() coopt.Options {
 	return coopt.Options{
-		MaxTAMs:     o.maxTAMs(),
-		FinalSolver: o.FinalSolver,
-		NodeLimit:   o.NodeLimit,
-		Workers:     o.Workers,
+		MaxTAMs:   o.maxTAMs(),
+		NodeLimit: o.NodeLimit,
+		Workers:   o.Workers,
 	}
 }
 

@@ -24,7 +24,7 @@ func PackingVsPartition(opt Options) ([]*report.Table, error) {
 	}
 	cfg := opt.cooptOptions()
 	for _, w := range opt.widths() {
-		part, err := coopt.CoOptimize(s, w, cfg)
+		part, err := coopt.Solve(s, w, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func PowerSweep(opt Options) ([]*report.Table, error) {
 		for _, pmax := range powerCeilings {
 			partCfg := cfg
 			partCfg.MaxPower = pmax
-			part, err := coopt.CoOptimize(s, w, partCfg)
+			part, err := coopt.Solve(s, w, partCfg)
 			if err != nil {
 				return nil, err
 			}

@@ -155,13 +155,14 @@ func npawTable(socName, label string, refTAMs int, opt Options) ([]*report.Table
 	}
 	cfg := opt.cooptOptions()
 	for _, w := range opt.widths() {
-		res, err := coopt.CoOptimize(s, w, cfg)
+		res, err := coopt.Solve(s, w, cfg)
 		if err != nil {
 			return nil, err
 		}
 		refCfg := cfg
 		refCfg.MaxTAMs = refTAMs
-		ref, err := coopt.ExhaustiveRange(s, w, refCfg)
+		refCfg.Strategy = coopt.StrategyExhaustive
+		ref, err := coopt.Solve(s, w, refCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +298,7 @@ func FloorCheck(opt Options) (floor soc.Cycles, fromWidth int, err error) {
 	var last soc.Cycles
 	widths := opt.widths()
 	for _, w := range widths {
-		res, err := coopt.CoOptimize(s, w, cfg)
+		res, err := coopt.Solve(s, w, cfg)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -3,8 +3,9 @@
 //
 // It plays the role of lpsolve [2] in the DATE 2002 paper: the P_AW core
 // assignment model (Section 3.2; ARCHITECTURE.md §2) is a 0/1 ILP,
-// solved exactly here both for the paper's "final optimization step" and
-// for the exhaustive enumeration baseline of the earlier JETTA work [8].
+// solved exactly here by assign.SolveILP — the reference the tests hold
+// the combinatorial branch and bound (assign.SolveExact, the exact step
+// of every co-optimization flow) against.
 //
 // The solver does depth-first branch and bound with most-fractional
 // branching, exploring the rounded branch first, and prunes nodes whose
@@ -12,12 +13,9 @@
 // accepted (P_AW minimizes testing time); callers with maximization
 // problems negate their objective.
 //
-// Since the registry gained the "ilp" engine (coopt.StrategyILP;
-// ARCHITECTURE.md §14), this package also serves the registered exact
-// backend — not by solving each partition's 0/1 model through the
-// simplex (that costs milliseconds where the combinatorial search costs
-// microseconds) but by contributing the model's LP relaxation as a
-// pruning bound, and through Options.Cutoff, which turns a solve into
-// the cheaper decision "is there anything strictly below the
-// incumbent?" with a proven Cutoff status when there is not.
+// The registered exact engine (coopt.StrategyILP; ARCHITECTURE.md §14)
+// does not solve each partition's 0/1 model through this package (that
+// costs milliseconds where the combinatorial search costs microseconds):
+// it takes the model's LP relaxation (assign.RelaxationBound) as a
+// pruning bound.
 package ilp

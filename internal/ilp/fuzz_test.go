@@ -10,8 +10,7 @@ import (
 // fuzzModel decodes a byte string into a small covering-knapsack model
 // — the P_AW-adjacent shape the coopt layer feeds this package — one
 // variable per byte pair: cost 1..50, weight 1..20, all binary, one
-// covering constraint at the decoded demand. Integral costs keep every
-// objective integral, which the cutoff assertions below rely on.
+// covering constraint at the decoded demand.
 func fuzzModel(data []byte, demandRaw uint8) (*Model, bool) {
 	n := len(data) / 2
 	if n == 0 || n > 8 {
@@ -34,9 +33,8 @@ func fuzzModel(data []byte, demandRaw uint8) (*Model, bool) {
 
 // FuzzILPSolve hammers the branch and bound with arbitrary covering
 // knapsacks and asserts the solver's whole contract on each: any
-// incumbent is integral and feasible with a consistent objective, the
-// LP relaxation never exceeds it, a proven optimum survives a cutoff
-// probe just below it, and a cutoff just above it finds it again.
+// incumbent is integral and feasible with a consistent objective, and
+// the LP relaxation never exceeds it.
 func FuzzILPSolve(f *testing.F) {
 	// The unit suite's knapsack instances seed the corpus.
 	f.Add([]byte{3, 2, 5, 4, 4, 3}, uint8(5)) // TestCoveringKnapsack
@@ -82,76 +80,5 @@ func FuzzILPSolve(f *testing.F) {
 		if rel.Status == lp.Optimal && rel.Objective > res.Objective+1e-6 {
 			t.Fatalf("LP relaxation %v above integer incumbent %v", rel.Objective, res.Objective)
 		}
-
-		if res.Status != Optimal || !res.Proven {
-			return
-		}
-		// Cutoff at the proven optimum: nothing strictly below it exists,
-		// and the solver must say so with a proof. (An all-zero optimum
-		// collides with Cutoff's "none" sentinel — the fuzzer found this
-		// on the empty-demand knapsack — so probe below zero there; the
-		// proof obligation is the same.)
-		cut := res.Objective
-		if cut == 0 {
-			cut = -1
-		}
-		probe, err := Solve(m, Options{Cutoff: cut})
-		if err != nil {
-			t.Fatalf("cutoff probe: %v", err)
-		}
-		if probe.Status != Cutoff || !probe.Proven {
-			t.Fatalf("cutoff at %v (optimum %v) returned %v (proven %t), want proven cutoff",
-				cut, res.Objective, probe.Status, probe.Proven)
-		}
-		// Cutoff just above it: the optimum is back in range and must be
-		// rediscovered exactly.
-		again, err := Solve(m, Options{Cutoff: res.Objective + 1})
-		if err != nil {
-			t.Fatalf("cutoff re-solve: %v", err)
-		}
-		if again.Status != Optimal || math.Abs(again.Objective-res.Objective) > 1e-6 {
-			t.Fatalf("cutoff %v re-solve returned %v objective %v, want optimal %v",
-				res.Objective+1, again.Status, again.Objective, res.Objective)
-		}
 	})
-}
-
-// TestCutoffProvesNoImprovement pins the Cutoff option on the unit
-// knapsack: the optimum costs 7, so a cutoff of 7 proves "no better",
-// a cutoff of 8 finds the 7 again, and a generous cutoff changes
-// nothing.
-func TestCutoffProvesNoImprovement(t *testing.T) {
-	mk := func() *Model { return knapsack([]float64{3, 5, 4}, []float64{2, 4, 3}, 5) }
-
-	res := solveOK(t, mk(), Options{Cutoff: 7})
-	if res.Status != Cutoff || !res.Proven {
-		t.Errorf("cutoff 7: status %v proven %t, want proven cutoff", res.Status, res.Proven)
-	}
-	if res.X != nil {
-		t.Errorf("cutoff result carries an incumbent %v", res.X)
-	}
-
-	res = solveOK(t, mk(), Options{Cutoff: 8})
-	if res.Status != Optimal || math.Abs(res.Objective-7) > 1e-6 {
-		t.Errorf("cutoff 8: status %v objective %v, want optimal 7", res.Status, res.Objective)
-	}
-
-	res = solveOK(t, mk(), Options{Cutoff: 1000})
-	if res.Status != Optimal || math.Abs(res.Objective-7) > 1e-6 {
-		t.Errorf("cutoff 1000: status %v objective %v, want optimal 7", res.Status, res.Objective)
-	}
-}
-
-// A cutoff on an infeasible model still reports Cutoff, not Infeasible:
-// under a cutoff the solver cannot distinguish "no integer point" from
-// "no integer point below the bar", and claiming infeasibility would be
-// a stronger statement than it proved.
-func TestCutoffOnInfeasibleModel(t *testing.T) {
-	m := &Model{Prob: lp.Problem{NumVars: 1, Objective: []float64{1}}, Integer: []bool{true}}
-	m.Prob.AddConstraint([]float64{1}, lp.GE, 0.5)
-	m.Prob.AddConstraint([]float64{1}, lp.LE, 0.6)
-	res := solveOK(t, m, Options{Cutoff: 100})
-	if res.Status != Cutoff || !res.Proven {
-		t.Errorf("status %v proven %t, want proven cutoff", res.Status, res.Proven)
-	}
 }

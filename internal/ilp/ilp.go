@@ -23,17 +23,6 @@ type Options struct {
 	NodeLimit int
 	// IntTol is the integrality tolerance; <= 0 means 1e-6.
 	IntTol float64
-	// Cutoff, when non-zero, is an exclusive upper bound on the
-	// objective: the search only looks for solutions strictly below it,
-	// pruning every node whose relaxation reaches it. A caller holding
-	// an incumbent of value c passes Cutoff=c and reads a Cutoff status
-	// as proof that no better solution exists — much cheaper than
-	// re-proving the incumbent itself. The zero value means no cutoff,
-	// so an incumbent worth exactly 0 cannot be expressed; probe
-	// strictly below it (any negative cutoff) instead. The testing-time
-	// models this package serves are always positive, so the sentinel
-	// never bites them.
-	Cutoff float64
 }
 
 // Status reports the outcome of an ILP solve.
@@ -52,9 +41,6 @@ const (
 	Unbounded
 	// Limit: the node limit expired with no integer solution found.
 	Limit
-	// Cutoff: the search completed without finding a solution below
-	// Options.Cutoff — a proof that none exists.
-	Cutoff
 )
 
 // String names the status.
@@ -70,8 +56,6 @@ func (s Status) String() string {
 		return "unbounded"
 	case Limit:
 		return "node-limit"
-	case Cutoff:
-		return "cutoff"
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
@@ -137,12 +121,8 @@ func Solve(m *Model, opt Options) (Result, error) {
 		case lp.IterLimit:
 			continue // treat as unexplorable; costs us proof, not safety
 		}
-		bound := best.Objective
-		if opt.Cutoff != 0 && opt.Cutoff < bound {
-			bound = opt.Cutoff
-		}
-		if sol.Objective >= bound-1e-9 {
-			continue // bound: cannot beat incumbent (or reach the cutoff)
+		if sol.Objective >= best.Objective-1e-9 {
+			continue // bound: cannot beat incumbent
 		}
 		branchVar := -1
 		worstFrac := intTol
@@ -182,14 +162,7 @@ func Solve(m *Model, opt Options) (Result, error) {
 	best.Nodes = nodes
 	if math.IsInf(best.Objective, 1) {
 		if len(stack) == 0 {
-			if opt.Cutoff != 0 {
-				// The whole tree was explored and every solution (if any)
-				// sits at or above the cutoff: a completed proof.
-				best.Status = Cutoff
-				best.Proven = true
-			} else {
-				best.Status = Infeasible
-			}
+			best.Status = Infeasible
 		} else {
 			best.Status = Limit
 		}

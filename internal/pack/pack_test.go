@@ -67,9 +67,9 @@ func TestPackValid(t *testing.T) {
 func TestPackWithinPartitionMarginD695(t *testing.T) {
 	s := socdata.D695()
 	for _, w := range []int{16, 24, 32, 40, 48, 56, 64} {
-		part, err := coopt.CoOptimize(s, w, coopt.Options{Workers: 1, SkipFinal: true})
+		part, err := coopt.Solve(s, w, coopt.Options{Workers: 1, SkipFinal: true})
 		if err != nil {
-			t.Fatalf("CoOptimize W=%d: %v", w, err)
+			t.Fatalf("Solve W=%d: %v", w, err)
 		}
 		sch, err := pack.Pack(s, w, pack.Options{})
 		if err != nil {

@@ -37,17 +37,13 @@ type solveRequest struct {
 // entries if it leaked into the key.
 type optionsJSON struct {
 	// Strategy is a backend name from GET /v1/solvers or a portfolio
-	// subset spec ("portfolio:partition,exhaustive"); names are
-	// whitespace-trimmed and case-insensitive.
-	Strategy string `json:"strategy,omitempty"`
-	// Portfolio is the race subset as a comma-separated backend list —
-	// the spec tail without the "portfolio:" prefix. It implies strategy
-	// "portfolio" and conflicts with a spec already carrying a subset.
-	Portfolio   string `json:"portfolio,omitempty"`
-	MaxTAMs     int    `json:"max_tams,omitempty"`
-	MaxPower    int    `json:"max_power,omitempty"`
-	FinalSolver string `json:"final_solver,omitempty"`
-	NodeLimit   int64  `json:"node_limit,omitempty"`
+	// subset spec ("portfolio:partition,exhaustive") — the one wire
+	// spelling of a race subset; names are whitespace-trimmed and
+	// case-insensitive.
+	Strategy  string `json:"strategy,omitempty"`
+	MaxTAMs   int    `json:"max_tams,omitempty"`
+	MaxPower  int    `json:"max_power,omitempty"`
+	NodeLimit int64  `json:"node_limit,omitempty"`
 	// DeadlineMS, when > 0, bounds the solve: past the deadline the
 	// solver returns its best incumbent so far (a valid schedule tagged
 	// truncated, with its optimality gap) instead of an error. It does
@@ -248,27 +244,6 @@ func parseJob(req *solveRequest) (*soc.SOC, int, coopt.Options, *httpError) {
 			}
 			opt.Strategy = strat
 			opt.Portfolio = subset
-		}
-		if o.Portfolio != "" {
-			if opt.Strategy != coopt.StrategyPortfolio && o.Strategy != "" {
-				return nil, 0, coopt.Options{}, badRequest(`"portfolio" requires strategy "portfolio", got %q`, o.Strategy)
-			}
-			if opt.Portfolio != "" {
-				return nil, 0, coopt.Options{}, badRequest(`use either a "portfolio:..." strategy spec or the "portfolio" field, not both`)
-			}
-			strat, subset, err := coopt.ParseSpec("portfolio:" + o.Portfolio)
-			if err != nil {
-				return nil, 0, coopt.Options{}, badRequest("%v", err)
-			}
-			opt.Strategy = strat
-			opt.Portfolio = subset
-		}
-		switch o.FinalSolver {
-		case "", "bb":
-		case "ilp":
-			opt.FinalSolver = coopt.SolverILP
-		default:
-			return nil, 0, coopt.Options{}, badRequest(`unknown final_solver %q (valid: "bb", "ilp")`, o.FinalSolver)
 		}
 		if o.MaxTAMs < 0 {
 			return nil, 0, coopt.Options{}, badRequest("max_tams %d < 0", o.MaxTAMs)

@@ -123,7 +123,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"bad soc text", "POST", "/v1/solve", `{"soc":"not a soc","width":32}`, 400, "bad_request"},
 		{"bad width", "POST", "/v1/solve", `{"benchmark":"d695","width":0}`, 400, "bad_request"},
 		{"bad strategy", "POST", "/v1/solve", `{"benchmark":"d695","width":32,"options":{"strategy":"magic"}}`, 400, "bad_request"},
-		{"bad solver", "POST", "/v1/solve", `{"benchmark":"d695","width":32,"options":{"final_solver":"sat"}}`, 400, "bad_request"},
+		{"retired final_solver", "POST", "/v1/solve", `{"benchmark":"d695","width":32,"options":{"final_solver":"ilp"}}`, 400, "bad_request"},
 		{"infeasible power", "POST", "/v1/solve", `{"benchmark":"d695","width":16,"options":{"max_power":1}}`, 422, "unsolvable"},
 		{"empty batch", "POST", "/v1/batch", `{"jobs":[]}`, 400, "bad_request"},
 		{"wrong method", "GET", "/v1/solve", ``, 405, "method_not_allowed"},

@@ -376,7 +376,7 @@ func (rt *router) maybeRecordWarm(key, digest string, canon *soc.SOC, width int,
 // carry a field the wire schema cannot express (possible only for
 // library callers of Server.Solve; every HTTP-parsed job round-trips).
 func wireOptions(opt coopt.Options) (*optionsJSON, bool) {
-	if opt.ILPNodeLimit != 0 || opt.SkipFinal || opt.NoEarlyAbort || opt.Enumeration != 0 || opt.PlainCoreAssign {
+	if opt.SkipFinal || opt.NoEarlyAbort || opt.Enumeration != 0 || opt.PlainCoreAssign {
 		return nil, false
 	}
 	o := &optionsJSON{MaxTAMs: opt.MaxTAMs, MaxPower: opt.MaxPower, NodeLimit: opt.NodeLimit}
@@ -385,9 +385,6 @@ func wireOptions(opt coopt.Options) (*optionsJSON, bool) {
 	}
 	if opt.Strategy == coopt.StrategyPortfolio && opt.Portfolio != "" {
 		o.Strategy = "portfolio:" + opt.Portfolio
-	}
-	if opt.FinalSolver == coopt.SolverILP {
-		o.FinalSolver = "ilp"
 	}
 	return o, true
 }

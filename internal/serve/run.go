@@ -14,8 +14,7 @@ import (
 // context fires before cancelling their solves and closing connections.
 const shutdownGrace = 5 * time.Second
 
-// Run is the daemon loop shared by cmd/wtamd and the "wtam -serve"
-// escape hatch: listen on addr, announce the bound address on out (one
+// Run is the daemon loop of cmd/wtamd: listen on addr, announce the bound address on out (one
 // "wtamd: listening on http://<host:port>" line — with port 0 this is
 // how callers and scripts learn the real port), and serve until ctx is
 // cancelled. Shutdown is graceful: the listener closes immediately,

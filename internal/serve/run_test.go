@@ -29,8 +29,7 @@ func (s *syncBuffer) String() string {
 }
 
 // Run must announce its bound address, answer requests, and exit
-// cleanly when its context is cancelled — the whole lifecycle of wtamd
-// and "wtam -serve".
+// cleanly when its context is cancelled — the whole lifecycle of wtamd.
 func TestRunLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

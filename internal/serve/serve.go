@@ -336,10 +336,9 @@ type Meta struct {
 // populated, and vice versa).
 func jobKey(digest string, width int, opt coopt.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|solver=%d|node=%d|ilpnode=%d|skipfinal=%t|noabort=%t|enum=%d|plain=%t|maxpower=%d|portfolio=%s",
-		digest, width, opt.Strategy, opt.MaxTAMs, opt.FinalSolver, opt.NodeLimit,
-		opt.ILPNodeLimit, opt.SkipFinal, opt.NoEarlyAbort, opt.Enumeration,
-		opt.PlainCoreAssign, opt.MaxPower, opt.Portfolio)
+	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|node=%d|skipfinal=%t|noabort=%t|enum=%d|plain=%t|maxpower=%d|portfolio=%s",
+		digest, width, opt.Strategy, opt.MaxTAMs, opt.NodeLimit, opt.SkipFinal,
+		opt.NoEarlyAbort, opt.Enumeration, opt.PlainCoreAssign, opt.MaxPower, opt.Portfolio)
 	return fmt.Sprintf("job:%x", h.Sum(nil))
 }
 

@@ -71,9 +71,10 @@ func TestSolversEndpoint(t *testing.T) {
 	}
 }
 
-// TestStrategySpecRequests covers the per-request strategy/portfolio
-// fields: spec syntax in "strategy", the separate "portfolio" subset
-// field, and the conflict/validation errors.
+// TestStrategySpecRequests covers the per-request strategy field: spec
+// syntax in "strategy" is the one wire spelling of a race subset, every
+// spelling of a subset canonicalizes onto one cache key, and bad specs
+// fail validation.
 func TestStrategySpecRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	type result struct {
@@ -98,13 +99,9 @@ func TestStrategySpecRequests(t *testing.T) {
 	}
 
 	spec := solve(t, `{"strategy":"portfolio:partition,exhaustive"}`)
-	field := solve(t, `{"strategy":"portfolio","portfolio":" Exhaustive , partition "}`)
-	if spec.Key != field.Key {
-		t.Error("spec syntax and the portfolio field map to different cache keys")
-	}
-	implied := solve(t, `{"portfolio":"partition,exhaustive"}`)
-	if implied.Key != spec.Key {
-		t.Error("the portfolio field alone did not imply strategy portfolio")
+	respelled := solve(t, `{"strategy":" Portfolio: Exhaustive , partition "}`)
+	if spec.Key != respelled.Key {
+		t.Error("two spellings of one portfolio subset map to different cache keys")
 	}
 	exact := solve(t, `{"strategy":" Exhaustive "}`)
 	if exact.Result.Strategy != "exhaustive" {
@@ -118,8 +115,7 @@ func TestStrategySpecRequests(t *testing.T) {
 		options string
 		want    string
 	}{
-		{`{"strategy":"portfolio:partition,exhaustive","portfolio":"partition"}`, "not both"},
-		{`{"strategy":"partition","portfolio":"partition"}`, "requires strategy"},
+		{`{"portfolio":"partition,exhaustive"}`, "unknown field"},
 		{`{"strategy":"portfolio:warp-drive"}`, "unknown backend"},
 		{`{"strategy":"portfolio:partition,partition"}`, "listed twice"},
 		{`{"stratgy":"partition"}`, "unknown field"},

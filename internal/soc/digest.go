@@ -14,13 +14,16 @@ import (
 // independently of how it happened to be written down. Two SOCs that
 // differ only in core order, scan-chain order within a core, core or
 // SOC names, or .soc formatting (whitespace, comments, attribute order)
-// digest identically — they describe the same co-optimization problem
-// and every flow in this repository returns the same testing time and
-// (modulo the core renumbering) the same architecture for them. The
-// digest is the cache key of the serving layer (internal/serve,
-// internal/cache; ARCHITECTURE.md §10), which is why it must be
-// insensitive to presentation: a permuted or reformatted query must hit
-// the cache entry its original populated.
+// digest identically — they describe the same co-optimization problem.
+// That does not make every flow order-blind: a solve whose exact step
+// stops at its node limit returns an unproven answer that can depend
+// on core order (the partition flow on p93791 at W=16 returns 5140117
+// cycles in library order and 5140867 in canonical order). The digest
+// is the cache key of the serving layer (internal/serve,
+// internal/cache; ARCHITECTURE.md §10), which answers every spelling
+// of an SOC with the solve of its Canonical form, remapped — so a
+// permuted or reformatted query must hit the cache entry its original
+// populated, and gets the same answer a cold solve of it would.
 //
 // digestVersion tags the canonical byte layout below. Bump it whenever
 // the encoding changes — a stale digest must never alias a new one.

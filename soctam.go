@@ -11,10 +11,11 @@
 //
 // The top-level entry points are:
 //
-//   - Solve (and its cancellable form SolveContext): the unified entry
-//     point — any backend registered in the solver-engine registry (the
-//     paper's partition flow, the two rectangle bin-packing heuristics,
-//     the exact exhaustive baseline) or the portfolio combinator that
+//   - Solve (and its cancellable form SolveContext): the one way to run
+//     a co-optimization — any backend registered in the solver-engine
+//     registry (the paper's partition flow, the two rectangle
+//     bin-packing heuristics, the exact exhaustive baseline and the
+//     exact ILP branch and bound) or the portfolio combinator that
 //     races a subset of them and returns the winner, selected by
 //     Options.Strategy (and Options.Portfolio for the race subset),
 //     with partition evaluation parallelized across Options.Workers, an
@@ -23,17 +24,17 @@
 //     anytime solving via Options.Deadline/Options.Budget (past the
 //     cutoff the best incumbent so far is returned, tagged Truncated
 //     with its optimality gap in Result.Gap, never an error);
-//   - Solvers / LookupBackend / ParseStrategySpec: the registry's
-//     discovery surface — every selectable backend with its capability
-//     flags (power-aware, cancellable, exact, combinator);
-//   - CoOptimize: the paper's full flow (Partition_evaluate heuristic +
-//     exact final optimization) for the problem P_NPAW;
-//   - PackRectangles / PackRectanglesDiagonal / PackingLowerBound:
-//     rectangle bin-packing co-optimization on its own;
-//   - CoOptimizeFixedTAMs: the same with the TAM count fixed (P_PAW);
-//   - Exhaustive / ExhaustiveRange: the exact enumerate-and-solve
-//     baseline of the earlier JETTA 2002 paper, for comparison;
+//   - CoOptimizeFixedTAMs / Exhaustive: the partition flow (problem
+//     P_PAW) and the exact enumerate-and-solve baseline of the earlier
+//     JETTA 2002 paper [8] with the TAM count fixed — Solve with the
+//     engine's TAM-count sweep narrowed to one B;
+//   - Solvers / ParseStrategySpec: the registry's discovery surface —
+//     every selectable backend with its capability flags (power-aware,
+//     cancellable, exact, combinator);
 //   - DesignWrapper / TestTime: per-core wrapper design (P_W);
+//   - NewInstance / CoreAssign / SolveAssignment: the core-assignment
+//     problem P_AW on fixed TAM widths, heuristically and exactly;
+//   - LowerBound / PackingLowerBound: architecture-independent bounds;
 //   - ParseSOC / (*SOC).Encode: the .soc text format (and
 //     (*SOC).Digest / (*SOC).Canonical, the canonical content hashing
 //     behind the wtamd solver service's result cache);
@@ -81,15 +82,11 @@ type (
 	Result = coopt.Result
 	// Stats counts partition-evaluation work.
 	Stats = coopt.Stats
-	// Solver selects the exact engine for final optimization.
-	Solver = coopt.Solver
 	// Strategy selects the co-optimization backend for Solve.
 	Strategy = coopt.Strategy
 	// BackendRun is one racer's outcome inside a portfolio run
 	// (Result.Portfolio).
 	BackendRun = coopt.BackendRun
-	// Backend is one registered co-optimization engine behind Solve.
-	Backend = coopt.Backend
 	// BackendInfo describes a registered backend: name and capability
 	// flags (power-aware, cancellable, exact, combinator).
 	BackendInfo = coopt.BackendInfo
@@ -119,14 +116,6 @@ type (
 	// PowerStep is one piece of a Timeline's piecewise-constant
 	// concurrent-power profile.
 	PowerStep = schedule.PowerStep
-)
-
-// Exact solver choices for Options.FinalSolver.
-const (
-	// SolverBB is the combinatorial branch and bound (default).
-	SolverBB = coopt.SolverBB
-	// SolverILP is the Section 3.2 integer linear program.
-	SolverILP = coopt.SolverILP
 )
 
 // Backend choices for Options.Strategy.
@@ -195,12 +184,6 @@ func StrategyNames() []string { return coopt.StrategyNames() }
 // strategy table.
 func Solvers() []BackendInfo { return coopt.Solvers() }
 
-// LookupBackend returns the registered engine with the given name
-// (whitespace-trimmed, case-insensitive), or false. The portfolio
-// combinator is not an engine and is not found here; select it via
-// Options.Strategy.
-func LookupBackend(name string) (Backend, bool) { return coopt.LookupBackend(name) }
-
 // ParseSOC reads an SOC in the .soc text format.
 func ParseSOC(r io.Reader) (*SOC, error) { return soc.Parse(r) }
 
@@ -242,11 +225,14 @@ func SolveAssignment(in *Instance, nodeLimit int64) (Assignment, bool, error) {
 	return assign.SolveExact(in, assign.ExactOptions{NodeLimit: nodeLimit})
 }
 
-// Solve designs a complete test access architecture for the SOC with
-// the backend selected by Options.Strategy: the paper's partition flow
-// (the default, equal to CoOptimize), one of the two rectangle
-// bin-packing heuristics (whose schedule is returned in
-// Result.Packing), or the portfolio racer that runs all three
+// Solve designs a complete test access architecture for the SOC under a
+// total TAM width budget with the backend selected by Options.Strategy:
+// the paper's partition flow for problem P_NPAW (the default: TAM
+// count, width partition, core assignment and per-core wrappers, the
+// Partition_evaluate heuristic followed by the exact final step), one
+// of the two rectangle bin-packing heuristics of arXiv:1008.3320 and
+// arXiv:1008.4446 (whose schedule is returned in Result.Packing), one
+// of the two exact engines, or the portfolio racer that runs a subset
 // concurrently and returns the winner — never worse than the best
 // single backend, with ties broken in fixed strategy order and
 // per-backend attribution in Result.Portfolio. Partition evaluation
@@ -279,33 +265,6 @@ func SolveContext(ctx context.Context, s *SOC, totalWidth int, opt Options) (Res
 // tree `wtam -trace` prints. The name labels the tree header.
 func NewSolveTrace(name string) *SolveTrace { return coopt.NewSolveTrace(name) }
 
-// CoOptimize designs a complete test access architecture for the SOC
-// under a total TAM width budget (problem P_NPAW): TAM count, width
-// partition, core assignment and per-core wrappers.
-func CoOptimize(s *SOC, totalWidth int, opt Options) (Result, error) {
-	return coopt.CoOptimize(s, totalWidth, opt)
-}
-
-// PackRectangles co-optimizes the SOC by rectangle bin-packing alone:
-// cores become width×time rectangles placed into the W×T bin, so TAM
-// wires are re-divided between cores over time instead of forming fixed
-// test buses. A peak-power ceiling recorded on the SOC (MaxPower, the
-// .soc maxpower attribute) is honored; use Solve with Options.MaxPower
-// to impose one ad hoc.
-func PackRectangles(s *SOC, totalWidth int) (*PackingSchedule, error) {
-	return pack.Pack(s, totalWidth, pack.Options{})
-}
-
-// PackRectanglesDiagonal is PackRectangles with the diagonal-length
-// heuristic of arXiv:1008.4446: best-fit-decreasing placement ordered
-// and tie-broken by the rectangle diagonal sqrt(w²+t²). Neither packer
-// dominates the other across SOCs and widths — Solve with
-// Options.Strategy StrategyPortfolio races both (and the partition
-// flow) and keeps the best.
-func PackRectanglesDiagonal(s *SOC, totalWidth int) (*PackingSchedule, error) {
-	return pack.PackDiagonal(s, totalWidth, pack.Options{})
-}
-
 // PackingLowerBound returns the rectangle-packing lower bound on the SOC
 // testing time: bin area, longest-single-test and (under a power
 // ceiling) test-energy arguments combined.
@@ -313,20 +272,20 @@ func PackingLowerBound(s *SOC, totalWidth int) (Cycles, error) {
 	return pack.LowerBound(s, totalWidth)
 }
 
-// CoOptimizeFixedTAMs co-optimizes with the TAM count fixed (P_PAW).
+// CoOptimizeFixedTAMs co-optimizes with the TAM count fixed (problem
+// P_PAW): Solve's partition flow with its TAM-count sweep narrowed to
+// numTAMs, progress framing included. Options.Strategy and MaxTAMs are
+// ignored.
 func CoOptimizeFixedTAMs(s *SOC, totalWidth, numTAMs int, opt Options) (Result, error) {
 	return coopt.PartitionEvaluate(s, totalWidth, numTAMs, opt)
 }
 
 // Exhaustive runs the exact enumerate-and-solve baseline of [8] for a
-// fixed TAM count.
+// fixed TAM count: Solve's exhaustive engine (StrategyExhaustive) with
+// its TAM-count sweep narrowed to numTAMs, progress framing included.
+// Options.Strategy and MaxTAMs are ignored.
 func Exhaustive(s *SOC, totalWidth, numTAMs int, opt Options) (Result, error) {
 	return coopt.Exhaustive(s, totalWidth, numTAMs, opt)
-}
-
-// ExhaustiveRange runs the exact baseline over TAM counts 1..MaxTAMs.
-func ExhaustiveRange(s *SOC, totalWidth int, opt Options) (Result, error) {
-	return coopt.ExhaustiveRange(s, totalWidth, opt)
 }
 
 // BuildSchedule derives the test schedule of an SOC on a concrete

@@ -10,9 +10,9 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	// The README quickstart: co-optimize d695 under a 32-wire budget.
 	s := soctam.D695()
-	res, err := soctam.CoOptimize(s, 32, soctam.Options{})
+	res, err := soctam.Solve(s, 32, soctam.Options{})
 	if err != nil {
-		t.Fatalf("CoOptimize: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.NumTAMs < 1 || res.NumTAMs > 10 {
 		t.Errorf("NumTAMs = %d, want 1..10", res.NumTAMs)
