@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,5 +140,59 @@ func TestRenderTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "new") {
 		t.Errorf("table lacks the new-bench marker:\n%s", out)
+	}
+}
+
+// TestPrintReportsRegressions runs benchjson -print over a throwaway
+// module whose one benchmark allocates, against a recorded entry that
+// says it does not. The run must name the regression, not claim there
+// is none, and still succeed: -print reports without gating.
+func TestPrintReportsRegressions(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command on PATH")
+	}
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module benchfixture\n\ngo 1.24\n",
+		"fixture_test.go": `package benchfixture
+
+import "testing"
+
+var sink []byte
+
+func BenchmarkAlloc(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sink = make([]byte, 64)
+	}
+}
+`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := Trajectory{Schema: 1, History: []Entry{{
+		Label:      "base",
+		Benchmarks: map[string]Measurement{"BenchmarkAlloc": {NsOp: 1e9}},
+	}}}
+	if err := save(filepath.Join(dir, "BENCH_solve.json"), recorded); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run(config{
+		file: "BENCH_solve.json", root: dir, label: "now", bench: "^BenchmarkAlloc$",
+		packages: []string{"."}, benchtime: "100x", alloctime: "2x", count: 1, tol: 0.10,
+		printOnly: true,
+	}, &out)
+	if err != nil {
+		t.Fatalf("-print failed: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "no regressions") {
+		t.Errorf("-print claimed no regressions over a table that has one:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), `1 benchmark regression(s) vs entry "base"`) ||
+		!strings.Contains(out.String(), "BenchmarkAlloc: allocs/op 0 -> 1") {
+		t.Errorf("-print did not name the regression:\n%s", out.String())
 	}
 }

@@ -32,6 +32,10 @@
 // records routing and degradation counters. A shed request is honored:
 // the worker backs off for the server's Retry-After (fractional
 // seconds respected, capped at one second) before continuing.
+//
+// loadgen exits non-zero, after writing the report, when any scenario
+// got no successful response at all: a run against a dead or broken
+// server is not a measurement.
 package main
 
 import (
@@ -204,6 +208,23 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "loadgen: wrote %s\n", *outPath)
+	return failedScenarios(rep.Scenarios)
+}
+
+// failedScenarios reports an error naming every scenario that got no
+// successful response: such a run measured a dead or broken server, not
+// the service, and must not pass as a benchmark. The report is written
+// first, so the failure can still be inspected.
+func failedScenarios(scenarios []scenarioResult) error {
+	var dead []string
+	for _, sc := range scenarios {
+		if sc.Requests-sc.Errors-sc.Shed == 0 {
+			dead = append(dead, fmt.Sprintf("%s (%d requests, %d errors, %d shed)", sc.Name, sc.Requests, sc.Errors, sc.Shed))
+		}
+	}
+	if len(dead) > 0 {
+		return fmt.Errorf("no successful response in scenario(s): %s", strings.Join(dead, "; "))
+	}
 	return nil
 }
 

@@ -114,6 +114,45 @@ func TestLoadgenWritesReport(t *testing.T) {
 	}
 }
 
+// TestLoadgenFailsWhenNothingSucceeds: against a server that answers
+// every request with a 500, the run still writes its report but fails,
+// naming each scenario that got no successful response.
+func TestLoadgenFailsWhenNothingSucceeds(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "broken", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	outPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	err := run([]string{
+		"-addr", ts.URL,
+		"-scenarios", "zipfian,mixed",
+		"-duration", "100ms",
+		"-concurrency", "2",
+		"-out", outPath,
+	}, io.Discard)
+	if err == nil {
+		t.Fatal("an all-error run succeeded")
+	}
+	for _, name := range []string{"zipfian", "mixed"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name scenario %q: %v", name, err)
+		}
+	}
+	raw, rerr := os.ReadFile(outPath)
+	if rerr != nil {
+		t.Fatalf("the failed run wrote no report: %v", rerr)
+	}
+	var rep report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("bad report %s: %v", raw, err)
+	}
+	for _, sc := range rep.Scenarios {
+		if sc.Requests == 0 || sc.Errors != sc.Requests {
+			t.Errorf("scenario %q: %d requests, %d errors; want every request an error", sc.Name, sc.Requests, sc.Errors)
+		}
+	}
+}
+
 func TestHistPercentile(t *testing.T) {
 	inf := math.Inf(1)
 	le := []float64{0.1, 0.2, 0.4, inf}

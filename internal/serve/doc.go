@@ -12,11 +12,15 @@
 // through Run, which listens, prints the bound address and serves until
 // the context is cancelled.
 //
-// Every query is first canonicalized: the SOC's cores are re-sorted
-// into the content-digest order of internal/soc, the solve runs (or is
-// found cached) in that order, and the result is re-indexed onto the
-// query's own core order. The service thus answers every spelling of
-// an SOC with the canonical-order solve, remapped, and cache hits are
+// Every query's SOC is resolved once: one canonical pass yields its
+// content digest, a clone with the cores re-sorted into the digest
+// order of internal/soc, and the permutation between the two. A
+// built-in benchmark named in a request ({"benchmark": ...}) is
+// resolved once per process and shared, read-only, by every request
+// that names it. The solve runs (or is found cached) in canonical
+// order, and the result is re-indexed onto the query's own core order.
+// The service thus answers every spelling of an SOC with the
+// canonical-order solve, remapped, and cache hits are
 // bit-for-bit identical to its cold solves — for repeated, permuted and
 // reformatted queries alike — because both paths return the same
 // deterministic canonical result through the same pure re-indexing

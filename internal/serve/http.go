@@ -14,7 +14,6 @@ import (
 
 	"soctam/internal/coopt"
 	"soctam/internal/soc"
-	"soctam/internal/socdata"
 )
 
 // The HTTP/JSON surface of the service. Wire formats are explicit DTO
@@ -211,9 +210,11 @@ func writeError(w http.ResponseWriter, he *httpError) {
 	writeJSON(w, he.status, errorJSON{Error: errorBody{Code: he.code, Message: he.msg}})
 }
 
-// parseJob turns a request into a solvable job.
-func parseJob(req *solveRequest) (*soc.SOC, int, coopt.Options, *httpError) {
-	var s *soc.SOC
+// parseJob turns a request into a solvable job, its SOC resolved: an
+// inline SOC gets its one canonical pass here (the parser has validated
+// it), and a named benchmark is the process-wide entry of namedSOC.
+func parseJob(req *solveRequest) (*resolvedSOC, int, coopt.Options, *httpError) {
+	var rs *resolvedSOC
 	switch {
 	case req.SOC != "" && req.Benchmark != "":
 		return nil, 0, coopt.Options{}, badRequest(`use either "soc" or "benchmark", not both`)
@@ -222,13 +223,13 @@ func parseJob(req *solveRequest) (*soc.SOC, int, coopt.Options, *httpError) {
 		if err != nil {
 			return nil, 0, coopt.Options{}, badRequest("bad soc text: %v", err)
 		}
-		s = parsed
+		rs = resolve(parsed)
 	case req.Benchmark != "":
-		bench, err := socdata.ByName(req.Benchmark)
+		bench, err := namedSOC(req.Benchmark)
 		if err != nil {
 			return nil, 0, coopt.Options{}, badRequest("%v", err)
 		}
-		s = bench
+		rs = bench
 	default:
 		return nil, 0, coopt.Options{}, badRequest(`one of "soc" or "benchmark" is required`)
 	}
@@ -259,7 +260,7 @@ func parseJob(req *solveRequest) (*soc.SOC, int, coopt.Options, *httpError) {
 		opt.NodeLimit = o.NodeLimit
 		opt.Budget = time.Duration(o.DeadlineMS) * time.Millisecond
 	}
-	return s, req.Width, opt, nil
+	return rs, req.Width, opt, nil
 }
 
 // readBody buffers a request body under the configured cap. The raw
@@ -363,13 +364,13 @@ func (sv *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // digest's owner when that is another live node, otherwise (owner ==
 // self, already-routed request, or owner down) solve here.
 func (sv *Server) serveSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, body []byte) {
-	s, width, opt, he := parseJob(req)
+	rs, width, opt, he := parseJob(req)
 	if he != nil {
 		sv.m.failed.Inc()
 		writeError(w, he)
 		return
 	}
-	p, degraded := sv.routeFor(r, s.Digest())
+	p, degraded := sv.routeFor(r, rs)
 	if p != nil {
 		if sv.forwardSolve(w, r, p, body) {
 			return
@@ -379,7 +380,7 @@ func (sv *Server) serveSolve(w http.ResponseWriter, r *http.Request, req *solveR
 	if degraded {
 		sv.rt.degraded.Inc()
 	}
-	resp, he := sv.solveParsed(r, s, width, opt)
+	resp, he := sv.solveParsed(r, rs, width, opt)
 	if he != nil {
 		writeError(w, he)
 		return
@@ -392,8 +393,8 @@ func (sv *Server) serveSolve(w http.ResponseWriter, r *http.Request, req *solveR
 // response; shared by /v1/solve, each /v1/batch job and the terminal
 // /v1/stream line. Parse failures are counted by the caller — this is
 // the post-parse half.
-func (sv *Server) solveParsed(r *http.Request, s *soc.SOC, width int, opt coopt.Options) (*solveResponse, *httpError) {
-	res, meta, err := sv.Solve(r.Context(), s, width, opt)
+func (sv *Server) solveParsed(r *http.Request, rs *resolvedSOC, width int, opt coopt.Options) (*solveResponse, *httpError) {
+	res, meta, err := sv.solve(r.Context(), rs, width, opt, nil)
 	if err != nil {
 		if sv.base.Err() != nil {
 			err = fmt.Errorf("%w: %v", ErrShuttingDown, err)
@@ -406,7 +407,7 @@ func (sv *Server) solveParsed(r *http.Request, s *soc.SOC, width int, opt coopt.
 		Cached:    meta.Cached,
 		Coalesced: meta.Coalesced,
 		ElapsedMS: float64(meta.Elapsed) / float64(time.Millisecond),
-		Result:    toResultJSON(s, res),
+		Result:    toResultJSON(rs.query, res),
 		Node:      sv.nodeName(),
 	}, nil
 }
@@ -560,12 +561,12 @@ func (sv *Server) batchJob(r *http.Request, i int, raw json.RawMessage) batchLin
 		he := badRequest("job %d: %v", i, err)
 		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
 	}
-	s, width, opt, he := parseJob(&jr)
+	rs, width, opt, he := parseJob(&jr)
 	if he != nil {
 		sv.m.failed.Inc()
 		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
 	}
-	p, degraded := sv.routeFor(r, s.Digest())
+	p, degraded := sv.routeFor(r, rs)
 	if p != nil {
 		resp, eb, ok := sv.rt.forwardBatchJob(r.Context(), p, raw)
 		switch {
@@ -579,7 +580,7 @@ func (sv *Server) batchJob(r *http.Request, i int, raw json.RawMessage) batchLin
 	if degraded {
 		sv.rt.degraded.Inc()
 	}
-	resp, he := sv.solveParsed(r, s, width, opt)
+	resp, he := sv.solveParsed(r, rs, width, opt)
 	if he != nil {
 		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
 	}
@@ -619,7 +620,12 @@ type streamLine struct {
 // improvements, backend lifecycle) followed by one terminal line.
 // Request errors detected before solving starts use the normal JSON
 // error statuses; once streaming begins, failures arrive as a terminal
-// "error" line on the 200 stream.
+// "error" line on the 200 stream. A cache hit answers immediately and
+// streams no events (there is no solve to observe); otherwise the job
+// always runs its own solve — the events belong to this caller, so the
+// run neither joins nor leads an in-flight deduplication flight. The
+// completed result still lands in the cache under the
+// deadline-independent key.
 func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	body, he := sv.readBody(w, r)
 	if he != nil {
@@ -633,13 +639,13 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
-	s, width, opt, he := parseJob(&req)
+	rs, width, opt, he := parseJob(&req)
 	if he != nil {
 		sv.m.failed.Inc()
 		writeError(w, he)
 		return
 	}
-	p, degraded := sv.routeFor(r, s.Digest())
+	p, degraded := sv.routeFor(r, rs)
 	if p != nil {
 		if sv.forwardStream(w, r, p, body) {
 			return
@@ -667,7 +673,7 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res, meta, err := sv.SolveStream(r.Context(), s, width, opt, func(ev coopt.ProgressEvent) {
+	res, meta, err := sv.solve(r.Context(), rs, width, opt, func(ev coopt.ProgressEvent) {
 		writeLine(streamLine{
 			Event:      ev.Kind.String(),
 			Backend:    ev.Backend,
@@ -691,7 +697,7 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Cached:    meta.Cached,
 		Coalesced: meta.Coalesced,
 		ElapsedMS: float64(meta.Elapsed) / float64(time.Millisecond),
-		Result:    toResultJSON(s, res),
+		Result:    toResultJSON(rs.query, res),
 		Node:      sv.nodeName(),
 		Degraded:  degraded,
 	}})

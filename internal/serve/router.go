@@ -18,7 +18,6 @@ import (
 	"soctam/internal/coopt"
 	"soctam/internal/obs"
 	"soctam/internal/ring"
-	"soctam/internal/soc"
 )
 
 // The digest-sharded routing layer (ARCHITECTURE.md §15). A cluster is
@@ -194,12 +193,12 @@ func newRouter(cfg Config, reg *obs.Registry) (*router, error) {
 // once, or (degraded=true) the owner is down and this node is the
 // fallback. The caller increments the degraded counter once it commits
 // to a local solve.
-func (sv *Server) routeFor(r *http.Request, digest string) (p *peer, degraded bool) {
+func (sv *Server) routeFor(r *http.Request, rs *resolvedSOC) (p *peer, degraded bool) {
 	rt := sv.rt
 	if rt == nil || r.Header.Get(routedHeader) != "" {
 		return nil, false
 	}
-	owner, ok := rt.ring.Owner(digest)
+	owner, ok := rt.ring.Owner(rs.digest)
 	if !ok || owner == rt.self {
 		return nil, false
 	}
@@ -355,8 +354,8 @@ func (sv *Server) forwardStream(w http.ResponseWriter, r *http.Request, p *peer,
 // when it comes back (probeLoop triggers warmPush on the up
 // transition). Jobs whose options carry library-only fields the wire
 // schema cannot express are skipped — handoff is best-effort.
-func (rt *router) maybeRecordWarm(key, digest string, canon *soc.SOC, width int, norm coopt.Options) {
-	owner, ok := rt.ring.Owner(digest)
+func (rt *router) maybeRecordWarm(key string, rs *resolvedSOC, width int, norm coopt.Options) {
+	owner, ok := rt.ring.Owner(rs.digest)
 	if !ok || owner == rt.self {
 		return
 	}
@@ -364,11 +363,11 @@ func (rt *router) maybeRecordWarm(key, digest string, canon *soc.SOC, width int,
 	if !ok {
 		return
 	}
-	body, err := json.Marshal(solveRequest{SOC: canon.EncodeString(), Width: width, Options: o})
+	body, err := json.Marshal(solveRequest{SOC: rs.canon.EncodeString(), Width: width, Options: o})
 	if err != nil {
 		return
 	}
-	rt.warmlog.Put(key, warmJob{digest: digest, body: body})
+	rt.warmlog.Put(key, warmJob{digest: rs.digest, body: body})
 }
 
 // wireOptions re-encodes normalized options into the HTTP request

@@ -344,27 +344,22 @@ func jobKey(digest string, width int, opt coopt.Options) string {
 
 // Solve answers one job: validate, canonicalize, consult the cache,
 // deduplicate against identical in-flight solves, and only then spend a
-// worker-pool slot on a cold coopt solve. The returned Result is
-// indexed on s's own core order whichever path produced it; see
-// ARCHITECTURE.md §10 for why the cached and cold paths are bit-for-bit
-// identical. ctx bounds this caller's wait (for a pool slot or for a
-// shared in-flight solve); the solve itself runs under the server's
-// lifecycle so one impatient client cannot poison the identical jobs of
-// others.
+// worker-pool slot on a cold coopt solve. The caller's SOC is resolved
+// in one canonical pass; the HTTP paths skip this step and go straight
+// to solve, because parseJob hands them SOCs the parser or the
+// named-benchmark table has already validated and resolved. The
+// returned Result is indexed on s's own core order whichever path
+// produced it; see ARCHITECTURE.md §10 for why the cached and cold
+// paths are bit-for-bit identical. ctx bounds this caller's wait (for a
+// pool slot or for a shared in-flight solve); the solve itself runs
+// under the server's lifecycle so one impatient client cannot poison
+// the identical jobs of others.
 func (sv *Server) Solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Options) (coopt.Result, Meta, error) {
-	return sv.solve(ctx, s, width, opt, nil)
-}
-
-// SolveStream is Solve delivering the solve's progress events (backend
-// lifecycle, incumbent improvements) into fn while it runs — the
-// incumbent-stream seam behind POST /v1/stream. A cache hit answers
-// immediately and emits no events (there is no solve to observe);
-// otherwise the job always runs its own solve — the events belong to
-// this caller, so the run neither joins nor leads an in-flight
-// deduplication flight. The completed result still lands in the cache
-// under the deadline-independent key.
-func (sv *Server) SolveStream(ctx context.Context, s *soc.SOC, width int, opt coopt.Options, fn coopt.ProgressFunc) (coopt.Result, Meta, error) {
-	return sv.solve(ctx, s, width, opt, fn)
+	if err := s.Validate(); err != nil {
+		sv.m.failed.Inc()
+		return coopt.Result{}, Meta{}, err
+	}
+	return sv.solve(ctx, resolve(s), width, opt, nil)
 }
 
 // solve is the shared request path. Anytime jobs (a Deadline or Budget
@@ -374,16 +369,11 @@ func (sv *Server) SolveStream(ctx context.Context, s *soc.SOC, width int, opt co
 // could stall an aggressive-deadline follower past its deadline), and
 // a follower cannot observe a leader's progress — so those jobs solve
 // directly, and only complete (non-truncated) results are ever cached.
-func (sv *Server) solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Options, fn coopt.ProgressFunc) (coopt.Result, Meta, error) {
+func (sv *Server) solve(ctx context.Context, rs *resolvedSOC, width int, opt coopt.Options, fn coopt.ProgressFunc) (coopt.Result, Meta, error) {
 	t0 := time.Now()
-	if err := s.Validate(); err != nil {
-		sv.m.failed.Inc()
-		return coopt.Result{}, Meta{}, err
-	}
 	norm := opt.Normalized()
-	meta := Meta{Digest: s.Digest()}
+	meta := Meta{Digest: rs.digest}
 	meta.Key = jobKey(meta.Digest, width, norm)
-	canon, perm := s.Canonical()
 
 	if sv.results != nil {
 		if res, ok := sv.results.Get(meta.Key); ok {
@@ -393,7 +383,7 @@ func (sv *Server) solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Op
 			meta.Cached = true
 			meta.Elapsed = time.Since(t0)
 			sv.m.completed.Inc()
-			return remapResult(res, perm), meta, nil
+			return remapResult(res, rs.perm), meta, nil
 		}
 	}
 	var res coopt.Result
@@ -402,12 +392,12 @@ func (sv *Server) solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Op
 		run := norm
 		run.Deadline, run.Budget = opt.Deadline, opt.Budget
 		run.Progress = fn
-		res, err = sv.solveCold(ctx, canon, width, run)
+		res, err = sv.solveCold(ctx, rs.canon, width, run)
 		if err == nil {
-			sv.cachePut(meta.Key, canon, width, norm, res)
+			sv.cachePut(meta.Key, rs.canon, width, norm, res)
 		}
 	} else {
-		res, meta.Coalesced, err = sv.solveShared(ctx, meta.Key, canon, width, norm)
+		res, meta.Coalesced, err = sv.solveShared(ctx, meta.Key, rs.canon, width, norm)
 	}
 	if err != nil {
 		sv.m.failed.Inc()
@@ -418,11 +408,11 @@ func (sv *Server) solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Op
 		// routed-in under an inconsistent health view) solve — remember
 		// how to replay it so the owner's cache can be warmed when it
 		// recovers. No-op when this node is the owner.
-		sv.rt.maybeRecordWarm(meta.Key, meta.Digest, canon, width, norm)
+		sv.rt.maybeRecordWarm(meta.Key, rs, width, norm)
 	}
 	meta.Elapsed = time.Since(t0)
 	sv.m.completed.Inc()
-	return remapResult(res, perm), meta, nil
+	return remapResult(res, rs.perm), meta, nil
 }
 
 // retryAfter estimates when a shed client should come back: the

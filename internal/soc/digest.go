@@ -76,16 +76,9 @@ func canonicalOrder(recs [][]byte) []int {
 	return order
 }
 
-// Digest returns the canonical content digest of the SOC as a
-// "sha256:<hex>" string. The digest covers the peak-power ceiling and
-// the multiset of core test-resource records; it is invariant under
-// core reordering, scan-chain reordering, renaming (cores or the SOC),
-// and any .soc formatting choice, and it changes whenever any
-// test-resource number changes. See ARCHITECTURE.md §10 for how the
-// serving layer keys its result cache on it.
-func (s *SOC) Digest() string {
-	recs := s.canonicalRecords()
-	order := canonicalOrder(recs)
+// digestOf hashes the canonical records in canonical order, behind the
+// layout version, the peak-power ceiling and the core count.
+func (s *SOC) digestOf(recs [][]byte, order []int) string {
 	h := sha256.New()
 	h.Write([]byte(digestVersion))
 	var buf []byte
@@ -101,6 +94,28 @@ func (s *SOC) Digest() string {
 	return fmt.Sprintf("sha256:%x", h.Sum(nil))
 }
 
+// cloneInOrder returns a deep copy of the SOC with core order[j] at
+// position j.
+func (s *SOC) cloneInOrder(order []int) *SOC {
+	c := &SOC{Name: s.Name, Cores: make([]Core, len(s.Cores)), MaxPower: s.MaxPower}
+	for j, i := range order {
+		c.Cores[j] = s.Cores[i].Clone()
+	}
+	return c
+}
+
+// Digest returns the canonical content digest of the SOC as a
+// "sha256:<hex>" string. The digest covers the peak-power ceiling and
+// the multiset of core test-resource records; it is invariant under
+// core reordering, scan-chain reordering, renaming (cores or the SOC),
+// and any .soc formatting choice, and it changes whenever any
+// test-resource number changes. See ARCHITECTURE.md §10 for how the
+// serving layer keys its result cache on it.
+func (s *SOC) Digest() string {
+	recs := s.canonicalRecords()
+	return s.digestOf(recs, canonicalOrder(recs))
+}
+
 // Canonical returns a deep copy of the SOC with its cores in canonical
 // (digest) order, plus the permutation relating the two: perm[j] is the
 // index in s of the core at canonical position j. Solving the canonical
@@ -110,9 +125,14 @@ func (s *SOC) Digest() string {
 // (ARCHITECTURE.md §10).
 func (s *SOC) Canonical() (*SOC, []int) {
 	perm := canonicalOrder(s.canonicalRecords())
-	c := &SOC{Name: s.Name, Cores: make([]Core, len(s.Cores)), MaxPower: s.MaxPower}
-	for j, i := range perm {
-		c.Cores[j] = s.Cores[i].Clone()
-	}
-	return c, perm
+	return s.cloneInOrder(perm), perm
+}
+
+// CanonicalWithDigest returns Canonical's clone and permutation and the
+// Digest, all from one canonical pass: a caller that needs both sorts
+// the SOC once instead of twice.
+func (s *SOC) CanonicalWithDigest() (*SOC, []int, string) {
+	recs := s.canonicalRecords()
+	perm := canonicalOrder(recs)
+	return s.cloneInOrder(perm), perm, s.digestOf(recs, perm)
 }

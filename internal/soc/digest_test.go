@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -133,6 +134,13 @@ func TestCanonicalRoundTrip(t *testing.T) {
 			t.Errorf("canonical order differs between permuted variants at %d: %q vs %q",
 				j, canon.Cores[j].Name, canon2.Cores[j].Name)
 		}
+	}
+	// The one-pass form agrees with Digest and Canonical separately.
+	canon3, perm3, digest := r.CanonicalWithDigest()
+	canon4, perm4 := r.Canonical()
+	if digest != s.Digest() || !reflect.DeepEqual(canon3, canon4) || !reflect.DeepEqual(perm3, perm4) {
+		t.Errorf("CanonicalWithDigest disagrees with Digest and Canonical: %s vs %s, perm %v vs %v",
+			digest, s.Digest(), perm3, perm4)
 	}
 	// Canonical is a deep copy: mutating it must not touch the original.
 	canon.Cores[0].ScanChains = append(canon.Cores[0].ScanChains, 999)

@@ -196,3 +196,25 @@ func TestRangeHelpers(t *testing.T) {
 		t.Errorf("rangeAcc = %v, want {2 9}", acc.r)
 	}
 }
+
+// TestBenchmarkDigestsPinned pins the content digest of every built-in
+// benchmark. The digest is the service's cache key and a cluster's
+// routing key, so nodes of different builds must compute the same one:
+// a change here must come with a digestVersion bump in internal/soc.
+func TestBenchmarkDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"d695":   "sha256:eccf37eff45e35af83980f55cd8d80cf359ab1440583843d8bc403e8df272894",
+		"p21241": "sha256:6521084fff3f9da8c435a24cc3dba1b35609e1f60932e7f32b005f3a30755c53",
+		"p31108": "sha256:8fd3f228711dba97eff70a51865d44af320952b59b2422db23fdc2917980334d",
+		"p93791": "sha256:7667228fa9515d822352f14a6671a926cb349a1e4e00b8b606357da55348a2d6",
+	}
+	for _, name := range Names() {
+		s, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Digest(); got != want[name] {
+			t.Errorf("%s digest = %s, want %s", name, got, want[name])
+		}
+	}
+}
