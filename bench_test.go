@@ -362,6 +362,26 @@ func BenchmarkExactAssignD695(b *testing.B) {
 	}
 }
 
+// BenchmarkExactStepP93791 measures the partition flow's final exact
+// step (assign.SolveExact, the combinatorial branch-and-bound) on
+// p93791's winning W=16 partition. The search hits its 200,000-node
+// cap, so ns/op is the per-node cost and allocs/op shows that nodes
+// allocate nothing.
+func BenchmarkExactStepP93791(b *testing.B) {
+	s := socdata.P93791()
+	in, err := soctam.NewInstance(s, []int{3, 3, 5, 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := assign.SolveExact(in, assign.ExactOptions{NodeLimit: 200_000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkILPAssignD695(b *testing.B) {
 	s := socdata.D695()
 	in, err := soctam.NewInstance(s, []int{8, 24})

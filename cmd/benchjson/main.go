@@ -68,9 +68,10 @@ import (
 )
 
 // defaultBench selects the trajectory benchmarks: the root per-SOC ×
-// per-strategy solve set, the hot-path primitive benches and the
-// service's two cache-hit paths (library and HTTP handler).
-const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkCoreAssignP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$)"
+// per-strategy solve set, the hot-path primitive benches (the final
+// exact step among them) and the service's two cache-hit paths (library
+// and HTTP handler).
+const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkCoreAssignP93791$|BenchmarkExactStepP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$)"
 
 // defaultPackages are the packages holding trajectory benchmarks.
 const defaultPackages = ".,./internal/coopt,./internal/pack,./internal/wrapper,./internal/obs,./internal/serve"

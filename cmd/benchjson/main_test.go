@@ -179,10 +179,14 @@ func BenchmarkAlloc(b *testing.B) {
 	if err := save(filepath.Join(dir, "BENCH_solve.json"), recorded); err != nil {
 		t.Fatal(err)
 	}
+	// The allocation pass runs 100 iterations, not the default 2: on a
+	// loaded machine the runtime's own allocations can land inside the
+	// timed loop, and a handful of them reads as 3 allocs/op at 2x but
+	// cannot lift the integer mean at 100x.
 	var out strings.Builder
 	err := run(config{
 		file: "BENCH_solve.json", root: dir, label: "now", bench: "^BenchmarkAlloc$",
-		packages: []string{"."}, benchtime: "100x", alloctime: "2x", count: 1, tol: 0.10,
+		packages: []string{"."}, benchtime: "100x", alloctime: "100x", count: 1, tol: 0.10,
 		printOnly: true,
 	}, &out)
 	if err != nil {

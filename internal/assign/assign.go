@@ -265,33 +265,20 @@ type ExactOptions struct {
 // branch-and-bound, warm-started by CoreAssign plus local search.
 // optimal reports whether the node budget sufficed to prove optimality.
 func SolveExact(in *Instance, opt ExactOptions) (Assignment, bool, error) {
-	var warm []int
-	if h, ok := CoreAssign(in, 0); ok {
-		h = LocalImprove(in, h)
-		warm = h.TAMOf
-	}
-	res, err := sched.BranchAndBound(in.Times, sched.Options{
-		WarmAssign: warm,
-		NodeLimit:  opt.NodeLimit,
-	})
-	if err != nil {
-		return Assignment{}, false, err
-	}
-	loads, span, err := in.Times.Makespan(res.Assign)
-	if err != nil {
-		return Assignment{}, false, err
-	}
-	return Assignment{TAMOf: res.Assign, Loads: loads, Time: span}, res.Optimal, nil
+	a, _, optimal, err := SolveExactCutoff(in, opt, 0)
+	return a, optimal, err
 }
 
 // SolveExactCutoff solves the instance restricted to assignments
-// strictly faster than cutoff cycles (cutoff > 0), warm-started like
-// SolveExact. found reports whether such an assignment exists within
+// strictly faster than cutoff cycles, warm-started by CoreAssign plus
+// local search. found reports whether such an assignment exists within
 // the node budget; proven reports a completed search — with found it
 // means a proven optimum, without it a proof that nothing below the
 // cutoff exists (the caller's incumbent of value cutoff is therefore
 // optimal). Seeding the search at the cutoff prunes it near the root,
-// so a "no improvement" proof costs a fraction of a full solve.
+// so a "no improvement" proof costs a fraction of a full solve. A
+// cutoff of 0 means none: the search then always finds an assignment,
+// and this is SolveExact.
 func SolveExactCutoff(in *Instance, opt ExactOptions, cutoff soc.Cycles) (a Assignment, found, proven bool, err error) {
 	var warm []int
 	if h, ok := CoreAssign(in, 0); ok {

@@ -81,6 +81,18 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 	return el.Value.(*entry[K, V]).val, true
 }
 
+// Peek returns the value stored under key like Get, but does not touch
+// recency or the hit/miss counters.
+func (l *LRU[K, V]) Peek(key K) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.items[key]; ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put stores val under key, replacing any existing value and evicting
 // the least-recently-used entry if the cache is full.
 func (l *LRU[K, V]) Put(key K, val V) {

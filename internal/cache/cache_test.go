@@ -142,3 +142,22 @@ func TestKeysAndRemove(t *testing.T) {
 		t.Errorf("stats after refill = %+v", st)
 	}
 }
+
+func TestPeekLeavesRecencyAndCounters(t *testing.T) {
+	l := New[string, int](2)
+	l.Put("a", 1)
+	l.Put("b", 2)
+	if v, ok := l.Peek("a"); !ok || v != 1 {
+		t.Errorf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := l.Peek("z"); ok {
+		t.Error("Peek of an absent key reported true")
+	}
+	if st := l.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Peek counted: %+v", st)
+	}
+	l.Put("c", 3) // evicts "a": the Peek did not make it recently used
+	if _, ok := l.Peek("a"); ok {
+		t.Error("Peek refreshed recency")
+	}
+}

@@ -200,10 +200,11 @@ type Result struct {
 
 // BranchAndBound solves R||Cmax exactly (within the node budget). Jobs
 // are branched in decreasing order of minimum time; machines are tried in
-// increasing order of resulting load; subtrees are pruned against the
-// incumbent with a remaining-work lower bound, and interchangeable
-// machines (identical time columns) with equal current loads are searched
-// only once.
+// increasing order of resulting load, ties in machine-index order;
+// subtrees are pruned against the incumbent with a remaining-work lower
+// bound, and interchangeable machines (identical time columns) with equal
+// current loads are searched only once. All search state is allocated
+// once per call, so a node allocates nothing.
 func BranchAndBound(m Matrix, opt Options) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
@@ -213,7 +214,6 @@ func BranchAndBound(m Matrix, opt Options) (Result, error) {
 	if nodeLimit <= 0 {
 		nodeLimit = 5_000_000
 	}
-	classes := deriveClasses(m)
 
 	// Seed the incumbent with the greedy schedule, improved by the
 	// caller's warm start if better.
@@ -261,86 +261,142 @@ func BranchAndBound(m Matrix, opt Options) (Result, error) {
 		suffixMin[d] = suffixMin[d+1] + minTime[order[d]]
 	}
 
-	loads := make([]soc.Cycles, nm)
-	cur := make([]int, n)
-	var nodes int64
-	complete := true
-	// Per-depth machine-order scratch: recursion levels must not share a
-	// buffer, since inner levels re-sort it while outer loops range it.
-	machineOrders := make([][]int, n)
-	for d := range machineOrders {
-		machineOrders[d] = make([]int, nm)
+	s := &search{
+		m:         m,
+		order:     order,
+		suffixMin: suffixMin,
+		twins:     lowerTwins(deriveClasses(m)),
+		loads:     make([]soc.Cycles, nm),
+		cur:       make([]int, n),
+		byKey:     make([]int, n*nm),
+		keys:      make([]soc.Cycles, n*nm),
+		best:      bestAssign,
+		incumbent: incumbent,
+		found:     found,
+		nodeLimit: nodeLimit,
+		complete:  true,
 	}
+	s.branch(0, 0)
 
-	var rec func(d int, total soc.Cycles)
-	rec = func(d int, total soc.Cycles) {
-		if nodes >= nodeLimit {
-			complete = false
-			return
-		}
-		nodes++
-		if d == n {
-			span := soc.Cycles(0)
-			for _, l := range loads {
-				if l > span {
-					span = l
-				}
-			}
-			if span < incumbent {
-				incumbent = span
-				copy(bestAssign, cur)
-				found = true
-			}
-			return
-		}
-		// Remaining-work bound: even spreading the remaining minimum work
-		// over all machines cannot beat the incumbent -> prune.
-		avg := (total + suffixMin[d] + soc.Cycles(nm) - 1) / soc.Cycles(nm)
-		if avg >= incumbent {
-			return
-		}
-		i := order[d]
-		row := m[i]
-		machineOrder := machineOrders[d]
-		for j := range machineOrder {
-			machineOrder[j] = j
-		}
-		sort.SliceStable(machineOrder, func(a, b int) bool {
-			return loads[machineOrder[a]]+row[machineOrder[a]] < loads[machineOrder[b]]+row[machineOrder[b]]
-		})
-		for _, j := range machineOrder {
-			// Symmetry breaking: among identical machines with identical
-			// current loads, only the lowest-indexed one is tried.
-			dup := false
-			for q := 0; q < j; q++ {
-				if classes[q] == classes[j] && loads[q] == loads[j] {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			newLoad := loads[j] + row[j]
-			if newLoad >= incumbent {
-				continue
-			}
-			loads[j] = newLoad
-			cur[i] = j
-			rec(d+1, total+row[j])
-			loads[j] = newLoad - row[j]
-			if nodes >= nodeLimit {
-				complete = false
-				return
-			}
-		}
+	if !s.found {
+		return Result{Nodes: s.nodes, Optimal: s.complete}, nil
 	}
-	rec(0, 0)
+	return Result{Assign: s.best, Makespan: s.incumbent, Nodes: s.nodes, Optimal: s.complete}, nil
+}
 
-	if !found {
-		return Result{Nodes: nodes, Optimal: complete}, nil
+// search is one BranchAndBound run's state. Every slice is sized once
+// up front, so the recursion writes into them but never allocates.
+type search struct {
+	m         Matrix
+	order     []int        // jobs in branching order
+	suffixMin []soc.Cycles // suffixMin[d] = total minimum work of order[d:]
+	twins     [][]int      // twins[j] = lower-indexed machines identical to j
+	loads     []soc.Cycles // current per-machine loads
+	cur       []int        // current partial assignment
+	// byKey and keys hold, per depth d, the machines at
+	// [d*nm, (d+1)*nm) in increasing order of resulting load and those
+	// loads. Recursion levels must not share a slot: inner levels
+	// refill theirs while outer loops still read their own.
+	byKey     []int
+	keys      []soc.Cycles
+	best      []int
+	incumbent soc.Cycles
+	found     bool
+	nodes     int64
+	nodeLimit int64
+	complete  bool
+}
+
+// branch expands the node at depth d, where total is the work already
+// placed. Machines are ordered by a stable insertion sort on the
+// resulting load, ties in index order. Node-capped answers depend on
+// the order nodes are visited in, so this order must not change.
+// Once a machine's resulting load reaches the incumbent the loop stops:
+// later keys are no smaller, each child restores the loads, and the
+// incumbent only falls, so every later machine would fail the same test.
+func (s *search) branch(d int, total soc.Cycles) {
+	if s.nodes >= s.nodeLimit {
+		s.complete = false
+		return
 	}
-	return Result{Assign: bestAssign, Makespan: incumbent, Nodes: nodes, Optimal: complete}, nil
+	s.nodes++
+	loads := s.loads
+	if d == len(s.order) {
+		span := soc.Cycles(0)
+		for _, l := range loads {
+			if l > span {
+				span = l
+			}
+		}
+		if span < s.incumbent {
+			s.incumbent = span
+			copy(s.best, s.cur)
+			s.found = true
+		}
+		return
+	}
+	// Remaining-work bound: even spreading the remaining minimum work
+	// over all machines cannot beat the incumbent -> prune.
+	nm := len(loads)
+	avg := (total + s.suffixMin[d] + soc.Cycles(nm) - 1) / soc.Cycles(nm)
+	if avg >= s.incumbent {
+		return
+	}
+	i := s.order[d]
+	row := s.m[i]
+	byKey := s.byKey[d*nm : (d+1)*nm]
+	keys := s.keys[d*nm : (d+1)*nm]
+	for j, t := range row {
+		k := loads[j] + t
+		p := j
+		for ; p > 0 && keys[p-1] > k; p-- {
+			keys[p], byKey[p] = keys[p-1], byKey[p-1]
+		}
+		keys[p], byKey[p] = k, j
+	}
+	for p, j := range byKey {
+		newLoad := keys[p]
+		if newLoad >= s.incumbent {
+			break
+		}
+		if s.idleTwin(j) {
+			continue
+		}
+		loads[j] = newLoad
+		s.cur[i] = j
+		s.branch(d+1, total+row[j])
+		loads[j] = newLoad - row[j]
+		if s.nodes >= s.nodeLimit {
+			s.complete = false
+			return
+		}
+	}
+}
+
+// idleTwin reports whether a lower-indexed machine identical to j has
+// the same current load. Symmetry breaking tries only the lowest-indexed
+// machine of such a group.
+func (s *search) idleTwin(j int) bool {
+	for _, q := range s.twins[j] {
+		if s.loads[q] == s.loads[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// lowerTwins lists, for each machine, the lower-indexed machines of its
+// class.
+func lowerTwins(classes []int) [][]int {
+	twins := make([][]int, len(classes))
+	for j, c := range classes {
+		for q := 0; q < j; q++ {
+			if classes[q] == c {
+				twins[j] = append(twins[j], q)
+			}
+		}
+	}
+	return twins
 }
 
 // deriveClasses groups machines whose whole time columns are equal.

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -307,4 +310,243 @@ func TestBranchAndBoundCutoffWarmStart(t *testing.T) {
 	if res.Assign == nil || res.Makespan != 20 {
 		t.Errorf("cutoff 21: %+v, want the 20-cycle optimum", res)
 	}
+}
+
+// tieMatrix draws an instance for TestBranchAndBoundMatchesReference:
+// 6-18 jobs on 2-10 machines with times in a small range, so equal
+// resulting loads are common, and about a third of the columns copied
+// from a lower-indexed one, so machines have identical twins.
+func tieMatrix(r *rand.Rand) Matrix {
+	n, nm := 6+r.Intn(13), 2+r.Intn(9)
+	maxTime := 2 + r.Intn(15)
+	m := make(Matrix, n)
+	for i := range m {
+		m[i] = make([]soc.Cycles, nm)
+		for j := range m[i] {
+			m[i][j] = soc.Cycles(1 + r.Intn(maxTime))
+		}
+	}
+	for j := 1; j < nm; j++ {
+		if r.Intn(3) == 0 {
+			q := r.Intn(j)
+			for i := range m {
+				m[i][j] = m[i][q]
+			}
+		}
+	}
+	return m
+}
+
+// BranchAndBound must walk exactly the tree the reference walks: every
+// budget, warm start and cutoff gives the same Result, node count
+// included, so node-capped answers cannot move.
+func TestBranchAndBoundMatchesReference(t *testing.T) {
+	limits := []int64{1, 2, 50, 1000, 0}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := tieMatrix(r)
+		full, err := referenceBranchAndBound(m, Options{})
+		if err != nil || !full.Optimal {
+			t.Logf("seed %d: reference did not prove the optimum: %+v %v", seed, full, err)
+			return false
+		}
+		var warm []int
+		switch r.Intn(3) {
+		case 1: // usually worse than greedy
+			warm = make([]int, len(m))
+			for i := range warm {
+				warm[i] = r.Intn(m.NumMachines())
+			}
+		case 2: // usually better than greedy
+			seeded, err := referenceBranchAndBound(m, Options{NodeLimit: 200})
+			if err != nil {
+				return false
+			}
+			warm = seeded.Assign
+		}
+		opt := full.Makespan
+		for _, limit := range limits {
+			for _, cutoff := range []soc.Cycles{0, opt - 1, opt, opt + 1} {
+				o := Options{WarmAssign: warm, NodeLimit: limit, Cutoff: cutoff}
+				want, werr := referenceBranchAndBound(m, o)
+				got, gerr := BranchAndBound(m, o)
+				if werr != nil || gerr != nil || !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d %+v:\n got %+v (%v)\nwant %+v (%v)", seed, o, got, gerr, want, werr)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A node allocates nothing: a search capped at 100,000 nodes makes
+// exactly as many allocations as one capped at 1,000.
+func TestBranchAndBoundNodesDoNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	m := make(Matrix, 24)
+	for i := range m {
+		m[i] = make([]soc.Cycles, 6)
+		for j := range m[i] {
+			m[i][j] = soc.Cycles(100 + r.Intn(900))
+		}
+	}
+	allocs := func(limit int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := BranchAndBound(m, Options{NodeLimit: limit})
+			if err != nil || res.Nodes != limit {
+				t.Fatalf("limit %d: %d nodes, err %v; the instance must hit the cap", limit, res.Nodes, err)
+			}
+		})
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Errorf("allocations grow with nodes: %v at 1,000 nodes, %v at 100,000", small, large)
+	}
+}
+
+// referenceBranchAndBound is BranchAndBound as it was before its nodes
+// stopped allocating: a per-node sort.SliceStable with a closure and a
+// symmetry scan over every lower-indexed machine. It is the oracle for
+// TestBranchAndBoundMatchesReference, which requires the rewrite to
+// walk the same tree: same nodes, same order, same answers.
+func referenceBranchAndBound(m Matrix, opt Options) (Result, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, err
+	}
+	n, nm := m.NumJobs(), m.NumMachines()
+	nodeLimit := opt.NodeLimit
+	if nodeLimit <= 0 {
+		nodeLimit = 5_000_000
+	}
+	classes := deriveClasses(m)
+
+	// Seed the incumbent with the greedy schedule, improved by the
+	// caller's warm start if better.
+	bestAssign, incumbent, err := Greedy(m)
+	if err != nil {
+		return Result{}, err
+	}
+	if opt.WarmAssign != nil {
+		_, warmSpan, err := m.Makespan(opt.WarmAssign)
+		if err != nil {
+			return Result{}, fmt.Errorf("sched: warm start: %w", err)
+		}
+		if warmSpan < incumbent {
+			incumbent = warmSpan
+			bestAssign = append([]int(nil), opt.WarmAssign...)
+		}
+	}
+	found := true
+	if opt.Cutoff != 0 && incumbent >= opt.Cutoff {
+		// Neither seed beats the cutoff: search below it instead, and
+		// only a schedule the search itself finds counts as a result.
+		incumbent = opt.Cutoff
+		found = false
+	}
+
+	// Branch jobs in decreasing order of their minimum time: big rocks
+	// first shrinks the tree dramatically.
+	order := make([]int, n)
+	minTime := make([]soc.Cycles, n)
+	for i, row := range m {
+		order[i] = i
+		k := row[0]
+		for _, v := range row[1:] {
+			if v < k {
+				k = v
+			}
+		}
+		minTime[i] = k
+	}
+	sort.SliceStable(order, func(a, b int) bool { return minTime[order[a]] > minTime[order[b]] })
+
+	// suffixMin[d] = total minimum work of jobs order[d:].
+	suffixMin := make([]soc.Cycles, n+1)
+	for d := n - 1; d >= 0; d-- {
+		suffixMin[d] = suffixMin[d+1] + minTime[order[d]]
+	}
+
+	loads := make([]soc.Cycles, nm)
+	cur := make([]int, n)
+	var nodes int64
+	complete := true
+	// Per-depth machine-order scratch: recursion levels must not share a
+	// buffer, since inner levels re-sort it while outer loops range it.
+	machineOrders := make([][]int, n)
+	for d := range machineOrders {
+		machineOrders[d] = make([]int, nm)
+	}
+
+	var rec func(d int, total soc.Cycles)
+	rec = func(d int, total soc.Cycles) {
+		if nodes >= nodeLimit {
+			complete = false
+			return
+		}
+		nodes++
+		if d == n {
+			span := soc.Cycles(0)
+			for _, l := range loads {
+				if l > span {
+					span = l
+				}
+			}
+			if span < incumbent {
+				incumbent = span
+				copy(bestAssign, cur)
+				found = true
+			}
+			return
+		}
+		// Remaining-work bound: even spreading the remaining minimum work
+		// over all machines cannot beat the incumbent -> prune.
+		avg := (total + suffixMin[d] + soc.Cycles(nm) - 1) / soc.Cycles(nm)
+		if avg >= incumbent {
+			return
+		}
+		i := order[d]
+		row := m[i]
+		machineOrder := machineOrders[d]
+		for j := range machineOrder {
+			machineOrder[j] = j
+		}
+		sort.SliceStable(machineOrder, func(a, b int) bool {
+			return loads[machineOrder[a]]+row[machineOrder[a]] < loads[machineOrder[b]]+row[machineOrder[b]]
+		})
+		for _, j := range machineOrder {
+			// Symmetry breaking: among identical machines with identical
+			// current loads, only the lowest-indexed one is tried.
+			dup := false
+			for q := 0; q < j; q++ {
+				if classes[q] == classes[j] && loads[q] == loads[j] {
+					dup = true
+					break
+				}
+			}
+			if dup {
+				continue
+			}
+			newLoad := loads[j] + row[j]
+			if newLoad >= incumbent {
+				continue
+			}
+			loads[j] = newLoad
+			cur[i] = j
+			rec(d+1, total+row[j])
+			loads[j] = newLoad - row[j]
+			if nodes >= nodeLimit {
+				complete = false
+				return
+			}
+		}
+	}
+	rec(0, 0)
+
+	if !found {
+		return Result{Nodes: nodes, Optimal: complete}, nil
+	}
+	return Result{Assign: bestAssign, Makespan: incumbent, Nodes: nodes, Optimal: complete}, nil
 }

@@ -466,6 +466,16 @@ func (sv *Server) solveShared(ctx context.Context, key string, canon *soc.SOC, w
 				return coopt.Result{}, false, ctx.Err()
 			}
 		}
+		// A leader stores its result before it removes its flight, so a
+		// caller that missed the cache just before the store and finds no
+		// flight here takes the stored result instead of solving again.
+		if sv.results != nil {
+			if res, ok := sv.results.Peek(key); ok {
+				sv.fmu.Unlock()
+				sv.m.coalesced.Inc()
+				return res, true, nil
+			}
+		}
 		f := &flight{done: make(chan struct{})}
 		sv.flights[key] = f
 		sv.fmu.Unlock()

@@ -353,3 +353,27 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 	}
 	<-leaderErr
 }
+
+// A request that missed the cache just before a leader stored its
+// result, and reaches the flight table just after the leader removed
+// its flight, takes the stored result instead of solving the key again.
+func TestSolveSharedTakesResultStoredAfterMiss(t *testing.T) {
+	sv := New(Config{})
+	defer sv.Close()
+	rs := resolve(socdata.D695())
+	norm := coopt.Options{}.Normalized()
+	key := jobKey(rs.digest, 16, norm)
+	want, err := coopt.Solve(rs.canon, 16, coopt.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.results.Put(key, want) // the leader's store; its flight is gone
+	got, coalesced, err := sv.solveShared(context.Background(), key, rs.canon, 16, norm)
+	if err != nil || !coalesced || got.Time != want.Time {
+		t.Errorf("solveShared = time %d, coalesced %v, err %v; want the stored %d, true, nil",
+			got.Time, coalesced, err, want.Time)
+	}
+	if st := sv.Stats(); st.Jobs.Solved != 0 || st.Cache.Hits != 0 || st.Cache.Misses != 0 {
+		t.Errorf("stats after taking the stored result: %+v %+v", st.Jobs, st.Cache)
+	}
+}
