@@ -14,6 +14,7 @@ import (
 	"soctam/internal/assign"
 	"soctam/internal/coopt"
 	"soctam/internal/experiments"
+	"soctam/internal/partition"
 	"soctam/internal/socdata"
 )
 
@@ -466,4 +467,50 @@ func BenchmarkILP(b *testing.B) {
 		}
 		b.ReportMetric(float64(last), "cycles")
 	})
+}
+
+// BenchmarkILPPrune tracks the ILP engine's per-partition prune query,
+// the LP relaxation bound at the incumbent, on a warm scratch: one op
+// asks it of every B=5 partition of p21241 at W=24 with the engine's
+// final incumbent (781754 cycles) as the cutoff. Warm queries allocate
+// nothing, so any allocs/op here is a regression.
+func BenchmarkILPPrune(b *testing.B) {
+	s, err := socdata.ByName("p21241")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables, err := coopt.TimeTables(s, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var parts [][]int
+	partition.Enumerate(24, 5, func(p []int) bool {
+		parts = append(parts, append([]int(nil), p...))
+		return true
+	})
+	var in assign.Instance
+	var rel assign.Relaxation
+	query := func() (pruned int) {
+		for _, p := range parts {
+			if err := assign.FromTimeTableInto(&in, tables, p); err != nil {
+				b.Fatal(err)
+			}
+			prune, err := rel.Prunes(&in, 781754)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if prune {
+				pruned++
+			}
+		}
+		return pruned
+	}
+	query() // grow the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pruned int
+	for i := 0; i < b.N; i++ {
+		pruned = query()
+	}
+	b.ReportMetric(float64(pruned), "pruned")
 }

@@ -71,7 +71,7 @@ import (
 // per-strategy solve set, the hot-path primitive benches (the final
 // exact step among them) and the service's two cache-hit paths (library
 // and HTTP handler).
-const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkCoreAssignP93791$|BenchmarkExactStepP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$)"
+const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkILPPrune$|BenchmarkCoreAssignP93791$|BenchmarkExactStepP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$)"
 
 // defaultPackages are the packages holding trajectory benchmarks.
 const defaultPackages = ".,./internal/coopt,./internal/pack,./internal/wrapper,./internal/obs,./internal/serve"

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"soctam/internal/ilp"
@@ -59,24 +58,44 @@ func NewInstance(s *soc.SOC, widths []int) (*Instance, error) {
 // (tables[i][w-1] = T_i(w)), avoiding repeated wrapper design when many
 // width partitions are evaluated over the same SOC.
 func FromTimeTable(tables [][]soc.Cycles, widths []int) (*Instance, error) {
+	in := new(Instance)
+	if err := FromTimeTableInto(in, tables, widths); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// FromTimeTableInto is FromTimeTable filling a caller-owned instance,
+// reusing its Widths and Times buffers, so a search visiting many
+// partitions of one SOC allocates nothing per partition. dst keeps no
+// reference to tables or widths; on error its contents are unspecified.
+func FromTimeTableInto(dst *Instance, tables [][]soc.Cycles, widths []int) error {
 	if len(widths) == 0 {
-		return nil, fmt.Errorf("assign: no TAMs")
+		return fmt.Errorf("assign: no TAMs")
 	}
 	if len(tables) == 0 {
-		return nil, fmt.Errorf("assign: no cores")
+		return fmt.Errorf("assign: no cores")
 	}
-	times := make(sched.Matrix, len(tables))
+	dst.Widths = append(dst.Widths[:0], widths...)
+	if cap(dst.Times) < len(tables) {
+		dst.Times = make(sched.Matrix, len(tables))
+	}
+	dst.Times = dst.Times[:len(tables)]
 	for i, table := range tables {
-		row := make([]soc.Cycles, len(widths))
+		row := dst.Times[i]
+		if cap(row) < len(widths) {
+			row = make([]soc.Cycles, len(widths))
+		}
+		row = row[:len(widths)]
 		for j, w := range widths {
 			if w < 1 || w > len(table) {
-				return nil, fmt.Errorf("assign: width %d outside core %d's table (1..%d)", w, i+1, len(table))
+				return fmt.Errorf("assign: width %d outside core %d's table (1..%d)", w, i+1, len(table))
 			}
 			row[j] = table[w-1]
 		}
-		times[i] = row
+		dst.Times[i] = row
 	}
-	return &Instance{Widths: slices.Clone(widths), Times: times}, nil
+	return nil
 }
 
 // NumCores returns the number of cores in the instance.
@@ -411,24 +430,6 @@ type ILPOptions struct {
 	// NodeLimit caps branch-and-bound nodes; <= 0 uses the package ilp
 	// default.
 	NodeLimit int
-}
-
-// RelaxationBound solves the LP relaxation of the Section 3.2 model and
-// returns the rounded-up fractional makespan: a valid lower bound on the
-// instance's optimal testing time, because every integral assignment is
-// feasible for the relaxation and all testing times are integral. ok is
-// false when the simplex gave up (iteration limit) — the caller must
-// then skip the bound, never trust a partial one.
-func RelaxationBound(in *Instance) (bound soc.Cycles, ok bool, err error) {
-	model := BuildILP(in)
-	sol, err := model.Prob.Solve()
-	if err != nil {
-		return 0, false, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, false, nil
-	}
-	return soc.Cycles(math.Ceil(sol.Objective - 1e-6)), true, nil
 }
 
 // decodeILP reads the 0/1 assignment out of an ILP solution vector.

@@ -10,7 +10,8 @@
 //     paper's two tie-break rules and the lines 18–20 early abort against
 //     a best-known bound;
 //   - BuildILP / SolveILP, the Section 3.2 integer linear program (the
-//     role lpsolve played in the paper), and
+//     role lpsolve played in the paper), with RelaxationBound and the
+//     reusable Relaxation bounding it through its LP relaxation, and
 //   - SolveExact, a combinatorial branch-and-bound solving the same model
 //     (used where the paper reports exact/exhaustive results).
 package assign

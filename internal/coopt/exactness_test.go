@@ -1,8 +1,11 @@
 package coopt
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"soctam/internal/assign"
 	"soctam/internal/socdata"
 )
 
@@ -155,6 +158,121 @@ func TestPortfolioPackingILPNeverWorse(t *testing.T) {
 		}
 		if len(race.Portfolio) != 2 {
 			t.Fatalf("W=%d: race has %d attribution entries, want 2", w, len(race.Portfolio))
+		}
+	}
+}
+
+// TestILPSearchPinned pins the ILP engine's whole search, not just its
+// answer: on each cell the partitions enumerated, solved, pruned and
+// power-rejected must equal the recorded figures, so any change to a
+// prune decision — the LP relaxation's above all — fails here even
+// when the optimum survives it. The figures were recorded with the
+// two-phase relaxation bound the crash-started one replaced.
+func TestILPSearchPinned(t *testing.T) {
+	for _, tc := range []struct {
+		soc      string
+		width    int
+		maxPower int
+		time     int64
+		want     Stats
+		large    bool
+	}{
+		{"d695", 16, 0, 42568, Stats{Enumerated: 212, Completed: 143, Aborted: 69}, false},
+		{"d695", 32, 0, 21435, Stats{Enumerated: 5013, Completed: 1586, Aborted: 3427}, true},
+		{"p21241", 16, 0, 1168509, Stats{Enumerated: 212, Completed: 36, Aborted: 176}, false},
+		{"p21241", 24, 0, 781754, Stats{Enumerated: 1204, Completed: 134, Aborted: 1070}, true},
+		{"p31108", 24, 0, 1203297, Stats{Enumerated: 39, Completed: 13, Aborted: 26}, false},
+		{"d695", 16, 1800, 45913, Stats{Enumerated: 212, Completed: 155, Aborted: 57, PowerInfeasible: 36}, false},
+	} {
+		if testing.Short() && tc.large {
+			continue
+		}
+		s, err := socdata.ByName(tc.soc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Solve(s, tc.width, Options{Strategy: StrategyILP, MaxPower: tc.maxPower})
+		if err != nil {
+			t.Fatalf("%s W=%d P=%d: %v", tc.soc, tc.width, tc.maxPower, err)
+		}
+		if int64(res.Time) != tc.time || !res.Proven || res.Stats != tc.want {
+			t.Errorf("%s W=%d P=%d: time %d proven %t stats %+v; want %d proven, %+v",
+				tc.soc, tc.width, tc.maxPower, res.Time, res.Proven, res.Stats, tc.time, tc.want)
+		}
+	}
+}
+
+// TestILPMatchesExhaustiveOnRandomSOCs is the ILP slice of the
+// random-SOC differential check: small SOCs synthesized from p93791's
+// parameter ranges (4-9 cores, W 4-16, up to 4 TAMs), every other one
+// under a power ceiling between the largest core power and the total.
+// On each the ILP engine must return the exhaustive baseline's time
+// with a proof, an assignment that validates against its partition,
+// and a time no better than the architecture-independent lower bound.
+func TestILPMatchesExhaustiveOnRandomSOCs(t *testing.T) {
+	const want = 200
+	r := rand.New(rand.NewSource(1))
+	base := socdata.P93791Spec()
+	cases := 0
+	for attempt := 0; cases < want; attempt++ {
+		if attempt == 10*want {
+			t.Fatalf("only %d of %d synthesized SOCs were accepted", cases, attempt)
+		}
+		n := 4 + r.Intn(6)
+		spec := base
+		spec.Name = fmt.Sprintf("rand%d", attempt)
+		spec.NumLogic = max(2, n*base.NumLogic/(base.NumLogic+base.NumMemory))
+		spec.NumMemory = n - spec.NumLogic
+		spec.Complexity = base.Complexity * n / (base.NumLogic + base.NumMemory)
+		spec.Seed = r.Int63()
+		w := 4 + r.Intn(13)
+		ceilingDraw := r.Float64()
+		s, err := socdata.Synthesize(spec)
+		if err != nil {
+			continue
+		}
+		cases++
+		opt := Options{MaxTAMs: 4}
+		if cases%2 == 0 {
+			top, total := 0, 0
+			for _, c := range s.Cores {
+				top = max(top, c.Power)
+				total += c.Power
+			}
+			opt.MaxPower = top + int(ceilingDraw*float64(total-top))
+		}
+		name := fmt.Sprintf("%s (%d cores) W=%d P=%d", spec.Name, n, w, opt.MaxPower)
+
+		exhOpt, ilpOpt := opt, opt
+		exhOpt.Strategy, ilpOpt.Strategy = StrategyExhaustive, StrategyILP
+		exh, err := Solve(s, w, exhOpt)
+		if err != nil {
+			t.Fatalf("%s exhaustive: %v", name, err)
+		}
+		ilp, err := Solve(s, w, ilpOpt)
+		if err != nil {
+			t.Fatalf("%s ilp: %v", name, err)
+		}
+		if ilp.Time != exh.Time || !ilp.Proven {
+			t.Errorf("%s: ilp %d cycles proven %t, exhaustive %d", name, ilp.Time, ilp.Proven, exh.Time)
+		}
+		tables, err := TimeTables(s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := assign.FromTimeTable(tables, ilp.Partition)
+		if err != nil {
+			t.Fatalf("%s: partition %v: %v", name, ilp.Partition, err)
+		}
+		if err := ilp.Assignment.Validate(in); err != nil {
+			t.Errorf("%s: ilp assignment on %v: %v", name, ilp.Partition, err)
+		}
+		lb, err := LowerBound(s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ilp.Time < lb {
+			t.Errorf("%s: ilp %d cycles below the lower bound %d", name, ilp.Time, lb)
 		}
 	}
 }

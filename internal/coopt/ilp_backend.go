@@ -41,7 +41,12 @@ func init() {
 //  2. per-partition combinatorial bounds from the testing-time tables
 //     (bottleneck core and average load at the partition's widest TAM);
 //  3. the LP relaxation of the Section 3.2 assignment model
-//     (internal/lp), whose rounded-up optimum bounds the partition;
+//     (internal/lp), whose rounded-up optimum bounds the partition,
+//     asked through assign.Relaxation.Prunes: one model per partition
+//     shape, phase 2 alone from the Core_assign assignment's basis, and
+//     a stop as soon as the objective shows the rounded bound falls
+//     short of the incumbent — the same decision as solving the
+//     relaxation from scratch, at a fraction of the cost;
 //
 // and partitions that survive them are solved by the combinatorial
 // branch-and-bound with the incumbent as an exclusive cutoff, so the
@@ -94,6 +99,11 @@ type ilpState struct {
 	// globalLB is the architecture-independent lower bound: the floor
 	// every partition bound starts from, and the early-stop target.
 	globalLB soc.Cycles
+
+	// inst and relax are the per-partition scratch: the partition's
+	// P_AW instance and its LP relaxation, reused across partitions.
+	inst  assign.Instance
+	relax assign.Relaxation
 
 	best            soc.Cycles
 	bestPart        []int
@@ -162,8 +172,8 @@ func (e *ilpState) run(width, numTAMs int) error {
 				return true
 			}
 		}
-		inst, err := assign.FromTimeTable(e.tables, parts)
-		if err != nil {
+		inst := &e.inst
+		if err := assign.FromTimeTableInto(inst, e.tables, parts); err != nil {
 			innerErr = err
 			return false
 		}
@@ -171,12 +181,12 @@ func (e *ilpState) run(width, numTAMs int) error {
 			// The LP relaxation of the partition's Section 3.2 model:
 			// its rounded-up optimum bounds any integral assignment. A
 			// simplex that gave up costs us the prune, never soundness.
-			rb, ok, err := assign.RelaxationBound(inst)
+			prune, err := e.relax.Prunes(inst, e.best)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			if ok && rb >= e.best {
+			if prune {
 				e.pruned++
 				return true
 			}

@@ -16,6 +16,6 @@
 // The registered exact engine (coopt.StrategyILP; ARCHITECTURE.md §14)
 // does not solve each partition's 0/1 model through this package (that
 // costs milliseconds where the combinatorial search costs microseconds):
-// it takes the model's LP relaxation (assign.RelaxationBound) as a
-// pruning bound.
+// it takes the model's LP relaxation (assign.Relaxation, solved by
+// package lp from a feasible basis) as a pruning bound.
 package ilp

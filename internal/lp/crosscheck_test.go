@@ -75,13 +75,39 @@ func enumeratePAW(times [][]float64) float64 {
 	return best
 }
 
+// assignmentBasis is the feasible basis of buildPAWModel's relaxation
+// at the integral assignment tamOf: x_{i,tamOf[i]} basic in core row i,
+// the makespan basic in the load row of the most-loaded TAM (the first
+// on ties), and every other load row's slack basic.
+func assignmentBasis(times [][]float64, tamOf []int) []int {
+	n, b := len(times), len(times[0])
+	basis := make([]int, n+b)
+	loads := make([]float64, b)
+	for i, j := range tamOf {
+		basis[i] = i*b + j
+		loads[j] += times[i][j]
+	}
+	top := 0
+	for j := range loads {
+		basis[n+j] = lp.Slack
+		if loads[j] > loads[top] {
+			top = j
+		}
+	}
+	basis[n+top] = n * b
+	return basis
+}
+
 // TestPAWRelaxationAgainstILPEnumeration draws random wrapper-shaped
 // P_AW instances and forces the three layers to agree: the enumerated
 // integer optimum is the truth, the branch-and-bound must hit it
 // exactly, and the simplex relaxation must bound it from below without
 // ever exceeding it — on every instance, including the tie-heavy ones
-// that make the EQ rows maximally degenerate.
+// that make the EQ rows maximally degenerate. Phase 2 started from a
+// random integral assignment (one reused workspace) must reach the
+// two-phase relaxation optimum.
 func TestPAWRelaxationAgainstILPEnumeration(t *testing.T) {
+	var w lp.Workspace
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n, b := 2+r.Intn(5), 2+r.Intn(2) // up to 6 cores x 3 TAMs: 729 points
@@ -123,7 +149,22 @@ func TestPAWRelaxationAgainstILPEnumeration(t *testing.T) {
 			t.Logf("seed %d: ceil(relaxation) %v above optimum %v", seed, math.Ceil(rel.Objective-1e-6), truth)
 			return false
 		}
-		return true
+
+		tamOf := make([]int, n)
+		for i := range tamOf {
+			tamOf[i] = r.Intn(b)
+		}
+		model := buildPAWModel(times)
+		warm, err := w.SolveFrom(&model.Prob, assignmentBasis(times, tamOf), math.Inf(-1))
+		if err != nil || warm.Status != lp.Optimal {
+			t.Logf("seed %d: assignment start %v: status %v err %v", seed, tamOf, warm.Status, err)
+			return false
+		}
+		if math.Abs(warm.Objective-rel.Objective) > 1e-9*math.Max(1, math.Abs(rel.Objective)) {
+			t.Logf("seed %d: assignment start %v reached %v, two-phase %v", seed, tamOf, warm.Objective, rel.Objective)
+			return false
+		}
+		return model.Prob.Feasible(warm.X, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,35 @@ func TestBealeCyclingExample(t *testing.T) {
 	if math.Abs(s.X[2]-1) > 1e-9 {
 		t.Errorf("x3 = %v, want 1", s.X[2])
 	}
+	checkSlackStart(t, new(Workspace), p, s)
+}
+
+// checkSlackStart solves p — every row LE with a non-negative RHS — by
+// SolveFrom from the all-slack basis and reports whether it reproduces
+// Solve's result want. With no artificials Solve runs phase 2 alone from
+// that same basis, so the two must agree to the last bit.
+func checkSlackStart(t *testing.T, w *Workspace, p *Problem, want Solution) bool {
+	t.Helper()
+	basis := make([]int, len(p.Constraints))
+	for i := range basis {
+		basis[i] = Slack
+	}
+	stop := math.Inf(-1)
+	if p.Maximize {
+		stop = math.Inf(1)
+	}
+	got, err := w.SolveFrom(p, basis, stop)
+	if err != nil {
+		t.Errorf("SolveFrom: %v", err)
+		return false
+	}
+	if got.Status != want.Status || got.Objective != want.Objective || got.Iterations != want.Iterations ||
+		(want.Status == Optimal && !slices.Equal(got.X, want.X)) {
+		t.Errorf("all-slack start: %v obj %v x %v in %d pivots; Solve: %v obj %v x %v in %d pivots",
+			got.Status, got.Objective, got.X, got.Iterations, want.Status, want.Objective, want.X, want.Iterations)
+		return false
+	}
+	return true
 }
 
 // TestKleeMintyCube solves the n=6 Klee–Minty cube — the worst case for
@@ -64,12 +94,16 @@ func TestKleeMintyCube(t *testing.T) {
 	if s.Status != Optimal || math.Abs(s.Objective-want) > 1e-6*want {
 		t.Fatalf("got %v obj %v, want optimal %v", s.Status, s.Objective, want)
 	}
+	checkSlackStart(t, new(Workspace), p, s)
 }
 
 // TestHighlyDegenerateRandomLPs builds LPs whose constraints all pass
 // through the origin (maximally degenerate vertex) plus a box; the
-// solver must always terminate with the proven-feasible optimum.
+// solver must always terminate with the proven-feasible optimum, from
+// the two-phase start and from the all-slack basis alike (one reused
+// workspace serves every shape).
 func TestHighlyDegenerateRandomLPs(t *testing.T) {
+	var w Workspace
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(4)
@@ -96,6 +130,10 @@ func TestHighlyDegenerateRandomLPs(t *testing.T) {
 			return false
 		}
 		if !p.Feasible(s.X, 1e-6) {
+			return false
+		}
+		if !checkSlackStart(t, &w, p, s) {
+			t.Logf("seed %d: all-slack start disagrees", seed)
 			return false
 		}
 		// The origin is always feasible, so the minimum is <= 0.
