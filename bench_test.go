@@ -345,6 +345,7 @@ func BenchmarkCoreAssignP93791(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.CoreAssign(in, 0)
 	}
@@ -472,8 +473,10 @@ func BenchmarkILP(b *testing.B) {
 // BenchmarkILPPrune tracks the ILP engine's per-partition prune query,
 // the LP relaxation bound at the incumbent, on a warm scratch: one op
 // asks it of every B=5 partition of p21241 at W=24 with the engine's
-// final incumbent (781754 cycles) as the cutoff. Warm queries allocate
-// nothing, so any allocs/op here is a regression.
+// final incumbent (781754 cycles) as the cutoff, the way the engine
+// does — the partition's instance, Core_assign from the solve's
+// per-width orders, then the relaxation from that assignment. Warm
+// queries allocate nothing, so any allocs/op here is a regression.
 func BenchmarkILPPrune(b *testing.B) {
 	s, err := socdata.ByName("p21241")
 	if err != nil {
@@ -488,14 +491,17 @@ func BenchmarkILPPrune(b *testing.B) {
 		parts = append(parts, append([]int(nil), p...))
 		return true
 	})
+	orders := assign.NewOrders(tables)
 	var in assign.Instance
+	var sc assign.Scratch
 	var rel assign.Relaxation
 	query := func() (pruned int) {
 		for _, p := range parts {
 			if err := assign.FromTimeTableInto(&in, tables, p); err != nil {
 				b.Fatal(err)
 			}
-			prune, err := rel.Prunes(&in, 781754)
+			greedy, _ := orders.CoreAssign(&sc, p, 0)
+			prune, err := rel.Prunes(&in, greedy, 781754)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -147,9 +148,14 @@ func (a *Assignment) Validate(in *Instance) error {
 // reaches bestKnown, the heuristic aborts early (the paper's lines 18–20)
 // and returns ok=false with the partial assignment (unassigned cores have
 // TAMOf -1).
+//
+// Each TAM's cores are sorted by testing time once per call, and each
+// pick takes the first unassigned core in its TAM's order, found by a
+// cursor that only moves forward, instead of scanning every core (see
+// Orders, which serves the same body from tables sorted once per solve).
 func CoreAssign(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
 	var sc Scratch
-	return coreAssign(in, bestKnown, true, &sc)
+	return sc.instance(in, bestKnown, true)
 }
 
 // CoreAssignPlain is the ablation variant of CoreAssign without the
@@ -157,69 +163,185 @@ func CoreAssign(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
 // index. The early-abort rule is retained.
 func CoreAssignPlain(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
 	var sc Scratch
-	return coreAssign(in, bestKnown, false, &sc)
+	return sc.instance(in, bestKnown, false)
 }
 
-// Scratch holds CoreAssign's working buffers for reuse across calls.
+// Scratch holds Core_assign's working buffers for reuse across calls.
 // The zero value is ready; the buffers grow to the largest instance
 // seen. A Scratch belongs to one goroutine at a time.
 type Scratch struct {
-	tamOf     []int
-	loads     []soc.Cycles
-	lookAhead []int
+	ints  []int // TAMOf (one per core), then col and cursor (one per TAM)
+	loads []soc.Cycles
+	order []int32 // the instance feed's per-TAM core orders
 }
 
 // CoreAssignWith is CoreAssign writing into sc's buffers, so a caller
-// scoring many partitions (Partition_evaluate's inner loop) allocates
-// nothing per call. The returned assignment's TAMOf and Loads alias sc
-// and are valid only until the next call with the same scratch; callers
+// running the heuristic many times allocates nothing per call once sc
+// has grown. The returned assignment's TAMOf and Loads alias sc and
+// are valid only until the next call with the same scratch; callers
 // keeping a result must copy it.
 func CoreAssignWith(sc *Scratch, in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return coreAssign(in, bestKnown, true, sc)
+	return sc.instance(in, bestKnown, true)
 }
 
 // CoreAssignPlainWith is CoreAssignPlain on a caller-owned scratch,
 // with the same aliasing rules as CoreAssignWith.
 func CoreAssignPlainWith(sc *Scratch, in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return coreAssign(in, bestKnown, false, sc)
+	return sc.instance(in, bestKnown, false)
 }
 
-// grow returns s resized to n, reallocating only when the capacity is
-// short; contents are unspecified.
-func grow(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+// Orders lists, for every TAM width w = 1..W of a set of testing-time
+// tables (tables[i][w-1] = T_i(w)), the cores by T_i(w) descending and
+// by index ascending on ties. That is the order in which Core_assign's
+// lines 13–16 pick cores for a TAM of width w, so scoring a width
+// partition from the orders reads the tables in place: no instance is
+// built, and each pick walks a per-TAM cursor past assigned cores
+// instead of scanning all of them.
+//
+// Build one per solve with NewOrders. Orders are immutable, so any
+// number of goroutines may score partitions from one concurrently,
+// each on its own Scratch.
+type Orders struct {
+	tables [][]soc.Cycles
+	width  int     // W, the length of every table
+	flat   []int32 // width w's order is flat[(w-1)·n : w·n]
 }
 
-func coreAssign(in *Instance, bestKnown soc.Cycles, tieBreaks bool, sc *Scratch) (Assignment, bool) {
-	n, nb := in.NumCores(), in.NumTAMs()
-	sc.tamOf = grow(sc.tamOf, n)
-	if cap(sc.loads) < nb {
-		sc.loads = make([]soc.Cycles, nb)
-	} else {
-		sc.loads = sc.loads[:nb]
+// NewOrders sorts the cores once per width of tables, which must all
+// have the same length W: O(W·N·log N) time and W·N int32s of memory.
+// The comparator breaks time ties by index, a total order, so no
+// stable sort is needed. The orders alias tables, which must not
+// change while they are used.
+func NewOrders(tables [][]soc.Cycles) *Orders {
+	n := len(tables)
+	o := &Orders{tables: tables}
+	if n > 0 {
+		o.width = len(tables[0])
 	}
-	for j := range sc.loads {
-		sc.loads[j] = 0
-	}
-	a := Assignment{TAMOf: sc.tamOf, Loads: sc.loads}
-	for i := range a.TAMOf {
-		a.TAMOf[i] = -1
-	}
-	// lookAhead[j] = widest TAM strictly narrower than TAM j (-1 if none):
-	// the paper's line 15 tie-break target.
-	sc.lookAhead = grow(sc.lookAhead, nb)
-	lookAhead := sc.lookAhead
-	for j := range lookAhead {
-		lookAhead[j] = -1
-		for k := 0; k < nb; k++ {
-			if in.Widths[k] < in.Widths[j] &&
-				(lookAhead[j] < 0 || in.Widths[k] > in.Widths[lookAhead[j]]) {
-				lookAhead[j] = k
-			}
+	o.flat = make([]int32, o.width*n)
+	for c := 0; c < o.width; c++ {
+		order := o.flat[c*n : (c+1)*n]
+		for i := range order {
+			order[i] = int32(i)
 		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if ta, tb := tables[a][c], tables[b][c]; ta != tb {
+				return cmp.Compare(tb, ta)
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	return o
+}
+
+// CoreAssign is CoreAssignWith on the width partition widths of the
+// orders' tables — the instance FromTimeTable(tables, widths) would
+// build, with the same result — scored without building it. Every
+// width must lie in 1..W. The result aliases sc as in CoreAssignWith;
+// a warm sc makes the call allocate nothing.
+func (o *Orders) CoreAssign(sc *Scratch, widths []int, bestKnown soc.Cycles) (a Assignment, ok bool) {
+	return o.coreAssign(sc, widths, bestKnown, true)
+}
+
+// CoreAssignPlain is CoreAssignPlainWith on the width partition
+// widths, with the contract of Orders.CoreAssign.
+func (o *Orders) CoreAssignPlain(sc *Scratch, widths []int, bestKnown soc.Cycles) (a Assignment, ok bool) {
+	return o.coreAssign(sc, widths, bestKnown, false)
+}
+
+// coreAssign is the partition feed: TAM j reads column widths[j]-1 of
+// the tables and walks that width's shared order. The scratch is grown
+// for up to W TAMs at once — no partition of W has more — so a sweep
+// over TAM counts sizes it a single time.
+func (o *Orders) coreAssign(sc *Scratch, widths []int, bestKnown soc.Cycles, tieBreaks bool) (Assignment, bool) {
+	col := sc.prepare(len(o.tables), len(widths), max(len(widths), o.width))
+	for j, w := range widths {
+		col[j] = w - 1
+	}
+	return coreAssign(o.tables, o.flat, widths, bestKnown, tieBreaks, sc)
+}
+
+// instance is the instance feed: TAM j reads column j of in.Times, and
+// its order is sorted afresh into sc on every call.
+func (sc *Scratch) instance(in *Instance, bestKnown soc.Cycles, tieBreaks bool) (Assignment, bool) {
+	n, nb := in.NumCores(), in.NumTAMs()
+	col := sc.prepare(n, nb, nb)
+	if cap(sc.order) < n*nb {
+		sc.order = make([]int32, n*nb)
+	}
+	order := sc.order[:n*nb]
+	for j := range col {
+		col[j] = j
+		sortOrder(order[j*n:(j+1)*n], in.Times, j)
+	}
+	return coreAssign(in.Times, order, in.Widths, bestKnown, tieBreaks, sc)
+}
+
+// prepare sizes sc for n cores on nb TAMs, growing it, when it must,
+// to room for tams >= nb TAMs, and returns the col slice the feed
+// fills.
+func (sc *Scratch) prepare(n, nb, tams int) (col []int) {
+	if cap(sc.ints) < n+2*nb {
+		sc.ints = make([]int, n+2*tams)
+	}
+	if cap(sc.loads) < nb {
+		sc.loads = make([]soc.Cycles, tams)
+	}
+	return sc.ints[n : n+nb]
+}
+
+// sortOrder fills order with the cores 0..len(order)-1 sorted by
+// rows[i][c] descending, ties by index ascending. It is the instance
+// feed's per-call sort: an insertion sort from the identity, stable so
+// ties keep index order, with no comparator call and no allocation —
+// at the tens of cores an instance holds it beats both the scan it
+// replaces and slices.SortFunc.
+func sortOrder(order []int32, rows [][]soc.Cycles, c int) {
+	for k := range order {
+		i := int32(k)
+		t := rows[i][c]
+		m := k
+		for m > 0 && rows[order[m-1]][c] < t {
+			order[m] = order[m-1]
+			m--
+		}
+		order[m] = i
+	}
+}
+
+// narrower returns the widest TAM strictly narrower than TAM j, the
+// lowest index among equally wide ones, or -1 if there is none: the
+// target of the paper's line 15 tie-break.
+func narrower(widths []int, j int) int {
+	k := -1
+	for m, w := range widths {
+		if w < widths[j] && (k < 0 || w > widths[k]) {
+			k = m
+		}
+	}
+	return k
+}
+
+// coreAssign is the Figure 1 body both feeds share. TAM j's testing
+// times are column col[j] of rows (rows[i][col[j]] = T_i on TAM j),
+// and order[col[j]·n : (col[j]+1)·n] lists the cores by that column
+// descending, index ascending on ties; sc.prepare has sized sc and the
+// feed has filled col. Each TAM keeps a cursor into its order with
+// every entry before it assigned, so the first unassigned entry at or
+// after the cursor is the paper's pick: the maximum time, lowest index
+// on ties. Cursors only advance, so the picks cost O(N·B) in all, plus
+// the line 15 lookahead's walk over a run of tied times.
+func coreAssign(rows [][]soc.Cycles, order []int32, widths []int, bestKnown soc.Cycles, tieBreaks bool, sc *Scratch) (Assignment, bool) {
+	n, nb := len(rows), len(widths)
+	tamOf := sc.ints[:n:n]
+	col, cursor := sc.ints[n:n+nb], sc.ints[n+nb:n+2*nb]
+	a := Assignment{TAMOf: tamOf, Loads: sc.loads[:nb:nb]}
+	for i := range tamOf {
+		tamOf[i] = -1
+	}
+	for j := range a.Loads {
+		a.Loads[j] = 0
+		cursor[j] = col[j] * n
 	}
 	for remaining := n; remaining > 0; remaining-- {
 		// Lines 10–12: TAM with minimum load; ties to the maximum width.
@@ -228,40 +350,43 @@ func coreAssign(in *Instance, bestKnown soc.Cycles, tieBreaks bool, sc *Scratch)
 			switch {
 			case a.Loads[k] < a.Loads[j]:
 				j = k
-			case tieBreaks && a.Loads[k] == a.Loads[j] && in.Widths[k] > in.Widths[j]:
+			case tieBreaks && a.Loads[k] == a.Loads[j] && widths[k] > widths[j]:
 				j = k
 			}
 		}
-		// Lines 13–16: unassigned core with maximum time on TAM j; ties
-		// look ahead to the widest narrower TAM.
-		best := -1
-		tied := false
-		for i := 0; i < n; i++ {
-			if a.TAMOf[i] >= 0 {
-				continue
-			}
-			switch {
-			case best < 0 || in.Times[i][j] > in.Times[best][j]:
-				best, tied = i, false
-			case in.Times[i][j] == in.Times[best][j]:
-				tied = true
-			}
+		// Lines 13–16: unassigned core with maximum time on TAM j.
+		c := col[j]
+		p := cursor[j]
+		for tamOf[order[p]] >= 0 {
+			p++
 		}
-		if tieBreaks && tied && lookAhead[j] >= 0 {
-			k := lookAhead[j]
-			top := in.Times[best][j]
-			for i := 0; i < n; i++ {
-				if a.TAMOf[i] >= 0 || in.Times[i][j] != top {
+		cursor[j] = p
+		best := int(order[p])
+		top := rows[best][c]
+		if tieBreaks {
+			// Line 15: if another unassigned core ties, look ahead to
+			// the widest narrower TAM. The tied cores follow the pick
+			// in index order, so a strict > keeps the first maximum.
+			// The target is found only once a tie shows.
+			k := -1
+			for q, end := p+1, (c+1)*n; q < end && rows[order[q]][c] == top; q++ {
+				i := int(order[q])
+				if tamOf[i] >= 0 {
 					continue
 				}
-				if in.Times[i][k] > in.Times[best][k] {
+				if k < 0 {
+					if k = narrower(widths, j); k < 0 {
+						break
+					}
+				}
+				if rows[i][col[k]] > rows[best][col[k]] {
 					best = i
 				}
 			}
 		}
 		// Line 17: assign.
-		a.TAMOf[best] = j
-		a.Loads[j] += in.Times[best][j]
+		tamOf[best] = j
+		a.Loads[j] += top
 		if a.Loads[j] > a.Time {
 			a.Time = a.Loads[j]
 		}
@@ -284,28 +409,28 @@ type ExactOptions struct {
 // branch-and-bound, warm-started by CoreAssign plus local search.
 // optimal reports whether the node budget sufficed to prove optimality.
 func SolveExact(in *Instance, opt ExactOptions) (Assignment, bool, error) {
-	a, _, optimal, err := SolveExactCutoff(in, opt, 0)
+	greedy, _ := CoreAssign(in, 0)
+	a, _, optimal, err := SolveExactCutoff(in, opt, 0, greedy)
 	return a, optimal, err
 }
 
 // SolveExactCutoff solves the instance restricted to assignments
-// strictly faster than cutoff cycles, warm-started by CoreAssign plus
-// local search. found reports whether such an assignment exists within
-// the node budget; proven reports a completed search — with found it
-// means a proven optimum, without it a proof that nothing below the
-// cutoff exists (the caller's incumbent of value cutoff is therefore
+// strictly faster than cutoff cycles. The search starts from greedy,
+// the complete CoreAssign assignment of in, tightened by local search:
+// a caller that has already run the heuristic (the ILP engine asks it
+// for its relaxation prune first) hands it over instead of paying for
+// it twice. greedy may alias a Scratch; it is only read. found reports
+// whether an assignment below the cutoff exists within the node
+// budget; proven reports a completed search — with found it means a
+// proven optimum, without it a proof that nothing below the cutoff
+// exists (the caller's incumbent of value cutoff is therefore
 // optimal). Seeding the search at the cutoff prunes it near the root,
 // so a "no improvement" proof costs a fraction of a full solve. A
 // cutoff of 0 means none: the search then always finds an assignment,
 // and this is SolveExact.
-func SolveExactCutoff(in *Instance, opt ExactOptions, cutoff soc.Cycles) (a Assignment, found, proven bool, err error) {
-	var warm []int
-	if h, ok := CoreAssign(in, 0); ok {
-		h = LocalImprove(in, h)
-		warm = h.TAMOf
-	}
+func SolveExactCutoff(in *Instance, opt ExactOptions, cutoff soc.Cycles, greedy Assignment) (a Assignment, found, proven bool, err error) {
 	res, err := sched.BranchAndBound(in.Times, sched.Options{
-		WarmAssign: warm,
+		WarmAssign: LocalImprove(in, greedy).TAMOf,
 		NodeLimit:  opt.NodeLimit,
 		Cutoff:     cutoff,
 	})

@@ -21,7 +21,8 @@ func TestSolveExactCutoffAgainstOptimum(t *testing.T) {
 		}
 
 		// Cutoff at the optimum: nothing below it, with proof.
-		_, found, proven, err := SolveExactCutoff(in, ExactOptions{}, opt.Time)
+		greedy, _ := CoreAssign(in, 0)
+		_, found, proven, err := SolveExactCutoff(in, ExactOptions{}, opt.Time, greedy)
 		if err != nil || found || !proven {
 			t.Logf("seed %d: cutoff at optimum %d: found=%v proven=%v err=%v",
 				seed, opt.Time, found, proven, err)
@@ -29,7 +30,7 @@ func TestSolveExactCutoffAgainstOptimum(t *testing.T) {
 		}
 
 		// Cutoff just above it: the optimum must be rediscovered.
-		a, found, proven, err := SolveExactCutoff(in, ExactOptions{}, opt.Time+1)
+		a, found, proven, err := SolveExactCutoff(in, ExactOptions{}, opt.Time+1, greedy)
 		if err != nil || !found || !proven {
 			t.Logf("seed %d: cutoff above optimum: found=%v proven=%v err=%v",
 				seed, found, proven, err)

@@ -6,9 +6,15 @@
 //
 // The package provides the paper's contributions and baselines:
 //
-//   - CoreAssign, the Figure 1 heuristic: O(N²) list scheduling with the
-//     paper's two tie-break rules and the lines 18–20 early abort against
-//     a best-known bound;
+//   - CoreAssign, the Figure 1 heuristic with the paper's two tie-break
+//     rules and the lines 18–20 early abort against a best-known bound.
+//     Each pick takes the first unassigned core of its TAM's order — the
+//     cores by testing time descending, index ascending — through a
+//     per-TAM cursor, so a run costs O(N·B) after the orders exist,
+//     plus the line 15 lookahead's walk over runs of tied times.
+//     Orders sorts them once per solve for every TAM width, and its
+//     CoreAssign scores a width partition reading the time tables in
+//     place; the Instance forms sort them per call;
 //   - BuildILP / SolveILP, the Section 3.2 integer linear program (the
 //     role lpsolve played in the paper), with RelaxationBound and the
 //     reusable Relaxation bounding it through its LP relaxation, and

@@ -23,8 +23,12 @@ const relaxMargin = 1e-6
 // It runs the crash-started phase 2 of Relaxation on a fresh scratch;
 // a caller bounding many instances should keep a Relaxation instead.
 func RelaxationBound(in *Instance) (bound soc.Cycles, ok bool, err error) {
+	if in.NumTAMs() == 0 {
+		return 0, false, nil // no assignment to start from
+	}
+	greedy, _ := CoreAssign(in, 0)
 	var r Relaxation
-	sol, err := r.solve(in, math.Inf(-1))
+	sol, err := r.solve(in, greedy, math.Inf(-1))
 	if err != nil || sol.Status != lp.Optimal {
 		return 0, false, err
 	}
@@ -40,7 +44,8 @@ func roundBound(obj float64) soc.Cycles {
 // Relaxation is reusable scratch for the LP relaxation of the Section
 // 3.2 model. It keeps one model per (cores, TAMs) shape, rewriting only
 // the load rows' testing times T_i(w_j) per instance, and starts the
-// simplex from the CoreAssign assignment instead of running phase 1:
+// simplex from the caller's CoreAssign assignment instead of running
+// phase 1:
 //
 //   - x_{i,TAMOf[i]} is basic in core i's assignment row;
 //   - the makespan T is basic in the load row of the most-loaded TAM
@@ -56,7 +61,6 @@ func roundBound(obj float64) soc.Cycles {
 // simplex workspace grows to the largest shape seen. A Relaxation
 // belongs to one goroutine at a time.
 type Relaxation struct {
-	sc    Scratch
 	shape [2]int // cores, TAMs of prob
 	prob  lp.Problem
 	basis []int
@@ -70,27 +74,24 @@ type Relaxation struct {
 // cutoff-1+1e-6, the level at and below which the rounded bound is
 // under cutoff. When the greedy makespan already is at that level no LP
 // is built at all. A simplex that hits its iteration limit answers
-// false: no prune.
-func (r *Relaxation) Prunes(in *Instance, cutoff soc.Cycles) (bool, error) {
-	sol, err := r.solve(in, float64(cutoff-1)+relaxMargin)
+// false: no prune. greedy is the complete CoreAssign assignment of in
+// (it may alias a Scratch; it is only read), the crash basis's source,
+// which the caller passes on to SolveExactCutoff if in survives.
+func (r *Relaxation) Prunes(in *Instance, greedy Assignment, cutoff soc.Cycles) (bool, error) {
+	sol, err := r.solve(in, greedy, float64(cutoff-1)+relaxMargin)
 	if err != nil || sol.Status != lp.Optimal {
 		return false, err
 	}
 	return roundBound(sol.Objective) >= cutoff, nil
 }
 
-// solve runs the relaxation of in from the CoreAssign crash basis,
-// stopping at objective level stop. The crash basis's objective is the
-// greedy makespan, so when that is at or below stop the run would stop
-// before its first pivot, and solve reports lp.Stopped without building
-// the tableau. An instance with no TAMs has no assignment to start from
-// and reports lp.Infeasible.
-func (r *Relaxation) solve(in *Instance, stop float64) (lp.Solution, error) {
+// solve runs the relaxation of in from the crash basis of the greedy
+// assignment a, stopping at objective level stop. The crash basis's
+// objective is the greedy makespan, so when that is at or below stop
+// the run would stop before its first pivot, and solve reports
+// lp.Stopped without building the tableau.
+func (r *Relaxation) solve(in *Instance, a Assignment, stop float64) (lp.Solution, error) {
 	n, nb := in.NumCores(), in.NumTAMs()
-	if nb == 0 {
-		return lp.Solution{Status: lp.Infeasible}, nil
-	}
-	a, _ := CoreAssignWith(&r.sc, in, 0)
 	if float64(a.Time) <= stop {
 		return lp.Solution{Status: lp.Stopped, Objective: float64(a.Time)}, nil
 	}

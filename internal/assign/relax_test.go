@@ -87,7 +87,7 @@ func TestRelaxationMatchesReference(t *testing.T) {
 		}
 		greedy, _ := CoreAssign(in, 0)
 		for _, c := range []soc.Cycles{1, want - 1, want, want + 1, greedy.Time, greedy.Time + 1} {
-			prune, err := rel.Prunes(in, c)
+			prune, err := rel.Prunes(in, greedy, c)
 			if err != nil || prune != (wantOK && want >= c) {
 				t.Logf("seed %d (%dx%d): Prunes(%d) = %t err %v, reference bound %d ok %t",
 					seed, in.NumCores(), in.NumTAMs(), c, prune, err, want, wantOK)
@@ -126,9 +126,9 @@ func TestPrunesAllocatesNothing(t *testing.T) {
 	greedy, _ := CoreAssign(&in, 0)
 	var rel Relaxation
 	for _, c := range []soc.Cycles{greedy.Time + 1, greedy.Time, 1} {
-		want, _ := rel.Prunes(&in, c)
+		want, _ := rel.Prunes(&in, greedy, c)
 		allocs := testing.AllocsPerRun(50, func() {
-			if got, err := rel.Prunes(&in, c); err != nil || got != want {
+			if got, err := rel.Prunes(&in, greedy, c); err != nil || got != want {
 				t.Fatalf("Prunes(%d) = %t, %v; want %t", c, got, err, want)
 			}
 		})

@@ -9,11 +9,11 @@ import (
 )
 
 // TestPartitionScoringZeroAlloc pins the per-partition scoring kernel —
-// scratch refill, Core_assign with its tie-break rules, the stats
-// bookkeeping — at zero allocations on d695 once the evaluator's
-// scratches are warm. The B = 1..MaxTAMs sweep scores hundreds of
-// thousands of partitions through this kernel, so a single allocation
-// per call is a regression.
+// Core_assign from the solve's per-width orders with its tie-break
+// rules, the stats bookkeeping — at zero allocations on d695 once the
+// evaluator's scratch is warm. The B = 1..MaxTAMs sweep scores hundreds
+// of thousands of partitions through this kernel, so a single
+// allocation per call is a regression.
 func TestPartitionScoringZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	const width = 32
@@ -21,13 +21,13 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orders := assign.NewOrders(tables)
 	parts := []int{4, 8, 8, 12}
 	for _, opt := range []Options{{}, {PlainCoreAssign: true}} {
-		e := &evaluator{tables: tables, opt: opt}
-		e.prepareScratch(len(parts))
+		e := &evaluator{tables: tables, orders: orders, opt: opt}
 		var stats Stats
 		score := func() {
-			if _, ok := scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats); !ok {
+			if _, ok := scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats); !ok {
 				t.Fatal("unbounded scoring aborted")
 			}
 		}
@@ -87,15 +87,14 @@ func BenchmarkPartitionScoring(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := []int{4, 8, 8, 12}
-	e := &evaluator{tables: tables}
-	e.prepareScratch(len(parts))
+	e := &evaluator{tables: tables, orders: assign.NewOrders(tables)}
 	var stats Stats
 	var last soc.Cycles
-	scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats) // warm the scratches
+	scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, ok := scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats)
+		a, ok := scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats)
 		if !ok {
 			b.Fatal("unbounded scoring aborted")
 		}

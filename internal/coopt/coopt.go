@@ -11,7 +11,6 @@ import (
 	"soctam/internal/assign"
 	"soctam/internal/pack"
 	"soctam/internal/partition"
-	"soctam/internal/sched"
 	"soctam/internal/soc"
 	"soctam/internal/wrapper"
 )
@@ -440,10 +439,12 @@ func curvesFor(s *soc.SOC, maxWidth int) (*wrapper.CurveSet, error) {
 }
 
 // evaluator runs Core_assign over enumerated partitions, carrying the
-// best-known bound. Its scratch instance is refilled per partition so
-// the inner loop allocates nothing proportional to the enumeration size.
+// best-known bound. It scores each partition from the solve's per-width
+// core orders on one reused scratch, so the inner loop copies nothing
+// and allocates nothing.
 type evaluator struct {
 	tables [][]soc.Cycles
+	orders *assign.Orders
 	opt    Options
 	pc     *powerContext
 	ctx    context.Context // nil = never cancelled
@@ -455,9 +456,8 @@ type evaluator struct {
 	truncated bool // the deadline fired and stopped the enumeration
 	stats     Stats
 
-	scratch assign.Instance
-	asg     assign.Scratch
-	ps      powerScratch
+	asg assign.Scratch
+	ps  powerScratch
 }
 
 // cancelCheckMask throttles context polls to one per 1024 partitions:
@@ -475,57 +475,21 @@ func runCoreAssign(opt Options, in *assign.Instance, bound soc.Cycles) (assign.A
 	return assign.CoreAssign(in, bound)
 }
 
-// runCoreAssignWith is runCoreAssign on a caller-owned scratch: the
-// returned assignment aliases sc and is valid only until the next call —
-// exactly what the per-partition scoring loop needs, where the
-// assignment is consumed (time read, TAMOf checked for power
-// feasibility) before the next partition is scored.
-func runCoreAssignWith(opt Options, sc *assign.Scratch, in *assign.Instance, bound soc.Cycles) (assign.Assignment, bool) {
-	if opt.PlainCoreAssign {
-		return assign.CoreAssignPlainWith(sc, in, bound)
-	}
-	return assign.CoreAssignWith(sc, in, bound)
-}
-
-// prepareScratch sizes the reusable instance for numTAMs TAMs.
-func (e *evaluator) prepareScratch(numTAMs int) {
-	n := len(e.tables)
-	e.scratch.Widths = resizeInts(e.scratch.Widths, numTAMs)
-	if e.scratch.Times == nil {
-		e.scratch.Times = make(sched.Matrix, n)
-	}
-	for i := range e.scratch.Times {
-		if cap(e.scratch.Times[i]) < numTAMs {
-			e.scratch.Times[i] = make([]soc.Cycles, numTAMs)
-		} else {
-			e.scratch.Times[i] = e.scratch.Times[i][:numTAMs]
-		}
-	}
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
 // scoreOne is the per-partition kernel shared by the sequential and
-// parallel paths: it refills scratch with the partition's testing-time
-// columns, runs the configured Core_assign variant under bound (0 =
-// none) and books the evaluation into stats. completed is false when
-// the lines 18–20 abort fired. The returned assignment aliases asg and
-// is valid only until the next call with the same asg.
-func scoreOne(tables [][]soc.Cycles, scratch *assign.Instance, asg *assign.Scratch, parts []int, bound soc.Cycles, opt Options, stats *Stats) (a assign.Assignment, completed bool) {
+// parallel paths: it runs the configured Core_assign variant on the
+// partition straight from the solve's orders under bound (0 = none) and
+// books the evaluation into stats. completed is false when the lines
+// 18–20 abort fired. The returned assignment aliases asg and is valid
+// only until the next call with the same asg — the assignment is
+// consumed (time read, TAMOf checked for power feasibility) before the
+// next partition is scored.
+func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc.Cycles, opt Options, stats *Stats) (a assign.Assignment, completed bool) {
 	stats.Enumerated++
-	copy(scratch.Widths, parts)
-	for i, table := range tables {
-		row := scratch.Times[i]
-		for j, w := range parts {
-			row[j] = table[w-1]
-		}
+	if opt.PlainCoreAssign {
+		a, completed = orders.CoreAssignPlain(asg, parts, bound)
+	} else {
+		a, completed = orders.CoreAssign(asg, parts, bound)
 	}
-	a, completed = runCoreAssignWith(opt, asg, scratch, bound)
 	if !completed {
 		stats.Aborted++
 		return a, false
@@ -557,7 +521,7 @@ func (e *evaluator) evaluateOne(parts []int) bool {
 	if e.opt.NoEarlyAbort {
 		bound = 0
 	}
-	a, completed := scoreOne(e.tables, &e.scratch, &e.asg, parts, bound, e.opt, &e.stats)
+	a, completed := scoreOne(e.orders, &e.asg, parts, bound, e.opt, &e.stats)
 	if !completed {
 		return true
 	}
@@ -623,7 +587,6 @@ func (e *evaluator) evaluateB(width, numTAMs int) error {
 	if numTAMs < 1 || width < numTAMs {
 		return fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)
 	}
-	e.prepareScratch(numTAMs)
 	if err := enumeratePartitions(width, numTAMs, e.opt.Enumeration, e.evaluateOne); err != nil {
 		return err
 	}
@@ -788,9 +751,10 @@ func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 	if err != nil {
 		return Result{}, err
 	}
+	orders := assign.NewOrders(tables)
 	lo, hi := opt.tamRange(width)
 	if opt.workers() > 1 {
-		p := newParEvaluator(tables, opt, pc)
+		p := newParEvaluator(tables, orders, opt, pc)
 		p.ctx = ctx
 		p.sink = sink
 		for b := lo; b <= hi && !p.truncated; b++ {
@@ -800,7 +764,7 @@ func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 		}
 		return p.finish(width, started)
 	}
-	e := &evaluator{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink}
+	e := &evaluator{tables: tables, orders: orders, opt: opt, pc: pc, ctx: ctx, sink: sink}
 	for b := lo; b <= hi && !e.truncated; b++ {
 		if err := e.evaluateB(width, b); err != nil {
 			return Result{}, err

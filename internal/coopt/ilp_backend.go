@@ -51,7 +51,10 @@ func init() {
 // and partitions that survive them are solved by the combinatorial
 // branch-and-bound with the incumbent as an exclusive cutoff, so the
 // solver proves "no improvement here" without re-deriving the
-// partition's own optimum. A pruned partition can never improve the
+// partition's own optimum. Core_assign runs once per partition that
+// reaches prune 3, scored from the solve's per-width core orders, and
+// its assignment feeds both the relaxation's crash basis and the
+// cutoff solve's warm start. A pruned partition can never improve the
 // incumbent, and the incumbent only ever updates on strict improvement
 // in the exhaustive baseline too, so the engine returns the baseline's
 // testing time on every instance. (The simplex-based integer solver of
@@ -72,6 +75,7 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 	}
 	e := &ilpState{
 		tables:    tables,
+		orders:    assign.NewOrders(tables),
 		opt:       opt,
 		pc:        pc,
 		ctx:       ctx,
@@ -91,6 +95,7 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 // ilpState carries the branch-and-bound search across TAM counts.
 type ilpState struct {
 	tables [][]soc.Cycles
+	orders *assign.Orders
 	opt    Options
 	pc     *powerContext
 	ctx    context.Context
@@ -100,9 +105,11 @@ type ilpState struct {
 	// every partition bound starts from, and the early-stop target.
 	globalLB soc.Cycles
 
-	// inst and relax are the per-partition scratch: the partition's
-	// P_AW instance and its LP relaxation, reused across partitions.
+	// inst, asg and relax are the per-partition scratch: the
+	// partition's P_AW instance, its Core_assign buffers and its LP
+	// relaxation, reused across partitions.
 	inst  assign.Instance
+	asg   assign.Scratch
 	relax assign.Relaxation
 
 	best            soc.Cycles
@@ -177,11 +184,13 @@ func (e *ilpState) run(width, numTAMs int) error {
 			innerErr = err
 			return false
 		}
+		greedy, _ := e.orders.CoreAssign(&e.asg, parts, 0)
+		var cutoff soc.Cycles // none until the first incumbent
 		if e.bestPart != nil {
 			// The LP relaxation of the partition's Section 3.2 model:
 			// its rounded-up optimum bounds any integral assignment. A
 			// simplex that gave up costs us the prune, never soundness.
-			prune, err := e.relax.Prunes(inst, e.best)
+			prune, err := e.relax.Prunes(inst, greedy, e.best)
 			if err != nil {
 				innerErr = err
 				return false
@@ -190,37 +199,21 @@ func (e *ilpState) run(width, numTAMs int) error {
 				e.pruned++
 				return true
 			}
+			cutoff = e.best
 		}
 		e.solved++
-		var a assign.Assignment
-		var proven bool
-		if e.bestPart == nil {
-			// First incumbent: a plain proven solve seeds the cutoff.
-			var err error
-			a, proven, err = assign.SolveExact(inst, e.opt.exact())
-			if err != nil {
-				innerErr = err
-				return false
-			}
-		} else {
-			found := false
-			var err error
-			a, found, proven, err = assign.SolveExactCutoff(inst, e.opt.exact(), e.best)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !found {
-				// No assignment below the incumbent; without proof
-				// (node limit) one might still exist out of reach.
-				if !proven {
-					e.allProven = false
-				}
-				return true
-			}
+		a, found, proven, err := assign.SolveExactCutoff(inst, e.opt.exact(), cutoff, greedy)
+		if err != nil {
+			innerErr = err
+			return false
 		}
 		if !proven {
+			// The node limit stopped the search: a better assignment
+			// might lie out of its reach.
 			e.allProven = false
+		}
+		if !found {
+			return true // nothing below the incumbent
 		}
 		// Power acceptance matches the exhaustive baseline: an improving
 		// partition is taken only if its minimum-time assignment keeps

@@ -47,6 +47,7 @@ func (b *batch) parts(i int) []int { return b.flat[i*b.width : (i+1)*b.width] }
 // Only the Completed/Aborted/Improved split of Stats depends on timing.
 type parEvaluator struct {
 	tables [][]soc.Cycles
+	orders *assign.Orders // shared read-only by every worker
 	opt    Options
 	pc     *powerContext
 	ctx    context.Context // nil = never cancelled
@@ -75,10 +76,30 @@ type parEvaluator struct {
 	// warms up. Slabs whose capacity no longer fits (the TAM count grew)
 	// are simply dropped.
 	free chan []int
+
+	// scratch holds one entry per worker, kept across the B sweep so
+	// each is sized once per solve.
+	scratch []workerScratch
 }
 
-func newParEvaluator(tables [][]soc.Cycles, opt Options, pc *powerContext) *parEvaluator {
-	return &parEvaluator{tables: tables, opt: opt, pc: pc, free: make(chan []int, 4*opt.workers())}
+// workerScratch is one worker's own buffers. The assignment and power
+// scratches are worker-local because record checks power feasibility
+// outside the shared mutex — the buffers are live concurrently across
+// workers.
+type workerScratch struct {
+	asg assign.Scratch
+	ps  powerScratch
+}
+
+func newParEvaluator(tables [][]soc.Cycles, orders *assign.Orders, opt Options, pc *powerContext) *parEvaluator {
+	return &parEvaluator{
+		tables:  tables,
+		orders:  orders,
+		opt:     opt,
+		pc:      pc,
+		free:    make(chan []int, 4*opt.workers()),
+		scratch: make([]workerScratch, opt.workers()),
+	}
 }
 
 // evaluateB enumerates all width partitions for a fixed TAM count and
@@ -88,14 +109,13 @@ func (p *parEvaluator) evaluateB(width, numTAMs int) error {
 	if numTAMs < 1 || width < numTAMs {
 		return fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)
 	}
-	workers := p.opt.workers()
-	jobs := make(chan batch, 2*workers)
+	jobs := make(chan batch, 2*len(p.scratch))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range p.scratch {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.worker(numTAMs, jobs)
+			p.worker(jobs, &p.scratch[w])
 		}()
 	}
 	err := p.generate(width, numTAMs, jobs)
@@ -160,23 +180,10 @@ func (p *parEvaluator) generate(width, numTAMs int, jobs chan<- batch) error {
 	return nil
 }
 
-// worker drains batches, scoring each partition with Core_assign against
-// the shared bound. Each worker owns its scratch instance; per-worker
-// stats merge once at exit.
-func (p *parEvaluator) worker(numTAMs int, jobs <-chan batch) {
-	n := len(p.tables)
-	scratch := assign.Instance{
-		Widths: make([]int, numTAMs),
-		Times:  make([][]soc.Cycles, n),
-	}
-	for i := range scratch.Times {
-		scratch.Times[i] = make([]soc.Cycles, numTAMs)
-	}
-	// The assignment and power scratches are worker-local because record
-	// checks power feasibility outside the shared mutex — the buffers are
-	// live concurrently across workers.
-	var asg assign.Scratch
-	var ps powerScratch
+// worker drains batches, scoring each partition with Core_assign from
+// the shared orders against the shared bound, on its own scratch ws;
+// per-worker stats merge once at exit.
+func (p *parEvaluator) worker(jobs <-chan batch, ws *workerScratch) {
 	var local Stats
 	for b := range jobs {
 		if p.ctx == nil || p.ctx.Err() == nil {
@@ -191,11 +198,11 @@ func (p *parEvaluator) worker(numTAMs int, jobs <-chan batch) {
 						bound = soc.Cycles(cur) + 1
 					}
 				}
-				a, completed := scoreOne(p.tables, &scratch, &asg, parts, bound, p.opt, &local)
+				a, completed := scoreOne(p.orders, &ws.asg, parts, bound, p.opt, &local)
 				if !completed {
 					continue
 				}
-				p.record(a.Time, parts, a.TAMOf, b.seq0+int64(k), &local, &ps)
+				p.record(a.Time, parts, a.TAMOf, b.seq0+int64(k), &local, &ws.ps)
 			}
 		}
 		// Nothing scored above outlives the batch (the winning partition
