@@ -38,9 +38,9 @@ type goldenEntry struct {
 //
 // Every entry replays twice — once sequentially (Workers = 1, the
 // paper's evaluation order) and once on the worker pool — because the
-// two paths run different scoring code (evaluator vs parEvaluator with
-// per-worker scratch buffers) and both must reproduce the golden
-// results bit for bit.
+// pool's strided workers score partitions out of order, abort one cycle
+// above the incumbent and settle ties by sequence number, and both
+// paths must reproduce the golden results bit for bit.
 func TestSolveMatchesPreRegistryGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_solve.json")
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // TestPartitionScoringZeroAlloc pins the per-partition scoring kernel —
 // Core_assign from the solve's per-width orders with its tie-break
 // rules, the stats bookkeeping — at zero allocations on d695 once the
-// evaluator's scratch is warm. The B = 1..MaxTAMs sweep scores hundreds
+// worker's scratch is warm. The B = 1..MaxTAMs sweep scores hundreds
 // of thousands of partitions through this kernel, so a single
 // allocation per call is a regression.
 func TestPartitionScoringZeroAlloc(t *testing.T) {
@@ -24,10 +24,9 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 	orders := assign.NewOrders(tables)
 	parts := []int{4, 8, 8, 12}
 	for _, opt := range []Options{{}, {PlainCoreAssign: true}} {
-		e := &evaluator{tables: tables, orders: orders, opt: opt}
-		var stats Stats
+		var w worker
 		score := func() {
-			if _, ok := scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats); !ok {
+			if _, ok := scoreOne(orders, &w.asg, parts, 0, opt, &w.stats); !ok {
 				t.Fatal("unbounded scoring aborted")
 			}
 		}
@@ -41,8 +40,8 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 
 // TestPowerFeasibilityZeroAlloc pins the power-feasibility check of a
 // would-be improvement at zero allocations with a warm worker scratch:
-// the parallel evaluator runs it outside the shared lock, so it must
-// neither share buffers nor churn them.
+// the scan runs it outside its lock, on the worker's own scratch, so it
+// must neither share buffers nor churn them.
 func TestPowerFeasibilityZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	for i := range s.Cores {
@@ -87,14 +86,14 @@ func BenchmarkPartitionScoring(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := []int{4, 8, 8, 12}
-	e := &evaluator{tables: tables, orders: assign.NewOrders(tables)}
-	var stats Stats
+	orders := assign.NewOrders(tables)
+	var w worker
 	var last soc.Cycles
-	scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats) // warm the scratch
+	scoreOne(orders, &w.asg, parts, 0, Options{}, &w.stats) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, ok := scoreOne(e.orders, &e.asg, parts, 0, e.opt, &stats)
+		a, ok := scoreOne(orders, &w.asg, parts, 0, Options{}, &w.stats)
 		if !ok {
 			b.Fatal("unbounded scoring aborted")
 		}

@@ -127,8 +127,8 @@ func init() {
 const portfolioName = "portfolio"
 
 // Registered names of the engines that emit their own incumbent
-// improvements (the enumerating flows label events from deep inside
-// their evaluators, where no engine value is in scope).
+// improvements (the enumerating engines label the events their scan
+// emits, where no engine value is in scope).
 const (
 	partitionBackendName  = "partition"
 	exhaustiveBackendName = "exhaustive"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,16 +12,43 @@ import (
 )
 
 // A pre-cancelled context must stop every backend with the context's
-// own error and no partial result.
+// own error and no partial result, on one worker and on the pool.
 func TestSolveContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := socdata.D695()
-	for _, strat := range []Strategy{StrategyPartition, StrategyPacking, StrategyDiagonal, StrategyILP, StrategyPortfolio} {
-		_, err := SolveContext(ctx, s, 32, Options{Strategy: strat, Workers: 1})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: cancelled solve returned %v, want context.Canceled", strat, err)
+	for _, workers := range []int{1, 4} {
+		for _, strat := range []Strategy{StrategyPartition, StrategyPacking, StrategyDiagonal, StrategyExhaustive, StrategyILP, StrategyPortfolio} {
+			_, err := SolveContext(ctx, s, 32, Options{Strategy: strat, Workers: workers})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%v, %d workers: cancelled solve returned %v, want context.Canceled", strat, workers, err)
+			}
 		}
+	}
+}
+
+// TestSolveContextCancelledMidRun cancels a pooled partition solve from its
+// first improvement: the solve must return context.Canceled, and every
+// worker goroutine must have exited once it has.
+func TestSolveContextCancelledMidRun(t *testing.T) {
+	s := socdata.D695()
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := Options{Workers: 4, Progress: func(ev ProgressEvent) {
+		if ev.Kind == ProgressImproved {
+			cancel()
+		}
+	}}
+	if _, err := SolveContext(ctx, s, 64, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pool solve returned %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the cancelled solve, %d after", before, after)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"soctam/internal/assign"
 	"soctam/internal/pack"
-	"soctam/internal/partition"
 	"soctam/internal/soc"
 	"soctam/internal/wrapper"
 )
@@ -121,12 +120,15 @@ type Options struct {
 	Enumeration Enumeration
 	// PlainCoreAssign drops the Figure 1 tie-break rules (ablation).
 	PlainCoreAssign bool
-	// Workers is the number of goroutines scoring partitions. 0 uses
-	// runtime.GOMAXPROCS(0); 1 (or negative) forces the sequential path,
-	// which evaluates partitions in exactly the paper's order. The chosen
+	// Workers is the number of goroutines the partition engine scores
+	// partitions on: worker w of n enumerates every partition itself and
+	// scores those whose enumeration sequence number is w mod n. 0 uses
+	// runtime.GOMAXPROCS(0); 1 (or negative) is one worker, which
+	// evaluates partitions in exactly the paper's order. The chosen
 	// partition and testing time are identical at any worker count; only
 	// the Completed/Aborted/Improved split of Stats depends on evaluation
-	// order and is therefore reproducible only with Workers = 1.
+	// order and is therefore reproducible only with Workers = 1. The
+	// exact engines always run one worker.
 	Workers int
 	// Strategy picks the Solve backend (a registered engine or the
 	// portfolio combinator). The fixed-TAM-count entry points
@@ -438,33 +440,6 @@ func curvesFor(s *soc.SOC, maxWidth int) (*wrapper.CurveSet, error) {
 	return cs, nil
 }
 
-// evaluator runs Core_assign over enumerated partitions, carrying the
-// best-known bound. It scores each partition from the solve's per-width
-// core orders on one reused scratch, so the inner loop copies nothing
-// and allocates nothing.
-type evaluator struct {
-	tables [][]soc.Cycles
-	orders *assign.Orders
-	opt    Options
-	pc     *powerContext
-	ctx    context.Context // nil = never cancelled
-	sink   *progressSink   // nil = no observer
-
-	haveBest  bool       // a completed evaluation has been recorded
-	best      soc.Cycles // running best testing time (valid when haveBest)
-	bestPart  []int
-	truncated bool // the deadline fired and stopped the enumeration
-	stats     Stats
-
-	asg assign.Scratch
-	ps  powerScratch
-}
-
-// cancelCheckMask throttles context polls to one per 1024 partitions:
-// ctx.Err() takes a lock, and a poll per partition would be measurable
-// on the hot path.
-const cancelCheckMask = 1023
-
 // runCoreAssign dispatches to the configured heuristic variant. The
 // returned assignment owns its buffers — the form the cold paths
 // (finishResult) need, where the assignment outlives the call.
@@ -475,14 +450,13 @@ func runCoreAssign(opt Options, in *assign.Instance, bound soc.Cycles) (assign.A
 	return assign.CoreAssign(in, bound)
 }
 
-// scoreOne is the per-partition kernel shared by the sequential and
-// parallel paths: it runs the configured Core_assign variant on the
-// partition straight from the solve's orders under bound (0 = none) and
-// books the evaluation into stats. completed is false when the lines
-// 18–20 abort fired. The returned assignment aliases asg and is valid
-// only until the next call with the same asg — the assignment is
-// consumed (time read, TAMOf checked for power feasibility) before the
-// next partition is scored.
+// scoreOne is the partition engine's per-partition kernel: it runs the
+// configured Core_assign variant on the partition straight from the
+// solve's orders under bound (0 = none) and books the evaluation into
+// stats. completed is false when the lines 18–20 abort fired. The
+// returned assignment aliases asg and is valid only until the next call
+// with the same asg — the assignment is consumed (time read, TAMOf
+// checked for power feasibility) before the next partition is scored.
 func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc.Cycles, opt Options, stats *Stats) (a assign.Assignment, completed bool) {
 	stats.Enumerated++
 	if opt.PlainCoreAssign {
@@ -498,114 +472,9 @@ func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc
 	return a, true
 }
 
-// evaluateOne scores a single width partition with Core_assign under the
-// running bound; it returns false to stop the enumeration when the
-// evaluator's context has been cancelled or its deadline has passed
-// with an incumbent in hand. Both polls share the cancelCheckMask
-// cadence, so a deadline run enumerates exactly like a cancellable one
-// until the instant it truncates — and a run with neither never reads
-// the clock.
-func (e *evaluator) evaluateOne(parts []int) bool {
-	if e.stats.Enumerated&cancelCheckMask == 0 {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			return false
-		}
-		// Only an existing incumbent may truncate: before one exists the
-		// run must keep searching, so a feasible solve always answers.
-		if e.haveBest && !e.opt.Deadline.IsZero() && time.Now().After(e.opt.Deadline) {
-			e.truncated = true
-			return false
-		}
-	}
-	bound := e.best
-	if e.opt.NoEarlyAbort {
-		bound = 0
-	}
-	a, completed := scoreOne(e.orders, &e.asg, parts, bound, e.opt, &e.stats)
-	if !completed {
-		return true
-	}
-	// haveBest (not best == 0) distinguishes "no result yet" from a
-	// legitimate 0-cycle best, so the first attainer wins even on
-	// degenerate SOCs whose tests all take zero time.
-	if !e.haveBest || a.Time < e.best {
-		// Power feasibility is checked only on would-be improvements:
-		// it needs the full serial-per-TAM schedule, and partitions that
-		// cannot win cannot need it.
-		if !e.pc.feasible(e.tables, parts, a.TAMOf, &e.ps) {
-			e.stats.PowerInfeasible++
-			return true
-		}
-		e.haveBest = true
-		e.best = a.Time
-		e.bestPart = partition.Canonical(parts)
-		e.stats.Improved++
-		e.sink.improved(partitionBackendName, a.Time, e.stats.Enumerated)
-	}
-	return true
-}
-
-// enumeratePartitions drives the configured partition generator for one
-// TAM count, calling yield with a reused buffer for every enumerated
-// partition; yield returning false stops the enumeration early (only
-// cancellation does — pruning never skips enumeration). It is the single
-// dispatch shared by the sequential and parallel paths, so both always
-// enumerate the same partition sets.
-func enumeratePartitions(width, numTAMs int, strategy Enumeration, yield func(parts []int) bool) error {
-	switch strategy {
-	case EnumOdometer:
-		o, err := partition.NewOdometer(width, numTAMs)
-		if err != nil {
-			return err
-		}
-		for {
-			parts, ok := o.Next()
-			if !ok || !yield(parts) {
-				return nil
-			}
-		}
-	case EnumNaive:
-		o, err := partition.NewNaiveOdometer(width, numTAMs)
-		if err != nil {
-			return err
-		}
-		for {
-			parts, ok := o.Next()
-			if !ok || !yield(parts) {
-				return nil
-			}
-		}
-	default:
-		partition.Enumerate(width, numTAMs, yield)
-		return nil
-	}
-}
-
-// evaluateB enumerates all width partitions for a fixed TAM count with
-// the configured strategy and scores them, updating the running best.
-func (e *evaluator) evaluateB(width, numTAMs int) error {
-	if numTAMs < 1 || width < numTAMs {
-		return fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)
-	}
-	if err := enumeratePartitions(width, numTAMs, e.opt.Enumeration, e.evaluateOne); err != nil {
-		return err
-	}
-	if e.ctx != nil {
-		return e.ctx.Err()
-	}
-	return nil
-}
-
-// finish runs the heuristic once more on the winning partition (for the
-// assignment witness) and then the exact final step, assembling Result.
-func (e *evaluator) finish(width int, started time.Time) (Result, error) {
-	return finishResult(e.tables, e.opt, e.pc, e.best, e.bestPart, e.stats, width, started, e.truncated)
-}
-
 // finishResult replays the heuristic on the winning partition (for the
 // assignment witness) and runs the exact final step, assembling Result.
-// It is shared by the sequential and parallel evaluation paths. A
-// truncated run skips the exact final step — the deadline has already
+// A truncated run skips the exact final step — the deadline has already
 // passed, and the step can add unbounded branch-and-bound time — and
 // reports the heuristic incumbent as is.
 func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc.Cycles, bestPart []int, stats Stats, width int, started time.Time, truncated bool) (Result, error) {
@@ -664,10 +533,10 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 }
 
 // SolveContext is Solve with cancellation: every backend polls ctx (the
-// partition flow every cancelCheckMask+1 partitions, the packers at
-// each placement budget, the exact engines at every partition, the
-// portfolio through each racer's derived context) and returns ctx's
-// error once it fires. Cancellation never alters the result of a run
+// partition flow once per 1024 of each worker's own partitions, the
+// packers at each placement budget, the exact engines at every
+// partition, the portfolio through each racer's derived context) and
+// returns ctx's error once it fires. Cancellation never alters the result of a run
 // that completes — it is the seam the serving layer (internal/serve)
 // uses to abandon in-flight solves on shutdown, and what the portfolio
 // combinator builds its consequence-free backend cancellation on.
@@ -736,151 +605,77 @@ func solveFixedTAMs(strategy Strategy, s *soc.SOC, width, numTAMs int, opt Optio
 
 // solvePartition is the partition engine (StrategyPartition): the
 // Figure 3 sweep over the run's TAM counts (tamRange: B = 1..MaxTAMs
-// for P_NPAW) with the best-known bound carried across them, followed
-// by the exact final optimization step on the winning partition. ctx is
-// polled during partition evaluation (every cancelCheckMask+1
-// partitions on the sequential path, every batch on the worker pool);
-// cancellation never alters the result of a run that completes.
+// for P_NPAW) on Options.Workers strided copies of the scan, with the
+// best-known bound carried across them, followed by the exact final
+// optimization step on the winning partition.
 func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	tables, err := opt.tables(s, width)
+	sc, err := newScan(ctx, s, width, opt, sink,
+		scanPlan{backend: partitionBackendName, enum: opt.Enumeration, workers: opt.workers(), poll: heuristicPoll})
 	if err != nil {
 		return Result{}, err
 	}
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
+	orders := assign.NewOrders(sc.tables)
+	score := func(w *worker, parts []int, seq int64) error {
+		var bound soc.Cycles
+		if !opt.NoEarlyAbort {
+			bound = sc.bound()
+		}
+		if a, completed := scoreOne(orders, &w.asg, parts, bound, opt, &w.stats); completed {
+			sc.offer(w, a.Time, parts, a.TAMOf, seq)
+		}
+		return nil
 	}
-	orders := assign.NewOrders(tables)
 	lo, hi := opt.tamRange(width)
-	if opt.workers() > 1 {
-		p := newParEvaluator(tables, orders, opt, pc)
-		p.ctx = ctx
-		p.sink = sink
-		for b := lo; b <= hi && !p.truncated; b++ {
-			if err := p.evaluateB(width, b); err != nil {
-				return Result{}, err
-			}
-		}
-		return p.finish(width, started)
+	if err := sc.sweep(width, lo, hi, score); err != nil {
+		return Result{}, err
 	}
-	e := &evaluator{tables: tables, orders: orders, opt: opt, pc: pc, ctx: ctx, sink: sink}
-	for b := lo; b <= hi && !e.truncated; b++ {
-		if err := e.evaluateB(width, b); err != nil {
-			return Result{}, err
-		}
-	}
-	return e.finish(width, started)
+	best, _ := sc.incumbent()
+	stats := sc.stats()
+	stats.Improved = sc.improved
+	return finishResult(sc.tables, opt, sc.pc, best, sc.bestPart, stats, width, started, sc.truncated.Load())
 }
 
 // solveExhaustive is the exhaustive engine (StrategyExhaustive): the [8]
-// baseline over the run's TAM counts (tamRange) with cancellation
-// polled at every partition (each costs one exact solve, so
-// per-partition polling is cheap relative to the work it can save).
+// baseline over the run's TAM counts (tamRange), every unique partition
+// solved exactly on one worker of the scan.
 func solveExhaustive(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	tables, err := opt.tables(s, width)
+	sc, err := newScan(ctx, s, width, opt, sink,
+		scanPlan{backend: exhaustiveBackendName, enum: EnumCanonical, workers: 1, poll: exactPoll})
 	if err != nil {
 		return Result{}, err
 	}
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	e := exhaustiveState{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink, allOptimal: true}
-	lo, hi := opt.tamRange(width)
-	for b := lo; b <= hi && !e.truncated; b++ {
-		if err := e.run(width, b); err != nil {
-			return Result{}, err
-		}
-	}
-	return e.result(width, started)
-}
-
-type exhaustiveState struct {
-	tables [][]soc.Cycles
-	opt    Options
-	pc     *powerContext
-	ctx    context.Context
-	sink   *progressSink // nil = no observer
-
-	best            soc.Cycles
-	bestPart        []int
-	bestAssign      assign.Assignment
-	allOptimal      bool
-	truncated       bool
-	evaluated       int
-	powerInfeasible int
-}
-
-func (e *exhaustiveState) run(width, numTAMs int) error {
-	var innerErr error
-	partition.Enumerate(width, numTAMs, func(parts []int) bool {
-		if innerErr = e.ctx.Err(); innerErr != nil {
-			return false
-		}
-		// Deadline poll per partition (each costs one exact solve, so
-		// the poll is cheap); only an existing incumbent may truncate.
-		if e.bestPart != nil && !e.opt.Deadline.IsZero() && time.Now().After(e.opt.Deadline) {
-			e.truncated = true
-			return false
-		}
-		e.evaluated++
-		inst, err := assign.FromTimeTable(e.tables, parts)
+	var bestAssign assign.Assignment
+	allOptimal := true
+	score := func(w *worker, parts []int, seq int64) error {
+		w.stats.Enumerated++
+		w.stats.Completed++
+		inst, err := assign.FromTimeTable(sc.tables, parts)
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
-		a, optimal, err := assign.SolveExact(inst, e.opt.exact())
+		a, optimal, err := assign.SolveExact(inst, opt.exact())
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
-		if !optimal {
-			e.allOptimal = false
-		}
+		allOptimal = allOptimal && optimal
 		// Under a power ceiling the baseline accepts a partition only if
 		// the exact minimum-time assignment also keeps its serial-per-TAM
 		// schedule under the ceiling ([8] predates power-constrained
 		// scheduling; a slower but feasible assignment of a rejected
 		// partition is not searched for).
-		if e.bestPart == nil || a.Time < e.best {
-			if !e.pc.feasible(e.tables, parts, a.TAMOf, nil) {
-				e.powerInfeasible++
-				return true
-			}
-			e.best = a.Time
-			e.bestPart = partition.Canonical(parts)
-			e.bestAssign = a
-			e.sink.improved(exhaustiveBackendName, a.Time, e.evaluated)
+		if sc.offer(w, a.Time, parts, a.TAMOf, seq) {
+			bestAssign = a
 		}
-		return true
-	})
-	return innerErr
-}
-
-func (e *exhaustiveState) result(width int, started time.Time) (Result, error) {
-	if e.bestPart == nil {
+		return nil
+	}
+	lo, hi := opt.tamRange(width)
+	if err := sc.sweep(width, lo, hi, score); err != nil {
+		return Result{}, err
+	}
+	if sc.bestPart == nil {
 		return Result{}, fmt.Errorf("coopt: exhaustive search found no feasible partition for width %d", width)
 	}
-	gap := gapOf(e.best, lowerBoundPC(e.tables, e.pc, width))
-	return Result{
-		TotalWidth:        width,
-		Strategy:          StrategyExhaustive,
-		Partition:         e.bestPart,
-		NumTAMs:           len(e.bestPart),
-		HeuristicTime:     e.best,
-		Assignment:        e.bestAssign,
-		Time:              e.best,
-		AssignmentOptimal: e.allOptimal,
-		MaxPower:          e.pc.maxPower(),
-		PeakPower:         e.pc.peak(e.tables, e.bestPart, e.bestAssign.TAMOf, nil),
-		Gap:               gap,
-		Truncated:         e.truncated,
-		// A completed exhaustive run with every exact solve proven is
-		// the optimum by construction even when the bound is not tight.
-		Proven:  gap == 0 || (e.allOptimal && !e.truncated),
-		Stats:   Stats{Enumerated: e.evaluated, Completed: e.evaluated, PowerInfeasible: e.powerInfeasible},
-		Elapsed: time.Since(started),
-	}, nil
+	return sc.exactResult(StrategyExhaustive, width, bestAssign, allOptimal, started), nil
 }

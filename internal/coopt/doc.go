@@ -28,7 +28,9 @@
 //     the combinatorial branch and bound) as the final optimization
 //     step.
 //
-// Steps 2–3 run on the Options.Workers goroutine pool; results are
+// Steps 2–3 are the scan (scan.go), the one enumerate/poll/incumbent
+// loop that the exhaustive and ILP engines run too; the partition
+// engine runs Options.Workers strided copies of it. Results are
 // bit-for-bit identical at any worker count, including under the
-// portfolio racer (ARCHITECTURE.md §9 has the determinism argument).
+// portfolio racer (ARCHITECTURE.md §3 has the determinism argument).
 package coopt

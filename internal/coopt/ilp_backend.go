@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"soctam/internal/assign"
-	"soctam/internal/partition"
 	"soctam/internal/soc"
 )
 
@@ -65,82 +64,109 @@ func init() {
 // root.)
 func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	tables, err := opt.tables(s, width)
+	sc, err := newScan(ctx, s, width, opt, sink,
+		scanPlan{backend: ilpBackendName, enum: EnumCanonical, workers: 1, poll: exactPoll})
 	if err != nil {
 		return Result{}, err
 	}
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
+	tables := sc.tables
+	orders := assign.NewOrders(tables)
+	// globalLB is the architecture-independent lower bound: the floor
+	// every partition bound starts from, and the early-stop target.
+	globalLB := lowerBoundPC(tables, sc.pc, width)
+	// atBound reports whether the incumbent has reached the global lower
+	// bound: no partition anywhere can strictly improve on it, so the
+	// search may stop with a completed proof.
+	atBound := func() bool {
+		best, ok := sc.incumbent()
+		return ok && best <= globalLB
 	}
-	e := &ilpState{
-		tables:    tables,
-		orders:    assign.NewOrders(tables),
-		opt:       opt,
-		pc:        pc,
-		ctx:       ctx,
-		sink:      sink,
-		globalLB:  lowerBoundPC(tables, pc, width),
-		allProven: true,
+	// inst and relax are the per-partition scratch: the partition's P_AW
+	// instance and its LP relaxation, reused across partitions.
+	var (
+		inst       assign.Instance
+		relax      assign.Relaxation
+		bestAssign assign.Assignment
+		allProven  = true
+	)
+	score := func(w *worker, parts []int, seq int64) error {
+		w.stats.Enumerated++
+		best, have := sc.incumbent()
+		if have {
+			if best <= globalLB {
+				// The incumbent attained the global lower bound: every
+				// remaining partition is prunable, so stop enumerating.
+				w.stats.Aborted++
+				return errStop
+			}
+			if partitionBound(tables, globalLB, parts) >= best {
+				w.stats.Aborted++
+				return nil
+			}
+		}
+		if err := assign.FromTimeTableInto(&inst, tables, parts); err != nil {
+			return err
+		}
+		greedy, _ := orders.CoreAssign(&w.asg, parts, 0)
+		var cutoff soc.Cycles // none until the first incumbent
+		if have {
+			// The LP relaxation of the partition's Section 3.2 model:
+			// its rounded-up optimum bounds any integral assignment. A
+			// simplex that gave up costs us the prune, never soundness.
+			prune, err := relax.Prunes(&inst, greedy, best)
+			if err != nil {
+				return err
+			}
+			if prune {
+				w.stats.Aborted++
+				return nil
+			}
+			cutoff = best
+		}
+		w.stats.Completed++
+		a, found, proven, err := assign.SolveExactCutoff(&inst, opt.exact(), cutoff, greedy)
+		if err != nil {
+			return err
+		}
+		// A solve the node limit stopped may have left a better
+		// assignment out of its reach.
+		allProven = allProven && proven
+		// Power acceptance matches the exhaustive baseline: an improving
+		// partition is taken only if its minimum-time assignment keeps
+		// the serial-per-TAM schedule under the ceiling; a slower but
+		// feasible assignment of a rejected partition is not searched
+		// for.
+		if found && sc.offer(w, a.Time, parts, a.TAMOf, seq) {
+			bestAssign = a
+		}
+		return nil
 	}
+	// One sweep per TAM count, so a search that attains the bound at the
+	// end of one count stops there, with no pruned partition booked for
+	// the next.
 	lo, hi := opt.tamRange(width)
-	for b := lo; b <= hi && !e.truncated && !e.atBound(); b++ {
-		if err := e.run(width, b); err != nil {
+	for b := lo; b <= hi && !sc.truncated.Load() && !atBound(); b++ {
+		if err := sc.sweep(width, b, b, score); err != nil {
 			return Result{}, err
 		}
 	}
-	return e.result(width, started)
-}
-
-// ilpState carries the branch-and-bound search across TAM counts.
-type ilpState struct {
-	tables [][]soc.Cycles
-	orders *assign.Orders
-	opt    Options
-	pc     *powerContext
-	ctx    context.Context
-	sink   *progressSink // nil = no observer
-
-	// globalLB is the architecture-independent lower bound: the floor
-	// every partition bound starts from, and the early-stop target.
-	globalLB soc.Cycles
-
-	// inst, asg and relax are the per-partition scratch: the
-	// partition's P_AW instance, its Core_assign buffers and its LP
-	// relaxation, reused across partitions.
-	inst  assign.Instance
-	asg   assign.Scratch
-	relax assign.Relaxation
-
-	best            soc.Cycles
-	bestPart        []int
-	bestAssign      assign.Assignment
-	allProven       bool
-	truncated       bool
-	enumerated      int
-	solved          int
-	pruned          int
-	powerInfeasible int
-}
-
-// atBound reports whether the incumbent has reached the global lower
-// bound — no partition anywhere can strictly improve on it, so the
-// search may stop with a completed proof.
-func (e *ilpState) atBound() bool {
-	return e.bestPart != nil && e.best <= e.globalLB
+	if sc.bestPart == nil {
+		return Result{}, fmt.Errorf("coopt: ILP search found no feasible partition for width %d", width)
+	}
+	return sc.exactResult(StrategyILP, width, bestAssign, allProven, started), nil
 }
 
 // partitionBound computes the combinatorial lower bound of one
 // partition from the testing-time tables alone: no core can test
 // faster than on the partition's widest TAM (tables are non-increasing
 // in width), so the bottleneck core and the average load over B TAMs
-// both bound the makespan from below.
-func (e *ilpState) partitionBound(parts []int) soc.Cycles {
-	widest := parts[len(parts)-1] // Enumerate yields non-decreasing parts
-	lb := e.globalLB
+// both bound the makespan from below, and neither below floor.
+func partitionBound(tables [][]soc.Cycles, floor soc.Cycles, parts []int) soc.Cycles {
+	widest := parts[len(parts)-1] // the scan's canonical enumeration yields non-decreasing parts
+	lb := floor
 	var sum soc.Cycles
-	for i := range e.tables {
-		ti := e.tables[i][widest-1]
+	for i := range tables {
+		ti := tables[i][widest-1]
 		if ti > lb {
 			lb = ti
 		}
@@ -151,115 +177,4 @@ func (e *ilpState) partitionBound(parts []int) soc.Cycles {
 		lb = avg
 	}
 	return lb
-}
-
-// run branch-and-bounds every unique width partition for one TAM count.
-func (e *ilpState) run(width, numTAMs int) error {
-	var innerErr error
-	partition.Enumerate(width, numTAMs, func(parts []int) bool {
-		if innerErr = e.ctx.Err(); innerErr != nil {
-			return false
-		}
-		// Deadline poll per partition, as in the exhaustive baseline;
-		// only an existing incumbent may truncate.
-		if e.bestPart != nil && !e.opt.Deadline.IsZero() && time.Now().After(e.opt.Deadline) {
-			e.truncated = true
-			return false
-		}
-		e.enumerated++
-		if e.bestPart != nil {
-			if e.atBound() {
-				// The incumbent attained the global lower bound: every
-				// remaining partition is prunable, so stop enumerating.
-				e.pruned++
-				return false
-			}
-			if e.partitionBound(parts) >= e.best {
-				e.pruned++
-				return true
-			}
-		}
-		inst := &e.inst
-		if err := assign.FromTimeTableInto(inst, e.tables, parts); err != nil {
-			innerErr = err
-			return false
-		}
-		greedy, _ := e.orders.CoreAssign(&e.asg, parts, 0)
-		var cutoff soc.Cycles // none until the first incumbent
-		if e.bestPart != nil {
-			// The LP relaxation of the partition's Section 3.2 model:
-			// its rounded-up optimum bounds any integral assignment. A
-			// simplex that gave up costs us the prune, never soundness.
-			prune, err := e.relax.Prunes(inst, greedy, e.best)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if prune {
-				e.pruned++
-				return true
-			}
-			cutoff = e.best
-		}
-		e.solved++
-		a, found, proven, err := assign.SolveExactCutoff(inst, e.opt.exact(), cutoff, greedy)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if !proven {
-			// The node limit stopped the search: a better assignment
-			// might lie out of its reach.
-			e.allProven = false
-		}
-		if !found {
-			return true // nothing below the incumbent
-		}
-		// Power acceptance matches the exhaustive baseline: an improving
-		// partition is taken only if its minimum-time assignment keeps
-		// the serial-per-TAM schedule under the ceiling; a slower but
-		// feasible assignment of a rejected partition is not searched
-		// for.
-		if !e.pc.feasible(e.tables, parts, a.TAMOf, nil) {
-			e.powerInfeasible++
-			return true
-		}
-		e.best = a.Time
-		e.bestPart = partition.Canonical(parts)
-		e.bestAssign = a
-		e.sink.improved(ilpBackendName, a.Time, e.enumerated)
-		return true
-	})
-	return innerErr
-}
-
-func (e *ilpState) result(width int, started time.Time) (Result, error) {
-	if e.bestPart == nil {
-		return Result{}, fmt.Errorf("coopt: ILP search found no feasible partition for width %d", width)
-	}
-	gap := gapOf(e.best, e.globalLB)
-	return Result{
-		TotalWidth:        width,
-		Strategy:          StrategyILP,
-		Partition:         e.bestPart,
-		NumTAMs:           len(e.bestPart),
-		HeuristicTime:     e.best,
-		Assignment:        e.bestAssign,
-		Time:              e.best,
-		AssignmentOptimal: e.allProven,
-		MaxPower:          e.pc.maxPower(),
-		PeakPower:         e.pc.peak(e.tables, e.bestPart, e.bestAssign.TAMOf, nil),
-		Gap:               gap,
-		Truncated:         e.truncated,
-		// A completed search with every exact solve and prune proven is
-		// the optimum by construction even when the bound is not tight.
-		Proven: gap == 0 || (e.allProven && !e.truncated),
-		Stats: Stats{
-			Enumerated:      e.enumerated,
-			Completed:       e.solved,
-			Aborted:         e.pruned,
-			PowerInfeasible: e.powerInfeasible,
-		},
-		Elapsed: time.Since(started),
-	}, nil
 }

@@ -51,9 +51,8 @@ func (pc *powerContext) maxPower() int {
 func (pc *powerContext) constrained() bool { return pc != nil && pc.ceiling > 0 }
 
 // powerScratch holds the reusable buffers of one peak computation. Each
-// evaluation goroutine owns its own: feasibility is checked outside the
-// parallel evaluator's lock, so the scratch must never be shared. The
-// zero value is ready.
+// scan worker owns its own: the scan checks feasibility outside its
+// lock, so the scratch must never be shared. The zero value is ready.
 type powerScratch struct {
 	tests  []powerTest
 	starts []int // bucket offsets into tests, one per TAM (+1)

@@ -68,10 +68,11 @@ type ProgressEvent struct {
 	// ProgressBackendDone (0 otherwise).
 	Time soc.Cycles
 	// Partitions is, on a ProgressImproved from an enumerating backend
-	// (partition, exhaustive), the 1-based enumeration sequence number of
-	// the improving partition — exact at any worker count, since sequence
-	// numbers are assigned by the generator, not the evaluation order. 0
-	// for non-enumerating backends and other kinds.
+	// (partition, exhaustive, ilp), the 1-based enumeration sequence
+	// number of the improving partition — exact at any worker count,
+	// since every worker enumerates the whole space in one order and
+	// numbers it alike, whichever worker scores a partition. 0 for
+	// non-enumerating backends and other kinds.
 	Partitions int
 	// Err is the failure message of a ProgressBackendDone that failed
 	// ("" on success).

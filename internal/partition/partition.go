@@ -64,27 +64,77 @@ func factorial(n int) float64 {
 // false from the callback to stop early. Enumerate reports whether the
 // enumeration ran to completion.
 func Enumerate(w, b int, fn func(parts []int) bool) bool {
-	if b <= 0 || w < b {
-		return true
-	}
-	parts := make([]int, b)
-	var rec func(idx, remaining, minPart int) bool
-	rec = func(idx, remaining, minPart int) bool {
-		if idx == b-1 {
-			parts[idx] = remaining
-			return fn(parts)
+	var l Lex
+	l.Reset(w, b)
+	for {
+		parts, ok := l.Next()
+		if !ok {
+			return true
 		}
-		// parts[idx..b-1] are non-decreasing, so parts[idx] can be at
-		// most remaining/(b-idx).
-		for v := minPart; v <= remaining/(b-idx); v++ {
-			parts[idx] = v
-			if !rec(idx+1, remaining-v, v) {
-				return false
+		if !fn(parts) {
+			return false
+		}
+	}
+}
+
+// Lex steps through Enumerate's partitions one call at a time: every
+// canonical partition of w into exactly b non-decreasing positive parts,
+// in lexicographic order, so a caller can drive the enumeration from its
+// own loop instead of a callback. Reset starts (or restarts) it; the
+// zero value yields nothing.
+type Lex struct {
+	parts []int
+	fresh bool // parts holds the first partition, not yet returned
+}
+
+// Reset starts the iteration over the partitions of w into b parts,
+// yielding nothing when b <= 0 or w < b. It reuses the iterator's
+// buffer, which it sizes for any part count of w, so restarting on the
+// same w never allocates.
+func (l *Lex) Reset(w, b int) {
+	l.fresh = b > 0 && w >= b
+	if !l.fresh {
+		l.parts = l.parts[:0]
+		return
+	}
+	if cap(l.parts) < b {
+		l.parts = make([]int, b, w)
+	}
+	l.parts = l.parts[:b]
+	for i := range b - 1 {
+		l.parts[i] = 1
+	}
+	l.parts[b-1] = w - b + 1
+}
+
+// Next returns the next partition, or ok=false when the enumeration is
+// exhausted. The returned slice is reused between calls; copy to retain.
+func (l *Lex) Next() (parts []int, ok bool) {
+	p := l.parts
+	if l.fresh {
+		l.fresh = false
+		return p, true
+	}
+	// The successor grows the rightmost part i < b-1 that can take one
+	// more while the b-i parts from it on still fit at that value (rest
+	// is their sum), sets the parts after it to the same value and gives
+	// the last part the remainder.
+	b := len(p)
+	if b < 2 {
+		return nil, false
+	}
+	rest := p[b-1]
+	for i := b - 2; i >= 0; i-- {
+		rest += p[i]
+		if v := p[i] + 1; v*(b-i) <= rest {
+			for j := i; j < b-1; j++ {
+				p[j] = v
 			}
+			p[b-1] = rest - v*(b-1-i)
+			return p, true
 		}
-		return true
 	}
-	return rec(0, w, 1)
+	return nil, false
 }
 
 // Canonical returns a copy of parts sorted in non-decreasing order — the
@@ -122,6 +172,7 @@ func Key(parts []int) string {
 type Odometer struct {
 	w, b  int
 	vars  []int // w_1..w_{B-1}
+	parts []int // the partition Next returns, refilled in place
 	done  bool
 	first bool
 }
@@ -135,7 +186,7 @@ func NewOdometer(w, b int) (*Odometer, error) {
 	if w < b {
 		return nil, fmt.Errorf("partition: width %d cannot be split into %d TAMs of width >= 1", w, b)
 	}
-	o := &Odometer{w: w, b: b, vars: make([]int, b-1), first: true}
+	o := &Odometer{w: w, b: b, vars: make([]int, b-1), parts: make([]int, b), first: true}
 	for i := range o.vars {
 		o.vars[i] = 1
 	}
@@ -150,7 +201,7 @@ func (o *Odometer) Next() (parts []int, ok bool) {
 	}
 	if o.first {
 		o.first = false
-		return o.current(), true
+		return fill(o.parts, o.vars, o.w), true
 	}
 	// Increment(B, B-1, W) with carry, resetting trailing digits to 1.
 	j := o.b - 2 // last free variable, 0-based
@@ -160,7 +211,7 @@ func (o *Odometer) Next() (parts []int, ok bool) {
 			for t := j + 1; t < o.b-1; t++ {
 				o.vars[t] = 1
 			}
-			return o.current(), true
+			return fill(o.parts, o.vars, o.w), true
 		}
 		j--
 	}
@@ -178,15 +229,15 @@ func (o *Odometer) bound(j int) int {
 	return (o.w - used) / (o.b - j)
 }
 
-// current materializes the partition for the present odometer state.
-func (o *Odometer) current() []int {
-	parts := make([]int, o.b)
+// fill writes the partition with leading parts vars and the remainder of
+// w as its last part into parts, and returns it.
+func fill(parts, vars []int, w int) []int {
 	used := 0
-	for i, v := range o.vars {
+	for i, v := range vars {
 		parts[i] = v
 		used += v
 	}
-	parts[o.b-1] = o.w - used
+	parts[len(vars)] = w - used
 	return parts
 }
 
@@ -197,6 +248,7 @@ func (o *Odometer) current() []int {
 type NaiveOdometer struct {
 	w, b  int
 	vars  []int
+	parts []int // the partition Next returns, refilled in place
 	done  bool
 	first bool
 }
@@ -207,7 +259,7 @@ func NewNaiveOdometer(w, b int) (*NaiveOdometer, error) {
 	if b < 1 || w < b {
 		return nil, fmt.Errorf("partition: invalid naive odometer W=%d B=%d", w, b)
 	}
-	o := &NaiveOdometer{w: w, b: b, vars: make([]int, b-1), first: true}
+	o := &NaiveOdometer{w: w, b: b, vars: make([]int, b-1), parts: make([]int, b), first: true}
 	for i := range o.vars {
 		o.vars[i] = 1
 	}
@@ -222,7 +274,7 @@ func (o *NaiveOdometer) Next() (parts []int, ok bool) {
 	}
 	if o.first {
 		o.first = false
-		return o.current(), true
+		return fill(o.parts, o.vars, o.w), true
 	}
 	j := o.b - 2
 	for j >= 0 {
@@ -237,21 +289,10 @@ func (o *NaiveOdometer) Next() (parts []int, ok bool) {
 			for t := j + 1; t < o.b-1; t++ {
 				o.vars[t] = 1
 			}
-			return o.current(), true
+			return fill(o.parts, o.vars, o.w), true
 		}
 		j--
 	}
 	o.done = true
 	return nil, false
-}
-
-func (o *NaiveOdometer) current() []int {
-	parts := make([]int, o.b)
-	used := 0
-	for i, v := range o.vars {
-		parts[i] = v
-		used += v
-	}
-	parts[o.b-1] = o.w - used
-	return parts
 }

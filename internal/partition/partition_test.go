@@ -311,3 +311,97 @@ func TestCanonicalAndKey(t *testing.T) {
 		t.Errorf("Key = %q, want \"1,2,10\"", got)
 	}
 }
+
+// lexReference is the recursive enumeration Enumerate was first written
+// as: loops over the parts from the first, each from the previous part
+// up to its share of what remains, the last part taking the rest.
+func lexReference(w, b int) [][]int {
+	var out [][]int
+	if b <= 0 || w < b {
+		return out
+	}
+	parts := make([]int, b)
+	var rec func(idx, remaining, minPart int)
+	rec = func(idx, remaining, minPart int) {
+		if idx == b-1 {
+			parts[idx] = remaining
+			out = append(out, append([]int(nil), parts...))
+			return
+		}
+		for v := minPart; v <= remaining/(b-idx); v++ {
+			parts[idx] = v
+			rec(idx+1, remaining-v, v)
+		}
+	}
+	rec(0, w, 1)
+	return out
+}
+
+// TestEnumerateMatchesReference holds Enumerate, and so Lex, to the
+// recursive reference's partitions in the reference's order: sequence
+// numbers, tie-breaks and pruning statistics downstream all depend on
+// that order.
+func TestEnumerateMatchesReference(t *testing.T) {
+	for w := 0; w <= 26; w++ {
+		for b := 0; b <= 9; b++ {
+			var got [][]int
+			Enumerate(w, b, func(parts []int) bool {
+				got = append(got, append([]int(nil), parts...))
+				return true
+			})
+			if want := lexReference(w, b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Enumerate(%d,%d) = %v, want %v", w, b, got, want)
+			}
+			var l Lex
+			l.Reset(w, b)
+			for range got {
+				l.Next()
+			}
+			if p, ok := l.Next(); ok {
+				t.Fatalf("Lex(%d,%d) yielded %v past the end", w, b, p)
+			}
+		}
+	}
+}
+
+// TestNextZeroAlloc pins every enumerator's Next at zero allocations
+// once warm — each refills a buffer it owns, so a scan worker driving
+// its own enumerator allocates nothing per partition — and Lex.Reset at
+// zero on a width it has already run.
+func TestNextZeroAlloc(t *testing.T) {
+	const w, b = 64, 6
+	odo, err := NewOdometer(w, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NewNaiveOdometer(w, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lex Lex
+	lex.Reset(w, b)
+	for _, tc := range []struct {
+		name string
+		next func() ([]int, bool)
+	}{
+		{"Lex", lex.Next},
+		{"Odometer", odo.Next},
+		{"NaiveOdometer", naive.Next},
+	} {
+		tc.next() // warm
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := tc.next(); !ok {
+				t.Fatalf("%s ran out", tc.name)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s.Next allocates %.1f/op when warm, want 0", tc.name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for b := 1; b <= 10; b++ {
+			lex.Reset(w, b)
+		}
+	}); allocs != 0 {
+		t.Errorf("Lex.Reset allocates %.1f/op on a warm width, want 0", allocs)
+	}
+}
