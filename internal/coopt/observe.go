@@ -1,107 +1,11 @@
 package coopt
 
 import (
-	"context"
 	"io"
 	"sync"
-	"time"
 
 	"soctam/internal/obs"
-	"soctam/internal/soc"
 )
-
-// Metrics holds the solver-side instrument handles, resolved once
-// against a registry so the per-solve recording path is pure atomics.
-// The handles are registry-backed: any other reader resolving the same
-// names (GET /metrics, /v1/stats) observes the same state.
-type Metrics struct {
-	solves     obs.CounterVec   // solves started, by requested strategy
-	errors     obs.CounterVec   // solves that returned an error
-	seconds    obs.HistogramVec // wall-clock per solve
-	gap        obs.HistogramVec // optimality gap at return
-	truncated  obs.CounterVec   // deadline-truncated returns
-	incumbents obs.CounterVec   // incumbent improvements, by backend
-	partitions obs.CounterVec   // partition-evaluation outcomes
-}
-
-// NewMetrics resolves (get-or-create) the solver metric families on r.
-// Calling it twice on one registry returns handles over the same state.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
-		solves: r.CounterVec("soctam_solver_solves_total",
-			"Solves completed, by requested strategy.", "strategy"),
-		errors: r.CounterVec("soctam_solver_errors_total",
-			"Solves that returned an error, by requested strategy.", "strategy"),
-		seconds: r.HistogramVec("soctam_solver_solve_seconds",
-			"Wall-clock solve latency, by requested strategy.", obs.DefTimeBuckets, "strategy"),
-		gap: r.HistogramVec("soctam_solver_gap_ratio",
-			"Relative optimality gap of returned results against the lower bound.", obs.DefGapBuckets, "strategy"),
-		truncated: r.CounterVec("soctam_solver_truncated_total",
-			"Deadline-truncated results (best incumbent returned), by requested strategy.", "strategy"),
-		incumbents: r.CounterVec("soctam_solver_incumbents_total",
-			"Incumbent improvements observed on the progress stream, by backend.", "backend"),
-		partitions: r.CounterVec("soctam_solver_partitions_total",
-			"Partition-evaluation outcomes (the paper's Table 1 counters; for the ILP backend, aborted counts bound-pruned partitions).", "strategy", "outcome"),
-	}
-}
-
-// SolvesFor reads the completed-solve counter for one strategy label.
-// It exists so callers holding a Metrics can assert on solve counts
-// without re-deriving family names and help strings.
-func (m *Metrics) SolvesFor(strategy string) uint64 {
-	return m.solves.With(strategy).Value()
-}
-
-// SolveObserved is SolveContext plus instrumentation: incumbent
-// improvements are counted off the progress stream while the solve
-// runs, and the result's latency, gap, truncation and partition
-// counters are recorded on return. A nil Metrics makes it exactly
-// SolveContext — the bench and library paths pay nothing. Results are
-// bit-for-bit identical either way; the observation hook chains in
-// front of any caller-supplied Options.Progress.
-func SolveObserved(ctx context.Context, s *soc.SOC, width int, opt Options, m *Metrics) (Result, error) {
-	if m == nil {
-		return SolveContext(ctx, s, width, opt)
-	}
-	strat := opt.Strategy.String()
-	inc := m.incumbents
-	prev := opt.Progress
-	opt.Progress = func(ev ProgressEvent) {
-		if ev.Kind == ProgressImproved {
-			inc.With(ev.Backend).Inc()
-		}
-		if prev != nil {
-			prev(ev)
-		}
-	}
-	started := time.Now()
-	res, err := SolveContext(ctx, s, width, opt)
-	m.seconds.With(strat).Observe(time.Since(started).Seconds())
-	if err != nil {
-		m.errors.With(strat).Inc()
-		return res, err
-	}
-	m.solves.With(strat).Inc()
-	m.gap.With(strat).Observe(res.Gap)
-	if res.Truncated {
-		m.truncated.With(strat).Inc()
-	}
-	for _, o := range []struct {
-		outcome string
-		n       int
-	}{
-		{"enumerated", res.Stats.Enumerated},
-		{"completed", res.Stats.Completed},
-		{"aborted", res.Stats.Aborted},
-		{"improved", res.Stats.Improved},
-		{"power_infeasible", res.Stats.PowerInfeasible},
-	} {
-		if o.n > 0 {
-			m.partitions.With(strat, o.outcome).Add(uint64(o.n))
-		}
-	}
-	return res, err
-}
 
 // SolveTrace renders one solve's backend lifecycle as a span tree: hook
 // it into Options.Progress, run the solve, Finish with the outcome,

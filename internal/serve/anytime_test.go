@@ -95,6 +95,15 @@ func TestEscalationUpgradesCachedEntry(t *testing.T) {
 		t.Fatal("heuristic result already proven (test SOC needs a positive gap to exercise escalation)")
 	}
 
+	// The escalation reads the entry it upgrades, but it is no client:
+	// the client's one lookup (a miss) stays the cache's only one.
+	eventually(t, 10*time.Second, "the escalation to upgrade the entry", func() bool {
+		return sv.Stats().Jobs.Escalated >= 1
+	})
+	if st := sv.Stats().Cache; st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("cache hits %d misses %d after one client miss and one escalation, want 0 and 1", st.Hits, st.Misses)
+	}
+
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		res, meta, err := sv.Solve(context.Background(), s, 2, coopt.Options{})

@@ -42,7 +42,7 @@ func (n *clusterNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (n *clusterNode) set(h http.Handler) { n.h.Store(&h) }
 
 // fail makes the node answer every request with a 500 — what a crashed
-// backend looks like through a load balancer, and the signal forward()
+// backend looks like through a load balancer, and the signal post
 // treats as "peer down".
 func (n *clusterNode) fail() {
 	n.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -6,11 +6,15 @@
 // nodes by consistent-hashing the SOC digest (ARCHITECTURE.md §15).
 //
 // The endpoints are POST /v1/solve (one job), POST /v1/batch (many
-// jobs, answered as NDJSON lines in completion order), GET /v1/solvers
-// (capability discovery over the solver-engine registry), GET
-// /v1/healthz and GET /v1/stats. Command wtamd runs the service
-// through Run, which listens, prints the bound address and serves until
-// the context is cancelled.
+// jobs, answered as NDJSON lines in completion order), POST /v1/stream
+// (one job, answered as an NDJSON stream of solver progress and one
+// terminal line), GET /v1/solvers (capability discovery over the
+// solver-engine registry), GET /v1/healthz, GET /v1/stats and GET
+// /metrics (the Prometheus text exposition of the server's registry).
+// Each way in turns a body into a job through one parse-and-route step
+// and answers it through one solve-and-shape step (ARCHITECTURE.md
+// §10). Command wtamd runs the service through Run, which listens,
+// prints the bound address and serves until the context is cancelled.
 //
 // Every query's SOC is resolved once: one canonical pass yields its
 // content digest, a clone with the cores re-sorted into the digest

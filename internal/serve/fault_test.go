@@ -203,7 +203,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 		t.Fatalf("warmup status %d: %s", resp.StatusCode, raw)
 	}
 
-	limit := sv.cfg.admissionLimit()
+	limit := sv.cfg.Workers + sv.cfg.MaxQueue
 	if limit != 4 {
 		t.Fatalf("admission limit = %d, want workers+queue = 4", limit)
 	}
@@ -256,7 +256,7 @@ func TestClusterRelaysOwnersShed(t *testing.T) {
 	owner := nodes[1]
 	s := variantOwnedBy(t, nodes, owner)
 
-	limit := owner.sv.cfg.admissionLimit()
+	limit := owner.sv.cfg.Workers + owner.sv.cfg.MaxQueue
 	owner.sv.occupancy.Add(int64(limit))
 	defer owner.sv.occupancy.Add(-int64(limit))
 

@@ -162,6 +162,9 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
+// body is the error's wire form, for in-band NDJSON lines.
+func (e *httpError) body() *errorBody { return &errorBody{Code: e.code, Message: e.msg} }
+
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, code: "bad_request", msg: fmt.Sprintf(format, args...)}
 }
@@ -207,7 +210,7 @@ func writeError(w http.ResponseWriter, he *httpError) {
 	if he.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(he.retryAfter))
 	}
-	writeJSON(w, he.status, errorJSON{Error: errorBody{Code: he.code, Message: he.msg}})
+	writeJSON(w, he.status, errorJSON{Error: *he.body()})
 }
 
 // parseJob turns a request into a solvable job, its SOC resolved: an
@@ -263,14 +266,15 @@ func parseJob(req *solveRequest) (*resolvedSOC, int, coopt.Options, *httpError) 
 	return rs, req.Width, opt, nil
 }
 
-// readBody buffers a request body under the configured cap. The raw
-// bytes are kept because the router forwards them verbatim — a
-// forwarded job is byte-identical to the job the client sent, so the
-// owner parses exactly what this node parsed.
+// readBody buffers a request body under the configured cap, counting a
+// failure in jobs.failed. The raw bytes are kept because the router
+// forwards them verbatim — a forwarded job is byte-identical to the job
+// the client sent, so the owner parses exactly what this node parsed.
 func (sv *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *httpError) {
-	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.maxBodyBytes())
+	r.Body = http.MaxBytesReader(w, r.Body, sv.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
+		sv.m.failed.Inc()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
@@ -347,54 +351,62 @@ func method(want string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (sv *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, he := sv.readBody(w, r)
-	if he == nil {
-		var req solveRequest
-		if he = decodeStrict(body, &req); he == nil {
-			sv.serveSolve(w, r, &req, body)
-			return
-		}
-	}
-	sv.m.failed.Inc() // count like a malformed batch job would be
-	writeError(w, he)
+// job is one parsed, routed request: the resolved SOC, width and
+// options, the live owner to forward it to (nil = answer here) and
+// whether answering here is a degraded fallback (the owner is down).
+type job struct {
+	rs       *resolvedSOC
+	width    int
+	opt      coopt.Options
+	owner    *peer
+	degraded bool
 }
 
-// serveSolve is the routed /v1/solve path: parse, forward to the
-// digest's owner when that is another live node, otherwise (owner ==
-// self, already-routed request, or owner down) solve here.
-func (sv *Server) serveSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, body []byte) {
-	rs, width, opt, he := parseJob(req)
+// parseRequest is the one way a request body becomes a job, for every
+// way in: the whole body of /v1/solve and /v1/stream, each element of a
+// /v1/batch. It decodes strictly, parses and routes, and counts a
+// failure once in jobs.failed.
+func (sv *Server) parseRequest(r *http.Request, body []byte) (job, *httpError) {
+	var req solveRequest
+	var j job
+	he := decodeStrict(body, &req)
+	if he == nil {
+		j.rs, j.width, j.opt, he = parseJob(&req)
+	}
 	if he != nil {
 		sv.m.failed.Inc()
+		return job{}, he
+	}
+	j.owner, j.degraded = sv.routeFor(r, j.rs)
+	return j, nil
+}
+
+// readJob reads and parses the body of /v1/solve or /v1/stream. On a
+// failure it writes the error response itself and reports false.
+func (sv *Server) readJob(w http.ResponseWriter, r *http.Request) ([]byte, job, bool) {
+	body, he := sv.readBody(w, r)
+	var j job
+	if he == nil {
+		j, he = sv.parseRequest(r, body)
+	}
+	if he != nil {
 		writeError(w, he)
-		return
+		return nil, job{}, false
 	}
-	p, degraded := sv.routeFor(r, rs)
-	if p != nil {
-		if sv.forwardSolve(w, r, p, body) {
-			return
-		}
-		degraded = true
-	}
+	return body, j, true
+}
+
+// answer solves a job on this node and shapes its response; every way
+// in ends here unless its owner answered. A job still carrying an owner
+// is one whose forward failed, so like a job whose owner is down it is
+// booked and marked degraded. fn, when non-nil, observes the solve's
+// progress (/v1/stream).
+func (sv *Server) answer(r *http.Request, j job, fn coopt.ProgressFunc) (*solveResponse, *httpError) {
+	degraded := j.degraded || j.owner != nil
 	if degraded {
 		sv.rt.degraded.Inc()
 	}
-	resp, he := sv.solveParsed(r, rs, width, opt)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
-	resp.Degraded = degraded
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// solveParsed runs one parsed job through the service and shapes the
-// response; shared by /v1/solve, each /v1/batch job and the terminal
-// /v1/stream line. Parse failures are counted by the caller — this is
-// the post-parse half.
-func (sv *Server) solveParsed(r *http.Request, rs *resolvedSOC, width int, opt coopt.Options) (*solveResponse, *httpError) {
-	res, meta, err := sv.solve(r.Context(), rs, width, opt, nil)
+	res, meta, err := sv.solve(r.Context(), j.rs, j.width, j.opt, fn)
 	if err != nil {
 		if sv.base.Err() != nil {
 			err = fmt.Errorf("%w: %v", ErrShuttingDown, err)
@@ -407,9 +419,46 @@ func (sv *Server) solveParsed(r *http.Request, rs *resolvedSOC, width int, opt c
 		Cached:    meta.Cached,
 		Coalesced: meta.Coalesced,
 		ElapsedMS: float64(meta.Elapsed) / float64(time.Millisecond),
-		Result:    toResultJSON(rs.query, res),
+		Result:    toResultJSON(j.rs.query, res),
 		Node:      sv.nodeName(),
+		Degraded:  degraded,
 	}, nil
+}
+
+// startNDJSON opens the 200 NDJSON response of /v1/batch and
+// /v1/stream and returns its line writer, which flushes every line. One
+// mutex keeps lines whole: a stream's progress lines come from solver
+// goroutines, its terminal line from the handler.
+func startNDJSON(w http.ResponseWriter) func(line any) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	var mu sync.Mutex
+	return func(line any) {
+		mu.Lock()
+		defer mu.Unlock()
+		_ = enc.Encode(line) // a failed write means the client went away
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+// handleSolve serves POST /v1/solve; a forwarded job's reply is relayed
+// verbatim.
+func (sv *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	body, j, ok := sv.readJob(w, r)
+	if !ok || j.owner != nil && sv.forwardSolve(w, r, j.owner, body) {
+		return
+	}
+	resp, he := sv.answer(r, j, nil)
+	if he != nil {
+		writeError(w, he)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // nodeName is this node's ring identity, or "" on a single node.
@@ -495,25 +544,22 @@ type batchLine struct {
 func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, he := sv.readBody(w, r)
 	if he != nil {
-		sv.m.failed.Inc()
 		writeError(w, he)
 		return
 	}
 	var req batchRequest
-	if he := decodeStrict(body, &req); he != nil {
+	he = decodeStrict(body, &req)
+	switch {
+	case he != nil:
+	case len(req.Jobs) == 0:
+		he = badRequest("batch has no jobs")
+	case len(req.Jobs) > sv.cfg.MaxBatchJobs:
+		he = &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("batch has %d jobs, limit is %d", len(req.Jobs), sv.cfg.MaxBatchJobs)}
+	}
+	if he != nil {
 		sv.m.failed.Inc() // a whole-batch rejection counts once
 		writeError(w, he)
-		return
-	}
-	if len(req.Jobs) == 0 {
-		sv.m.failed.Inc()
-		writeError(w, badRequest("batch has no jobs"))
-		return
-	}
-	if max := sv.cfg.maxBatchJobs(); len(req.Jobs) > max {
-		sv.m.failed.Inc()
-		writeError(w, &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-			msg: fmt.Sprintf("batch has %d jobs, limit is %d", len(req.Jobs), max)})
 		return
 	}
 
@@ -532,18 +578,11 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	go func() { wg.Wait(); close(lines) }()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	writeLine := startNDJSON(w)
 	for line := range lines {
-		// Encode failures mean the client disconnected; keep draining so
+		// Keep draining after a failed write (the client went away) so
 		// the workers can finish and populate the cache.
-		_ = enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		writeLine(line)
 	}
 }
 
@@ -553,38 +592,19 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // that cannot answer degrades the job to a local solve — never a lost
 // or duplicated line.
 func (sv *Server) batchJob(r *http.Request, i int, raw json.RawMessage) batchLine {
-	var jr solveRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		sv.m.failed.Inc()
-		he := badRequest("job %d: %v", i, err)
-		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
-	}
-	rs, width, opt, he := parseJob(&jr)
+	j, he := sv.parseRequest(r, raw)
 	if he != nil {
-		sv.m.failed.Inc()
-		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
+		return batchLine{Job: i, Error: he.body()}
 	}
-	p, degraded := sv.routeFor(r, rs)
-	if p != nil {
-		resp, eb, ok := sv.rt.forwardBatchJob(r.Context(), p, raw)
-		switch {
-		case ok && eb != nil:
-			return batchLine{Job: i, Error: eb}
-		case ok:
-			return batchLine{Job: i, solveResponse: resp}
+	if j.owner != nil {
+		if resp, eb, ok := sv.rt.forwardBatchJob(r.Context(), j.owner, raw); ok {
+			return batchLine{Job: i, solveResponse: resp, Error: eb}
 		}
-		degraded = true
 	}
-	if degraded {
-		sv.rt.degraded.Inc()
-	}
-	resp, he := sv.solveParsed(r, rs, width, opt)
+	resp, he := sv.answer(r, j, nil)
 	if he != nil {
-		return batchLine{Job: i, Error: &errorBody{Code: he.code, Message: he.msg}}
+		return batchLine{Job: i, Error: he.body()}
 	}
-	resp.Degraded = degraded
 	return batchLine{Job: i, solveResponse: resp}
 }
 
@@ -627,53 +647,12 @@ type streamLine struct {
 // completed result still lands in the cache under the
 // deadline-independent key.
 func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	body, he := sv.readBody(w, r)
-	if he != nil {
-		sv.m.failed.Inc()
-		writeError(w, he)
+	body, j, ok := sv.readJob(w, r)
+	if !ok || j.owner != nil && sv.forwardStream(w, r, j.owner, body) {
 		return
 	}
-	var req solveRequest
-	if he := decodeStrict(body, &req); he != nil {
-		sv.m.failed.Inc()
-		writeError(w, he)
-		return
-	}
-	rs, width, opt, he := parseJob(&req)
-	if he != nil {
-		sv.m.failed.Inc()
-		writeError(w, he)
-		return
-	}
-	p, degraded := sv.routeFor(r, rs)
-	if p != nil {
-		if sv.forwardStream(w, r, p, body) {
-			return
-		}
-		degraded = true
-	}
-	if degraded {
-		sv.rt.degraded.Inc()
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	// The progress hook fires on solver goroutines; the terminal line is
-	// written by this one. One mutex keeps lines whole.
-	var mu sync.Mutex
-	writeLine := func(line streamLine) {
-		mu.Lock()
-		defer mu.Unlock()
-		_ = enc.Encode(line) // a failed write means the client went away
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	res, meta, err := sv.solve(r.Context(), rs, width, opt, func(ev coopt.ProgressEvent) {
+	writeLine := startNDJSON(w)
+	resp, he := sv.answer(r, j, func(ev coopt.ProgressEvent) {
 		writeLine(streamLine{
 			Event:      ev.Kind.String(),
 			Backend:    ev.Backend,
@@ -683,24 +662,11 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			ElapsedMS:  float64(ev.Elapsed) / float64(time.Millisecond),
 		})
 	})
-	if err != nil {
-		if sv.base.Err() != nil {
-			err = fmt.Errorf("%w: %v", ErrShuttingDown, err)
-		}
-		he := asHTTPError(err)
-		writeLine(streamLine{Event: "error", Error: &errorBody{Code: he.code, Message: he.msg}})
+	if he != nil {
+		writeLine(streamLine{Event: "error", Error: he.body()})
 		return
 	}
-	writeLine(streamLine{Event: "result", Result: &solveResponse{
-		Digest:    meta.Digest,
-		Key:       meta.Key,
-		Cached:    meta.Cached,
-		Coalesced: meta.Coalesced,
-		ElapsedMS: float64(meta.Elapsed) / float64(time.Millisecond),
-		Result:    toResultJSON(rs.query, res),
-		Node:      sv.nodeName(),
-		Degraded:  degraded,
-	}})
+	writeLine(streamLine{Event: "result", Result: resp})
 }
 
 // solverJSON is one GET /v1/solvers entry: a registered backend's name

@@ -15,7 +15,8 @@ import (
 // are resolved once at construction; the request path touches only
 // atomics.
 
-// serverMetrics bundles the job- and HTTP-level instrument handles.
+// serverMetrics bundles the job-, solver- and HTTP-level instrument
+// handles.
 type serverMetrics struct {
 	completed    obs.Counter   // jobs answered successfully
 	failed       obs.Counter   // jobs answered with an error
@@ -26,6 +27,16 @@ type serverMetrics struct {
 	solveSeconds obs.Histogram // cold-solve wall clock
 	escAttempts  obs.Counter   // escalation solves attempted
 	escalated    obs.Counter   // cache entries upgraded by escalation
+
+	// The solver families, recorded by observedSolve for every solve the
+	// server runs, escalations included.
+	solverSolves     obs.CounterVec   // solves completed, by requested strategy
+	solverErrors     obs.CounterVec   // solves that returned an error
+	solverSeconds    obs.HistogramVec // wall clock per solve
+	solverGap        obs.HistogramVec // optimality gap at return
+	solverTruncated  obs.CounterVec   // deadline-truncated returns
+	solverIncumbents obs.CounterVec   // incumbent improvements, by backend
+	solverPartitions obs.CounterVec   // partition-evaluation outcomes
 
 	httpRequests obs.CounterVec   // requests by route and status code
 	httpSeconds  obs.HistogramVec // request latency by route
@@ -59,6 +70,20 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 			"Background escalation solves attempted."),
 		escalated: r.Counter("soctam_escalated_total",
 			"Cache entries upgraded to a proven result by escalation."),
+		solverSolves: r.CounterVec("soctam_solver_solves_total",
+			"Solves completed, by requested strategy.", "strategy"),
+		solverErrors: r.CounterVec("soctam_solver_errors_total",
+			"Solves that returned an error, by requested strategy.", "strategy"),
+		solverSeconds: r.HistogramVec("soctam_solver_solve_seconds",
+			"Wall-clock solve latency, by requested strategy.", obs.DefTimeBuckets, "strategy"),
+		solverGap: r.HistogramVec("soctam_solver_gap_ratio",
+			"Relative optimality gap of returned results against the lower bound.", obs.DefGapBuckets, "strategy"),
+		solverTruncated: r.CounterVec("soctam_solver_truncated_total",
+			"Deadline-truncated results (best incumbent returned), by requested strategy.", "strategy"),
+		solverIncumbents: r.CounterVec("soctam_solver_incumbents_total",
+			"Incumbent improvements observed on the progress stream, by backend.", "backend"),
+		solverPartitions: r.CounterVec("soctam_solver_partitions_total",
+			"Partition-evaluation outcomes (the paper's Table 1 counters; for the ILP backend, aborted counts bound-pruned partitions).", "strategy", "outcome"),
 		httpRequests: r.CounterVec("soctam_http_requests_total",
 			"HTTP requests served, by route and status code.", "route", "code"),
 		httpSeconds: r.HistogramVec("soctam_http_request_seconds",

@@ -208,28 +208,81 @@ func TestStatsDuringBatch(t *testing.T) {
 	}
 }
 
-// TestSolveObservedViaServer pins that the serving layer actually
-// threads the solver metrics: a solve through the server must advance
-// the solver families, and a cache hit must not.
+// TestSolveObservedViaServer pins the server's one solve call: a cold
+// solve records every solver family and returns what a plain library
+// solve of the same (canonical) SOC returns, an error counts as an
+// error and not a solve, a caller's progress hook sees every event,
+// and a cache hit records nothing.
 func TestSolveObservedViaServer(t *testing.T) {
 	sv := New(Config{Workers: 1, SolveWorkers: 1})
 	defer sv.Close()
-	// NewMetrics against the server's registry returns the same handles
-	// (get-or-create), so these reads see the server's own counters.
-	cm := coopt.NewMetrics(sv.Registry())
+	m := &sv.m
 	strat := coopt.StrategyPartition.String()
-	read := func() uint64 { return cm.SolvesFor(strat) }
-	if _, _, err := sv.Solve(t.Context(), socdata.D695(), 16, coopt.Options{}); err != nil {
+	res, _, err := sv.Solve(t.Context(), socdata.D695(), 16, coopt.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := read(); got != 1 {
-		t.Fatalf("solver solves after cold solve = %d, want 1", got)
+	for name, got := range map[string]uint64{
+		"solves":        m.solverSolves.With(strat).Value(),
+		"solve_seconds": m.solverSeconds.With(strat).Count(),
+		"gap":           m.solverGap.With(strat).Count(),
+		"jobs seconds":  m.solveSeconds.Count(),
+	} {
+		if got != 1 {
+			t.Errorf("%s after one cold solve = %d, want 1", name, got)
+		}
 	}
-	if _, _, err := sv.Solve(t.Context(), socdata.D695(), 16, coopt.Options{}); err != nil {
+	if got := m.solverPartitions.With(strat, "enumerated").Value(); res.Stats.Enumerated == 0 || got != uint64(res.Stats.Enumerated) {
+		t.Errorf("partitions{enumerated} = %d, want Stats.Enumerated %d (> 0)", got, res.Stats.Enumerated)
+	}
+	if res.Stats.Improved == 0 || m.solverIncumbents.With(strat).Value() == 0 {
+		t.Errorf("incumbents %d with Stats.Improved %d, want both > 0",
+			m.solverIncumbents.With(strat).Value(), res.Stats.Improved)
+	}
+	if got := m.solverErrors.With(strat).Value(); got != 0 {
+		t.Errorf("errors = %d, want 0", got)
+	}
+
+	canon, _ := socdata.D695().Canonical()
+	plain, err := coopt.Solve(canon, 16, coopt.Options{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := read(); got != 1 {
-		t.Fatalf("cache hit advanced solver solves to %d (no solve ran)", got)
+	if res.Time != plain.Time || res.Gap != plain.Gap || res.NumTAMs != plain.NumTAMs {
+		t.Errorf("observed solve %d cycles gap %v on %d TAMs, plain solve %d %v %d",
+			res.Time, res.Gap, res.NumTAMs, plain.Time, plain.Gap, plain.NumTAMs)
+	}
+
+	bogus := coopt.Options{Strategy: coopt.StrategyPortfolio, Portfolio: "no-such-backend"}
+	if _, _, err := sv.Solve(t.Context(), socdata.D695(), 16, bogus); err == nil {
+		t.Fatal("bogus portfolio subset solved")
+	}
+	port := coopt.StrategyPortfolio.String()
+	if e, n := m.solverErrors.With(port).Value(), m.solverSolves.With(port).Value(); e != 1 || n != 0 {
+		t.Errorf("failed solve counted errors %d solves %d, want 1 and 0", e, n)
+	}
+
+	// A caller's progress hook (the /v1/stream writer) still sees every
+	// event behind the incumbent counter.
+	incumbents := m.solverIncumbents.With(strat).Value()
+	var improved int
+	if _, _, err := sv.solve(t.Context(), resolve(socdata.D695()), 24, coopt.Options{}, func(ev coopt.ProgressEvent) {
+		if ev.Kind == coopt.ProgressImproved {
+			improved++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.solverIncumbents.With(strat).Value() - incumbents; improved == 0 || got != uint64(improved) {
+		t.Errorf("caller hook saw %d improvements, incumbents advanced by %d; want equal and > 0", improved, got)
+	}
+
+	solves, seconds := m.solverSolves.With(strat).Value(), m.solverSeconds.With(strat).Count()
+	if _, meta, err := sv.Solve(t.Context(), socdata.D695(), 16, coopt.Options{}); err != nil || !meta.Cached {
+		t.Fatalf("repeat: cached %v, err %v", meta.Cached, err)
+	}
+	if n, c := m.solverSolves.With(strat).Value(), m.solverSeconds.With(strat).Count(); n != solves || c != seconds {
+		t.Errorf("cache hit advanced solves %d -> %d and solve_seconds %d -> %d (no solve ran)", solves, n, seconds, c)
 	}
 }
 

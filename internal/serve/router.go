@@ -40,11 +40,11 @@ const (
 	// DefaultProbeInterval is the peer health-probe cadence when
 	// Config.ProbeInterval is zero.
 	DefaultProbeInterval = 2 * time.Second
-	// routedHeader marks a request already forwarded once (or a warm
-	// push). A receiving node never re-forwards a marked request, so
-	// transiently inconsistent health views cannot create routing
-	// loops: worst case a request is answered by a non-owner, exactly
-	// like a degraded local solve.
+	// routedHeader marks every peer call: a forwarded request or a warm
+	// push. A receiving node only tests its presence and never
+	// re-forwards a marked request, so transiently inconsistent health
+	// views cannot create routing loops: worst case a request is
+	// answered by a non-owner, exactly like a degraded local solve.
 	routedHeader = "X-Soctam-Routed"
 	// warmPushLimit bounds the warm-handoff replays sent to one
 	// recovering peer per up-transition; handoff is best-effort cache
@@ -171,16 +171,11 @@ func newRouter(cfg Config, reg *obs.Registry) (*router, error) {
 			return 0
 		}, name)
 	}
-	timeout := cfg.peerTimeout()
-	rt.client = &http.Client{Timeout: timeout}
-	rt.streamClient = &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: timeout}}
-	probeTimeout := cfg.probeInterval()
-	if probeTimeout > 2*time.Second {
-		probeTimeout = 2 * time.Second
-	}
-	rt.probeClient = &http.Client{Timeout: probeTimeout}
+	rt.client = &http.Client{Timeout: cfg.PeerTimeout}
+	rt.streamClient = &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: cfg.PeerTimeout}}
+	rt.probeClient = &http.Client{Timeout: min(cfg.ProbeInterval, 2*time.Second)}
 	size := cfg.CacheSize
-	if size <= 0 {
+	if size < 0 { // the result cache is disabled; the warm log is not
 		size = DefaultCacheSize
 	}
 	rt.warmlog = cache.New[string, warmJob](size)
@@ -191,8 +186,8 @@ func newRouter(cfg Config, reg *obs.Registry) (*router, error) {
 // when the job must be forwarded, or nil when it runs here — either
 // because this node owns the digest, or the request was already routed
 // once, or (degraded=true) the owner is down and this node is the
-// fallback. The caller increments the degraded counter once it commits
-// to a local solve.
+// fallback. answer books the degraded counter once the job is solved
+// here.
 func (sv *Server) routeFor(r *http.Request, rs *resolvedSOC) (p *peer, degraded bool) {
 	rt := sv.rt
 	if rt == nil || r.Header.Get(routedHeader) != "" {
@@ -212,38 +207,59 @@ func (sv *Server) routeFor(r *http.Request, rs *resolvedSOC) (p *peer, degraded 
 	return pr, false
 }
 
-// forward POSTs body to the peer's path and buffers the full reply. ok
-// is false — and the peer is marked down — on a transport error, a
-// body-read error, or any 5xx (a peer draining for shutdown answers
-// 503; its jobs must degrade here, not bounce). 4xx replies are the
-// job's own outcome and relay as-is, 429 included: absorbing an
-// owner's load-shed locally would defeat its backpressure.
-func (rt *router) forward(ctx context.Context, p *peer, path string, body []byte) (*http.Response, []byte, bool) {
+// post is every call to a peer: forwarded solves, batch jobs and
+// streams, and warm-push replays. It holds the one failure policy: a
+// transport error or any 5xx is the peer failing (a peer draining for
+// shutdown answers 503), so post returns nil and marks the peer down —
+// unless the caller's own context ended, which says nothing about the
+// peer. Any other reply returns as is, for the caller to close: a 4xx,
+// 429 included, is the job's own outcome, and absorbing an owner's
+// load-shed locally would defeat its backpressure.
+func post(ctx context.Context, client *http.Client, p *peer, path string, body []byte) *http.Response {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, bytes.NewReader(body))
 	if err != nil {
-		rt.routedErrors.Inc()
-		return nil, nil, false
+		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(routedHeader, "1")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			p.up.Store(false) // the peer failed us, not the caller hanging up
-		}
+	resp, err := client.Do(req)
+	if err == nil && resp.StatusCode < 500 {
+		return resp
+	}
+	if err == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	p.failed(ctx)
+	return nil
+}
+
+// failed marks the peer down after it failed a call, unless the
+// caller's context ended first.
+func (p *peer) failed(ctx context.Context) {
+	if ctx.Err() == nil {
+		p.up.Store(false)
+	}
+}
+
+// fetch buffers a forwarded job's reply: post to the owner's
+// /v1/solve, then read the whole body, a body cut short counting as the
+// peer failing. A nil reply means the peer could not answer; it is
+// booked as a routed error.
+func (rt *router) fetch(ctx context.Context, p *peer, body []byte) (*http.Response, []byte) {
+	resp := post(ctx, rt.client, p, "/v1/solve", body)
+	if resp == nil {
 		rt.routedErrors.Inc()
-		return nil, nil, false
+		return nil, nil
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode >= 500 {
-		if ctx.Err() == nil {
-			p.up.Store(false)
-		}
+	if err != nil {
+		p.failed(ctx)
 		rt.routedErrors.Inc()
-		return nil, nil, false
+		return nil, nil
 	}
-	return resp, raw, true
+	return resp, raw
 }
 
 // forwardSolve proxies one /v1/solve body to the owning peer and
@@ -251,16 +267,12 @@ func (rt *router) forward(ctx context.Context, p *peer, path string, body []byte
 // already carries the owner's node identity). It reports false when
 // the peer cannot answer; the caller then degrades to a local solve.
 func (sv *Server) forwardSolve(w http.ResponseWriter, r *http.Request, p *peer, body []byte) bool {
-	resp, raw, ok := sv.rt.forward(r.Context(), p, "/v1/solve", body)
-	if !ok {
+	resp, raw := sv.rt.fetch(r.Context(), p, body)
+	if resp == nil {
 		return false
 	}
 	sv.rt.routed.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
+	relayHeader(w, resp)
 	_, _ = w.Write(raw)
 	return true
 }
@@ -270,26 +282,22 @@ func (sv *Server) forwardSolve(w http.ResponseWriter, r *http.Request, p *peer, 
 // (whichever the peer answered); ok=false means the peer could not
 // answer and the caller must degrade the job to a local solve.
 func (rt *router) forwardBatchJob(ctx context.Context, p *peer, raw []byte) (*solveResponse, *errorBody, bool) {
-	resp, body, ok := rt.forward(ctx, p, "/v1/solve", raw)
-	if !ok {
+	resp, body := rt.fetch(ctx, p, raw)
+	if resp == nil {
 		return nil, nil, false
 	}
 	if resp.StatusCode == http.StatusOK {
 		var out solveResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			rt.routedErrors.Inc()
-			return nil, nil, false
+		if json.Unmarshal(body, &out) == nil {
+			rt.routed.Inc()
+			return &out, nil, true
 		}
+	} else if e := (errorJSON{}); json.Unmarshal(body, &e) == nil && e.Error.Code != "" {
 		rt.routed.Inc()
-		return &out, nil, true
+		return nil, &e.Error, true
 	}
-	var e errorJSON
-	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" {
-		rt.routedErrors.Inc()
-		return nil, nil, false
-	}
-	rt.routed.Inc()
-	return nil, &e.Error, true
+	rt.routedErrors.Inc()
+	return nil, nil, false
 }
 
 // forwardStream proxies a /v1/stream request to the owning peer,
@@ -299,38 +307,14 @@ func (rt *router) forwardBatchJob(ctx context.Context, p *peer, raw []byte) (*so
 // the stream exactly as a local mid-stream failure would.
 func (sv *Server) forwardStream(w http.ResponseWriter, r *http.Request, p *peer, body []byte) bool {
 	rt := sv.rt
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, p.base+"/v1/stream", bytes.NewReader(body))
-	if err != nil {
-		rt.routedErrors.Inc()
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(routedHeader, "1")
-	resp, err := rt.streamClient.Do(req)
-	if err != nil {
-		if r.Context().Err() == nil {
-			p.up.Store(false)
-		}
+	resp := post(r.Context(), rt.streamClient, p, "/v1/stream", body)
+	if resp == nil {
 		rt.routedErrors.Inc()
 		return false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 500 {
-		// Same policy as forward(): a 5xx is the peer failing, not the
-		// job's outcome. Nothing is committed yet, so degrade locally.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		if r.Context().Err() == nil {
-			p.up.Store(false)
-		}
-		rt.routedErrors.Inc()
-		return false
-	}
 	rt.routed.Inc()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
+	relayHeader(w, resp)
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 32*1024)
 	for {
@@ -347,6 +331,16 @@ func (sv *Server) forwardStream(w http.ResponseWriter, r *http.Request, p *peer,
 			return true // EOF or a mid-stream peer failure: stream is committed
 		}
 	}
+}
+
+// relayHeader starts relaying a peer's reply: its content type,
+// Retry-After and status.
+func relayHeader(w http.ResponseWriter, resp *http.Response) {
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
+	w.WriteHeader(resp.StatusCode)
 }
 
 // maybeRecordWarm remembers how to replay a job this node answered for
@@ -394,7 +388,7 @@ func wireOptions(opt coopt.Options) (*optionsJSON, bool) {
 // request, the prober both confirms recovery and notices silently dead
 // peers before any request pays the timeout.
 func (sv *Server) probeLoop() {
-	ticker := time.NewTicker(sv.cfg.probeInterval())
+	ticker := time.NewTicker(sv.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -437,9 +431,9 @@ func (rt *router) probePeer(p *peer) bool {
 // recovered peer, priming its cache. The peer solves each replay
 // itself (routedHeader stops re-forwarding), so no result bytes ever
 // cross the wire into a cache. Best-effort and bounded: stops at
-// warmPushLimit, on shutdown, on the peer failing again, or on the
-// peer shedding load (a recovering node's capacity belongs to its
-// clients first).
+// warmPushLimit, on shutdown, on the peer failing again (post marks it
+// down), or on the peer shedding load (a recovering node's capacity
+// belongs to its clients first).
 func (sv *Server) warmPush(p *peer) {
 	rt := sv.rt
 	pushed := 0
@@ -454,15 +448,8 @@ func (sv *Server) warmPush(p *peer) {
 		if owner, ok := rt.ring.Owner(wj.digest); !ok || owner != p.name {
 			continue
 		}
-		req, err := http.NewRequestWithContext(sv.base, http.MethodPost, p.base+"/v1/solve", bytes.NewReader(wj.body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(routedHeader, "warm")
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			p.up.Store(false)
+		resp := post(sv.base, rt.client, p, "/v1/solve", wj.body)
+		if resp == nil {
 			return
 		}
 		_, _ = io.Copy(io.Discard, resp.Body)

@@ -33,14 +33,14 @@ func Run(ctx context.Context, addr string, cfg Config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "wtamd: listening on http://%s\n", ln.Addr())
 	fmt.Fprintf(out, "wtamd: %d workers x %d solve workers, cache %s\n",
-		sv.cfg.workers(), sv.cfg.solveWorkers(), cacheDesc(sv))
+		sv.cfg.Workers, sv.cfg.SolveWorkers, cacheDesc(sv))
 	if sv.rt != nil {
 		fmt.Fprintf(out, "wtamd: sharding by digest across a ring of %d nodes, self %s\n",
 			sv.rt.ring.Len(), sv.rt.self)
 	}
 	if sv.escq != nil {
 		fmt.Fprintf(out, "wtamd: escalating unproven cache entries (budget %s)\n",
-			sv.cfg.escalateBudget())
+			sv.cfg.EscalateBudget)
 	}
 
 	srv := &http.Server{

@@ -106,68 +106,6 @@ type Config struct {
 	Pprof bool
 }
 
-func (c Config) workers() int {
-	if c.Workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
-func (c Config) solveWorkers() int {
-	if c.SolveWorkers > 0 {
-		return c.SolveWorkers
-	}
-	w := runtime.GOMAXPROCS(0) / c.workers()
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-func (c Config) maxBatchJobs() int {
-	if c.MaxBatchJobs < 1 {
-		return DefaultMaxBatchJobs
-	}
-	return c.MaxBatchJobs
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes < 1 {
-		return DefaultMaxBodyBytes
-	}
-	return c.MaxBodyBytes
-}
-
-func (c Config) escalateBudget() time.Duration {
-	if c.EscalateBudget <= 0 {
-		return DefaultEscalateBudget
-	}
-	return c.EscalateBudget
-}
-
-func (c Config) peerTimeout() time.Duration {
-	if c.PeerTimeout <= 0 {
-		return DefaultPeerTimeout
-	}
-	return c.PeerTimeout
-}
-
-func (c Config) probeInterval() time.Duration {
-	if c.ProbeInterval <= 0 {
-		return DefaultProbeInterval
-	}
-	return c.ProbeInterval
-}
-
-// admissionLimit is the occupancy ceiling (running + waiting cold
-// solves) beyond which jobs are shed; 0 disables shedding.
-func (c Config) admissionLimit() int {
-	if c.MaxQueue <= 0 {
-		return 0
-	}
-	return c.workers() + c.MaxQueue
-}
-
 // Server multiplexes coopt.Solve across requests: a bounded worker
 // pool, an LRU cache of canonical results keyed by SOC digest plus
 // normalized options, and in-flight deduplication so concurrent
@@ -193,11 +131,10 @@ type Server struct {
 	occupancy atomic.Int64
 
 	// Every published counter lives in reg; m holds the resolved
-	// handles and cm the solver-side ones (see metrics.go). /v1/stats
-	// and /metrics both read reg, so they cannot disagree.
+	// handles (see metrics.go). /v1/stats and /metrics both read reg, so
+	// they cannot disagree.
 	reg *obs.Registry
 	m   serverMetrics
-	cm  *coopt.Metrics
 }
 
 // ErrOverloaded is matched (errors.Is) by the OverloadedError a shed
@@ -251,6 +188,32 @@ func New(cfg Config) *Server {
 // panicking: a bad peer list is a deployment mistake the daemon should
 // print, not a programming bug.
 func NewCluster(cfg Config) (*Server, error) {
+	// Resolve every zero-means-default field once; the server reads its
+	// cfg copy as is.
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.SolveWorkers < 1 {
+		cfg.SolveWorkers = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
+	}
+	if cfg.CacheSize == 0 {
+		cfg.CacheSize = DefaultCacheSize
+	}
+	if cfg.MaxBatchJobs < 1 {
+		cfg.MaxBatchJobs = DefaultMaxBatchJobs
+	}
+	if cfg.MaxBodyBytes < 1 {
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+	}
+	if cfg.EscalateBudget <= 0 {
+		cfg.EscalateBudget = DefaultEscalateBudget
+	}
+	if cfg.PeerTimeout <= 0 {
+		cfg.PeerTimeout = DefaultPeerTimeout
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = DefaultProbeInterval
+	}
 	reg := obs.NewRegistry()
 	rt, err := newRouter(cfg, reg)
 	if err != nil {
@@ -259,7 +222,7 @@ func NewCluster(cfg Config) (*Server, error) {
 	base, cancel := context.WithCancel(context.Background())
 	sv := &Server{
 		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.workers()),
+		sem:     make(chan struct{}, cfg.Workers),
 		base:    base,
 		cancel:  cancel,
 		started: time.Now(),
@@ -267,16 +230,11 @@ func NewCluster(cfg Config) (*Server, error) {
 		rt:      rt,
 		reg:     reg,
 		m:       newServerMetrics(reg),
-		cm:      coopt.NewMetrics(reg),
 	}
 	reg.GaugeFunc("soctam_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(sv.started).Seconds() })
-	if cfg.CacheSize >= 0 {
-		size := cfg.CacheSize
-		if size == 0 {
-			size = DefaultCacheSize
-		}
-		sv.results = cache.New[string, coopt.Result](size)
+	if cfg.CacheSize > 0 {
+		sv.results = cache.New[string, coopt.Result](cfg.CacheSize)
 		// The LRU fires these under its own mutex, synchronously with its
 		// internal counters, so the registry's view and cache.Stats() can
 		// never drift apart.
@@ -288,7 +246,7 @@ func NewCluster(cfg Config) (*Server, error) {
 		})
 		reg.GaugeFunc("soctam_cache_entries", "Result-cache entries currently stored.",
 			func() float64 { return float64(sv.results.Len()) })
-		reg.Gauge("soctam_cache_capacity", "Result-cache capacity in entries.").Set(float64(size))
+		reg.Gauge("soctam_cache_capacity", "Result-cache capacity in entries.").Set(float64(cfg.CacheSize))
 	}
 	// Escalation needs a cache to upgrade; with caching disabled the
 	// worker would have nowhere to put a proven result.
@@ -424,11 +382,11 @@ func (sv *Server) retryAfter() time.Duration {
 	if n := sv.m.solveSeconds.Count(); n > 0 {
 		avg = time.Duration(sv.m.solveSeconds.Sum() / float64(n) * float64(time.Second))
 	}
-	waiting := sv.occupancy.Load() - int64(sv.cfg.workers())
+	waiting := sv.occupancy.Load() - int64(sv.cfg.Workers)
 	if waiting < 1 {
 		waiting = 1
 	}
-	est := time.Duration(float64(avg) * float64(waiting) / float64(sv.cfg.workers()))
+	est := time.Duration(float64(avg) * float64(waiting) / float64(sv.cfg.Workers))
 	if est < time.Second {
 		est = time.Second
 	}
@@ -501,8 +459,8 @@ func (sv *Server) solveShared(ctx context.Context, key string, canon *soc.SOC, w
 // park on the pool: bounded queueing is what turns overload into fast
 // 429s instead of collapsing latency for everyone.
 func (sv *Server) solveCold(ctx context.Context, canon *soc.SOC, width int, norm coopt.Options) (coopt.Result, error) {
-	if limit := sv.cfg.admissionLimit(); limit > 0 {
-		if sv.occupancy.Add(1) > int64(limit) {
+	if sv.cfg.MaxQueue > 0 {
+		if sv.occupancy.Add(1) > int64(sv.cfg.Workers+sv.cfg.MaxQueue) {
 			sv.occupancy.Add(-1)
 			sv.m.shed.Inc()
 			return coopt.Result{}, &OverloadedError{RetryAfter: sv.retryAfter()}
@@ -520,15 +478,63 @@ func (sv *Server) solveCold(ctx context.Context, canon *soc.SOC, width int, norm
 	sv.m.inFlight.Add(1)
 	defer sv.m.inFlight.Add(-1)
 
-	norm.Workers = sv.cfg.solveWorkers()
-	t0 := time.Now()
-	res, err := coopt.SolveObserved(sv.base, canon, width, norm, sv.cm)
-	sv.m.solveSeconds.Observe(time.Since(t0).Seconds())
+	res, elapsed, err := sv.observedSolve(canon, width, norm)
+	sv.m.solveSeconds.Observe(elapsed.Seconds())
 	if err != nil {
 		return coopt.Result{}, err
 	}
 	sv.m.solved.Inc()
 	return res, nil
+}
+
+// observedSolve is the server's one call into the solver: it runs the
+// job at the configured solve parallelism under the server's lifecycle
+// context and records the soctam_solver_* families. Incumbents are
+// counted off the progress stream in front of any caller hook (the
+// /v1/stream writer); the rest is recorded on return. The elapsed wall
+// clock is returned so pool solves can book it once more, as
+// soctam_jobs_solve_seconds.
+func (sv *Server) observedSolve(canon *soc.SOC, width int, opt coopt.Options) (coopt.Result, time.Duration, error) {
+	m := &sv.m
+	strat := opt.Strategy.String()
+	caller := opt.Progress
+	opt.Progress = func(ev coopt.ProgressEvent) {
+		if ev.Kind == coopt.ProgressImproved {
+			m.solverIncumbents.With(ev.Backend).Inc()
+		}
+		if caller != nil {
+			caller(ev)
+		}
+	}
+	opt.Workers = sv.cfg.SolveWorkers
+	t0 := time.Now()
+	res, err := coopt.SolveContext(sv.base, canon, width, opt)
+	elapsed := time.Since(t0)
+	m.solverSeconds.With(strat).Observe(elapsed.Seconds())
+	if err != nil {
+		m.solverErrors.With(strat).Inc()
+		return res, elapsed, err
+	}
+	m.solverSolves.With(strat).Inc()
+	m.solverGap.With(strat).Observe(res.Gap)
+	if res.Truncated {
+		m.solverTruncated.With(strat).Inc()
+	}
+	for _, o := range []struct {
+		outcome string
+		n       int
+	}{
+		{"enumerated", res.Stats.Enumerated},
+		{"completed", res.Stats.Completed},
+		{"aborted", res.Stats.Aborted},
+		{"improved", res.Stats.Improved},
+		{"power_infeasible", res.Stats.PowerInfeasible},
+	} {
+		if o.n > 0 {
+			m.solverPartitions.With(strat, o.outcome).Add(uint64(o.n))
+		}
+	}
+	return res, elapsed, nil
 }
 
 // cachePut stores a completed solve's result and, when the result is
@@ -577,7 +583,9 @@ func (sv *Server) escalateLoop() {
 // capacity-equivalents and interactive jobs queue at worst one extra
 // budget behind it.
 func (sv *Server) escalateOne(j escJob) {
-	cur, ok := sv.results.Get(j.key)
+	// Peek: the escalation is no client, so it must move neither the
+	// hit/miss counters nor the entry's recency.
+	cur, ok := sv.results.Peek(j.key)
 	if !ok || cur.Proven {
 		return // evicted or already upgraded since it was queued
 	}
@@ -592,9 +600,8 @@ func (sv *Server) escalateOne(j escJob) {
 	opt := j.norm
 	opt.Strategy = coopt.StrategyILP
 	opt.Portfolio = ""
-	opt.Budget = sv.cfg.escalateBudget()
-	opt.Workers = sv.cfg.solveWorkers()
-	res, err := coopt.SolveObserved(sv.base, j.canon, j.width, opt, sv.cm)
+	opt.Budget = sv.cfg.EscalateBudget
+	res, _, err := sv.observedSolve(j.canon, j.width, opt)
 	if err != nil || res.Truncated || !res.Proven || res.Time > cur.Time {
 		return
 	}
@@ -718,8 +725,8 @@ type CacheStats struct {
 func (sv *Server) Stats() Stats {
 	st := Stats{
 		UptimeSeconds: time.Since(sv.started).Seconds(),
-		Workers:       sv.cfg.workers(),
-		SolveWorkers:  sv.cfg.solveWorkers(),
+		Workers:       sv.cfg.Workers,
+		SolveWorkers:  sv.cfg.SolveWorkers,
 		Jobs: JobStats{
 			Completed:    int64(sv.m.completed.Value()),
 			Failed:       int64(sv.m.failed.Value()),
