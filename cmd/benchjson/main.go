@@ -69,9 +69,10 @@ import (
 
 // defaultBench selects the trajectory benchmarks: the root per-SOC ×
 // per-strategy solve set, the hot-path primitive benches (the final
-// exact step among them) and the service's two cache-hit paths (library
-// and HTTP handler).
-const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkILPPrune$|BenchmarkCoreAssignP93791$|BenchmarkExactStepP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$)"
+// exact step among them), the packers and wrapper curves on the
+// synthesized 1000-core SOC, and the service's two cache-hit paths
+// (library and HTTP handler).
+const defaultBench = "^(BenchmarkSolve$|BenchmarkILP$|BenchmarkILPPrune$|BenchmarkCoreAssignP93791$|BenchmarkExactStepP93791$|BenchmarkTimeTableP93791$|BenchmarkDesignWrapperS38584$|BenchmarkPartitionScoring|BenchmarkSkylinePlacement|BenchmarkWrapperCurve$|BenchmarkPowerTimeline|BenchmarkObs|BenchmarkSolveCacheHit$|BenchmarkHTTPSolveHit$|BenchmarkPackSynth1000$|BenchmarkWrapperCurvesSynth1000$)"
 
 // defaultPackages are the packages holding trajectory benchmarks.
 const defaultPackages = ".,./internal/coopt,./internal/pack,./internal/wrapper,./internal/obs,./internal/serve"

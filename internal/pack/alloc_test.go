@@ -8,10 +8,11 @@ import (
 )
 
 // TestSkylinePlacementZeroAlloc pins one full best-fit placement pass on
-// d695 — skyline queries, waste measurement, commits, the best-schedule
-// fold — at zero allocations per attempt once the arena is warm. This is
-// the invariant the packers' budget sweep relies on: only the arena
-// construction and the final clone may allocate.
+// d695 — placement keys and their sort, skyline queries, waste
+// measurement, commits, the best-schedule fold — at zero allocations
+// per attempt once the arena is warm. This is the invariant the
+// packers' budget sweep relies on: only the arena construction and the
+// final clone may allocate.
 func TestSkylinePlacementZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	const width = 32
@@ -24,12 +25,14 @@ func TestSkylinePlacementZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := newPackArena(width, len(shapes))
+	a.shapeKeys(shapes, budget)
 	for _, ord := range packOrders { // warm every order's path
 		packOnce(a, shapes, budget, ord, 0)
 	}
 	for _, ord := range packOrders {
 		ord := ord
 		allocs := testing.AllocsPerRun(20, func() {
+			a.shapeKeys(shapes, budget)
 			packOnce(a, shapes, budget, ord, 0)
 		})
 		if allocs != 0 {
@@ -37,6 +40,7 @@ func TestSkylinePlacementZeroAlloc(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
+		a.shapeKeys(shapes, budget)
 		packOnceDiagonal(a, shapes, budget, 0)
 	})
 	if allocs != 0 {
@@ -82,6 +86,7 @@ func BenchmarkSkylinePlacement(b *testing.B) {
 		b.Fatal(err)
 	}
 	a := newPackArena(width, len(shapes))
+	a.shapeKeys(shapes, budget)
 	packOnce(a, shapes, budget, byWidth, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -25,7 +25,7 @@ type packArena struct {
 	totalWidth int
 	ceiling    int
 
-	seq []int // placement order scratch, re-sorted per attempt
+	keys []placeKey // the budget's placement keys, re-sorted per attempt
 
 	// Skyline over avail: pref[x] = Σ avail[0..x) for O(1) waste, and
 	// rmq[k][x] = max avail[x..x+2^k) for O(1) earliest-start queries.
@@ -46,7 +46,7 @@ type packArena struct {
 func newPackArena(totalWidth, numCores int) *packArena {
 	a := &packArena{
 		totalWidth: totalWidth,
-		seq:        make([]int, numCores),
+		keys:       make([]placeKey, numCores),
 		avail:      make([]soc.Cycles, totalWidth),
 		pref:       make([]int64, totalWidth+1),
 		logT:       make([]int, totalWidth+1),

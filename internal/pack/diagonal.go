@@ -57,18 +57,15 @@ func PackDiagonalContext(ctx context.Context, s *soc.SOC, totalWidth int, opt Op
 // The skyline and power-timeline machinery is shared with packOnce:
 // under a ceiling every candidate start is pushed to the earliest
 // instant with enough power headroom, so no breaching position is ever
-// considered. The run writes only into the arena (zero allocations once
-// warm) and folds its schedule into the arena's best, reporting
-// improvement.
+// considered. The arena's keys must hold the budget's placement keys
+// (shapeKeys); the run sorts them by diagonal, writes only into the
+// arena (zero allocations once warm) and folds its schedule into the
+// arena's best, reporting improvement.
 func packOnceDiagonal(a *packArena, shapes []coreShape, budget soc.Cycles, ceiling int) bool {
 	a.beginAttempt(ceiling)
-	seq := a.seq
-	for i := range seq {
-		seq[i] = i
-	}
-	sortSeqDiagonal(seq, shapes, budget)
-	for _, idx := range seq {
-		sh := &shapes[idx]
+	a.sortKeys(byDiagonal)
+	for i := range a.keys {
+		sh := &shapes[a.keys[i].core]
 		var fit, fallback Rect
 		fitWaste, fallbackWaste := int64(-1), int64(-1)
 		var fitDiag, fallbackDiag float64
@@ -98,28 +95,6 @@ func packOnceDiagonal(a *packArena, shapes []coreShape, budget soc.Cycles, ceili
 		a.commit(bestRect)
 	}
 	return a.consider()
-}
-
-// sortSeqDiagonal stably sorts the placement order by decreasing
-// preferred-shape diagonal (wider first on ties) with an allocation-free
-// insertion sort, exactly as the sort.SliceStable it replaces.
-func sortSeqDiagonal(seq []int, shapes []coreShape, budget soc.Cycles) {
-	less := func(x, y int) bool {
-		sa, sb := &shapes[x], &shapes[y]
-		ka, kb := sa.preferredIndex(budget), sb.preferredIndex(budget)
-		da, db := diagonal(sa.widths[ka], sa.times[ka]), diagonal(sb.widths[kb], sb.times[kb])
-		if da != db {
-			return da > db
-		}
-		// Equal diagonals: the wider (shorter) rectangle first — it is
-		// the harder one to fit late.
-		return sa.widths[ka] > sb.widths[kb]
-	}
-	for i := 1; i < len(seq); i++ {
-		for j := i; j > 0 && less(seq[j], seq[j-1]); j-- {
-			seq[j], seq[j-1] = seq[j-1], seq[j]
-		}
-	}
 }
 
 // betterDiagonal reports whether a candidate placement (waste, start,

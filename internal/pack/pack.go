@@ -1,9 +1,11 @@
 package pack
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -229,8 +231,9 @@ type coreShape struct {
 // are offered: at any other width the wrapper uses fewer wires than the
 // rectangle would claim, wasting bin area for no time gain. A non-nil
 // curve set covering the SOC and width supplies the wrapper staircases
-// as lookups; otherwise they are computed here (identical values either
-// way — the memoized curve is bit-for-bit the fresh one).
+// as lookups; otherwise one wrapper.Curves call computes them here
+// (identical values either way — the memoized curve is bit-for-bit the
+// fresh one).
 func coreShapes(s *soc.SOC, totalWidth int, cs *wrapper.CurveSet) ([]coreShape, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -238,21 +241,16 @@ func coreShapes(s *soc.SOC, totalWidth int, cs *wrapper.CurveSet) ([]coreShape, 
 	if totalWidth < 1 {
 		return nil, fmt.Errorf("pack: total TAM width %d < 1", totalWidth)
 	}
-	if cs != nil && (cs.NumCores() != len(s.Cores) || cs.MaxWidth() < totalWidth) {
-		cs = nil // mismatched precomputation: fall back to fresh curves
+	if cs == nil || cs.NumCores() != len(s.Cores) || cs.MaxWidth() < totalWidth {
+		// No precomputation, or a mismatched one: compute fresh curves.
+		var err error
+		if cs, err = wrapper.Curves(s, totalWidth); err != nil {
+			return nil, fmt.Errorf("pack: %w", err)
+		}
 	}
 	shapes := make([]coreShape, len(s.Cores))
 	for i := range s.Cores {
-		var cv *wrapper.Curve
-		if cs != nil {
-			cv = cs.Core(i)
-		} else {
-			var err error
-			cv, err = wrapper.NewCurve(&s.Cores[i], totalWidth)
-			if err != nil {
-				return nil, fmt.Errorf("pack: core %d: %w", i+1, err)
-			}
-		}
+		cv := cs.Core(i)
 		widths := cv.ParetoUpTo(totalWidth)
 		sh := coreShape{core: i, power: s.Cores[i].Power, widths: widths, minArea: int64(1) << 62}
 		sh.times = make([]soc.Cycles, len(widths))
@@ -338,8 +336,9 @@ func PackContext(ctx context.Context, s *soc.SOC, totalWidth int, opt Options) (
 var packOrders = [...]order{byWidth, byTime, byArea}
 
 // attemptFunc packs the budget-shaped rectangles once (or a few times
-// in different orders) into the arena, folding each schedule into the
-// arena's best; it reports whether any attempt improved on it.
+// in different orders) into the arena, whose keys hold the budget's
+// placement keys, folding each schedule into the arena's best; it
+// reports whether any attempt improved on it.
 type attemptFunc func(a *packArena, shapes []coreShape, budget soc.Cycles, ceiling int) bool
 
 // packWith runs the shared packing pipeline — core shapes, effective
@@ -373,6 +372,7 @@ func packWith(ctx context.Context, s *soc.SOC, totalWidth int, opt Options, atte
 			return false
 		}
 		tried[budget] = true
+		a.shapeKeys(shapes, budget)
 		return attempt(a, shapes, budget, ceiling)
 	}
 	// The deadline is polled at the same attempt boundaries as
@@ -445,13 +445,64 @@ type order uint8
 
 const (
 	// byWidth places the widest preferred rectangles first (classic
-	// decreasing-width strip packing).
+	// decreasing-width strip packing), longer first on ties.
 	byWidth order = iota
-	// byTime places the longest tests first.
+	// byTime places the longest tests at their preferred width first,
+	// wider first on ties.
 	byTime
-	// byArea places the largest minimal rectangle areas first.
+	// byArea places the largest minimal rectangle areas first, longer
+	// (at the preferred width) first on ties.
 	byArea
+	// byDiagonal places the largest preferred-shape diagonals first,
+	// wider (shorter) first on ties — the harder rectangle to fit late.
+	// It is PackDiagonal's order.
+	byDiagonal
 )
+
+// placeKey is one core's placement key at one budget: its preferred
+// rectangle (the papers' aspect rule, preferredIndex) and the figures
+// the placement orders rank by. The keys of a budget are computed once,
+// shared by every order tried at it, and sorted in place.
+type placeKey struct {
+	core  int        // index into the shapes
+	width int        // preferred Pareto width
+	time  soc.Cycles // testing time at that width
+	area  int64      // the core's minimal rectangle area
+	diag  float64    // diagonal of the preferred rectangle
+}
+
+// shapeKeys fills the arena's keys with every core's placement key at
+// budget, in core order.
+func (a *packArena) shapeKeys(shapes []coreShape, budget soc.Cycles) {
+	for i := range shapes {
+		sh := &shapes[i]
+		k := sh.preferredIndex(budget)
+		w, t := sh.widths[k], sh.times[k]
+		a.keys[i] = placeKey{core: i, width: w, time: t, area: sh.minArea, diag: diagonal(w, t)}
+	}
+}
+
+// sortKeys puts the arena's keys into the placement order ord: the
+// order's own ranking, then core order. That is the order the stable
+// sort of the core sequence under the ranking gives, whatever order
+// the keys were left in by the previous sort, and the total order
+// leaves the O(n log n) sort no choice to make.
+func (a *packArena) sortKeys(ord order) {
+	slices.SortFunc(a.keys, func(x, y placeKey) int {
+		var rank int
+		switch ord {
+		case byWidth:
+			rank = cmp.Or(cmp.Compare(y.width, x.width), cmp.Compare(y.time, x.time))
+		case byTime:
+			rank = cmp.Or(cmp.Compare(y.time, x.time), cmp.Compare(y.width, x.width))
+		case byArea:
+			rank = cmp.Or(cmp.Compare(y.area, x.area), cmp.Compare(y.time, x.time))
+		case byDiagonal:
+			rank = cmp.Or(cmp.Compare(y.diag, x.diag), cmp.Compare(y.width, x.width))
+		}
+		return cmp.Or(rank, cmp.Compare(x.core, y.core))
+	})
+}
 
 // packOnce shapes every rectangle to one budget and places them greedily
 // with a skyline of per-wire free times, by budgeted best fit: every
@@ -467,17 +518,15 @@ const (
 // the ceiling is ever considered. With ceiling 0 the placement is
 // bit-for-bit the power-oblivious one.
 //
-// The run writes only into the arena (zero allocations once warm) and
-// folds its schedule into the arena's best, reporting improvement.
+// The arena's keys must hold the budget's placement keys (shapeKeys);
+// the run sorts them into ord, writes only into the arena (zero
+// allocations once warm) and folds its schedule into the arena's best,
+// reporting improvement.
 func packOnce(a *packArena, shapes []coreShape, budget soc.Cycles, ord order, ceiling int) bool {
 	a.beginAttempt(ceiling)
-	seq := a.seq
-	for i := range seq {
-		seq[i] = i
-	}
-	sortSeq(seq, shapes, budget, ord)
-	for _, idx := range seq {
-		sh := &shapes[idx]
+	a.sortKeys(ord)
+	for i := range a.keys {
+		sh := &shapes[a.keys[i].core]
 		var fit Rect // narrowest in-budget placement
 		fitWaste := int64(-1)
 		var fallback Rect // earliest finish over all placements
@@ -511,44 +560,6 @@ func packOnce(a *packArena, shapes []coreShape, budget soc.Cycles, ord order, ce
 		a.commit(bestRect)
 	}
 	return a.consider()
-}
-
-// lessSeq is packOnce's placement-order comparator over core indices x
-// and y. Together with insertion sort (stable, like the sort.SliceStable
-// it replaces) the placement order is bit-for-bit the historical one:
-// a stable sort's output is unique for a given comparator.
-func lessSeq(shapes []coreShape, budget soc.Cycles, ord order, x, y int) bool {
-	sa, sb := &shapes[x], &shapes[y]
-	ka, kb := sa.preferredIndex(budget), sb.preferredIndex(budget)
-	switch ord {
-	case byTime:
-		// Longest test at preferred width first, wider first on ties.
-		if sa.times[ka] != sb.times[kb] {
-			return sa.times[ka] > sb.times[kb]
-		}
-		return sa.widths[ka] > sb.widths[kb]
-	case byArea:
-		if sa.minArea != sb.minArea {
-			return sa.minArea > sb.minArea
-		}
-		return sa.times[ka] > sb.times[kb]
-	}
-	// Widest preferred rectangle first, longer first on ties.
-	if sa.widths[ka] != sb.widths[kb] {
-		return sa.widths[ka] > sb.widths[kb]
-	}
-	return sa.times[ka] > sb.times[kb]
-}
-
-// sortSeq stably sorts the placement order by lessSeq with an insertion
-// sort: the sequences are at most a few dozen cores, and unlike
-// sort.SliceStable this allocates nothing in the hot loop.
-func sortSeq(seq []int, shapes []coreShape, budget soc.Cycles, ord order) {
-	for i := 1; i < len(seq); i++ {
-		for j := i; j > 0 && lessSeq(shapes, budget, ord, seq[j], seq[j-1]); j-- {
-			seq[j], seq[j-1] = seq[j-1], seq[j]
-		}
-	}
 }
 
 // Gantt renders the packing as an ASCII wire-band chart — one row per

@@ -245,6 +245,23 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Error("stream never reported a backend done")
 	}
 
+	// A portfolio's racers report from their own goroutines, any of
+	// which may write the first line and with it the 200 header; every
+	// line must still arrive whole, before the one terminal line.
+	lines = readStreamLines(t, ts.URL, `{"benchmark":"d695","width":24,"options":{"strategy":"portfolio"}}`)
+	if last := lines[len(lines)-1]; last.Event != "result" || last.Result == nil {
+		t.Fatalf("portfolio stream ended with %+v, want a result", last)
+	}
+	started := map[string]bool{}
+	for _, line := range lines[:len(lines)-1] {
+		if line.Event == "start" {
+			started[line.Backend] = true
+		}
+	}
+	if len(started) < 2 {
+		t.Errorf("portfolio stream started backends %v, want every racer", started)
+	}
+
 	// The identical job again: answered from the cache, no progress to
 	// observe, just the terminal line.
 	lines = readStreamLines(t, ts.URL, `{"benchmark":"d695","width":16}`)

@@ -246,6 +246,34 @@ func TestOverloadShedsWith429(t *testing.T) {
 	}
 }
 
+// A shed /v1/stream job answers exactly as a shed /v1/solve job does:
+// 429 + Retry-After and the plain JSON error body, because the stream's
+// 200 header waits for its first line and a shed job never has one.
+func TestStreamShedsWith429(t *testing.T) {
+	sv, ts := newTestServer(t, Config{Workers: 1, MaxQueue: 1})
+	limit := sv.cfg.Workers + sv.cfg.MaxQueue
+	sv.occupancy.Add(int64(limit))
+	defer sv.occupancy.Add(-int64(limit))
+
+	resp, raw := postJSON(t, ts.URL+"/v1/stream", `{"benchmark":"d695","width":24}`)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated stream status %d, want 429: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("shed stream content type %q, want application/json", ct)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 || ra > 60 {
+		t.Errorf("Retry-After %q, want an integer in [1,60]", resp.Header.Get("Retry-After"))
+	}
+	var e errorJSON
+	if err := json.Unmarshal(raw, &e); err != nil || e.Error.Code != "overloaded" {
+		t.Errorf("shed stream body %s (%v)", raw, err)
+	}
+	if st := sv.Stats(); st.Jobs.Shed != 1 {
+		t.Errorf("shed counter = %d, want 1", st.Jobs.Shed)
+	}
+}
+
 // An owner's 429 relays through the entry node verbatim — absorbing it
 // locally would defeat the owner's backpressure — and does not count
 // as degradation.

@@ -425,25 +425,45 @@ func (sv *Server) answer(r *http.Request, j job, fn coopt.ProgressFunc) (*solveR
 	}, nil
 }
 
-// startNDJSON opens the 200 NDJSON response of /v1/batch and
-// /v1/stream and returns its line writer, which flushes every line. One
-// mutex keeps lines whole: a stream's progress lines come from solver
-// goroutines, its terminal line from the handler.
-func startNDJSON(w http.ResponseWriter) func(line any) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	var mu sync.Mutex
-	return func(line any) {
-		mu.Lock()
-		defer mu.Unlock()
-		_ = enc.Encode(line) // a failed write means the client went away
-		if flusher != nil {
-			flusher.Flush()
-		}
+// ndjson is the NDJSON response of /v1/batch and /v1/stream. Every
+// line is flushed, and one mutex keeps lines whole: a stream's progress
+// lines come from solver goroutines, its terminal line from the
+// handler. The 200 header goes out with the first line, so until then
+// a failure can still answer with its own status (fail).
+type ndjson struct {
+	w   http.ResponseWriter
+	mu  sync.Mutex
+	enc *json.Encoder // nil until the first line
+}
+
+// line writes one line, sending the 200 header before the first.
+func (o *ndjson) line(v any) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.enc == nil {
+		o.w.Header().Set("Content-Type", "application/x-ndjson")
+		o.w.WriteHeader(http.StatusOK)
+		o.enc = json.NewEncoder(o.w)
+		o.enc.SetEscapeHTML(false)
 	}
+	_ = o.enc.Encode(v) // a failed write means the client went away
+	if flusher, ok := o.w.(http.Flusher); ok {
+		flusher.Flush()
+	}
+}
+
+// fail ends the response with he: as writeError's plain error response
+// (its status, Retry-After and body) when no line has gone out yet,
+// else as the in-band line the caller shaped from it.
+func (o *ndjson) fail(he *httpError, inband any) {
+	o.mu.Lock()
+	if o.enc == nil {
+		defer o.mu.Unlock()
+		writeError(o.w, he)
+		return
+	}
+	o.mu.Unlock()
+	o.line(inband)
 }
 
 // handleSolve serves POST /v1/solve; a forwarded job's reply is relayed
@@ -578,11 +598,11 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	go func() { wg.Wait(); close(lines) }()
 
-	writeLine := startNDJSON(w)
+	out := &ndjson{w: w}
 	for line := range lines {
 		// Keep draining after a failed write (the client went away) so
 		// the workers can finish and populate the cache.
-		writeLine(line)
+		out.line(line)
 	}
 }
 
@@ -631,15 +651,17 @@ type streamLine struct {
 	Result *solveResponse `json:"result,omitempty"`
 	// Error is the terminal "error" payload — the same body as a
 	// non-streaming error response, delivered in-band because the 200
-	// header is already on the wire.
+	// header went out with the first progress line.
 	Error *errorBody `json:"error,omitempty"`
 }
 
 // handleStream serves POST /v1/stream: the request schema of /v1/solve,
 // answered as an NDJSON stream of solver progress (incumbent
-// improvements, backend lifecycle) followed by one terminal line.
-// Request errors detected before solving starts use the normal JSON
-// error statuses; once streaming begins, failures arrive as a terminal
+// improvements, backend lifecycle) followed by one terminal line. The
+// 200 header goes out with the first line, so a failure before solving
+// starts — a bad request, a shed job, shutdown while queued — answers
+// with the normal JSON error status (and Retry-After), exactly as on
+// /v1/solve; once streaming begins, failures arrive as a terminal
 // "error" line on the 200 stream. A cache hit answers immediately and
 // streams no events (there is no solve to observe); otherwise the job
 // always runs its own solve — the events belong to this caller, so the
@@ -651,9 +673,9 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok || j.owner != nil && sv.forwardStream(w, r, j.owner, body) {
 		return
 	}
-	writeLine := startNDJSON(w)
+	out := &ndjson{w: w}
 	resp, he := sv.answer(r, j, func(ev coopt.ProgressEvent) {
-		writeLine(streamLine{
+		out.line(streamLine{
 			Event:      ev.Kind.String(),
 			Backend:    ev.Backend,
 			Time:       int64(ev.Time),
@@ -663,10 +685,10 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	if he != nil {
-		writeLine(streamLine{Event: "error", Error: he.body()})
+		out.fail(he, streamLine{Event: "error", Error: he.body()})
 		return
 	}
-	writeLine(streamLine{Event: "result", Result: resp})
+	out.line(streamLine{Event: "result", Result: resp})
 }
 
 // solverJSON is one GET /v1/solvers entry: a registered backend's name

@@ -18,8 +18,9 @@ import (
 func TestRequestPathPinned(t *testing.T) {
 	type want struct {
 		// status per way in: /v1/solve, /v1/stream, /v1/batch. A stream
-		// reports an error found after routing in band, on a 200, and a
-		// batch reports every job's error on its line.
+		// answers an error found before its first line (a shed job) with
+		// the error's status, as /v1/solve does, and a batch reports
+		// every job's error on its line.
 		status   [3]int
 		code     string // error code; "" for a result
 		node     string // "entry", "owner" or "" for an error
@@ -56,7 +57,7 @@ func TestRequestPathPinned(t *testing.T) {
 			owner := nodes[1].sv
 			owner.occupancy.Add(int64(owner.cfg.Workers + owner.cfg.MaxQueue))
 			return socJob(t, variantOwnedBy(t, nodes, nodes[1]), 16)
-		}, want{status: [3]int{429, 200, 200}, code: "overloaded", routed: 1}},
+		}, want{status: [3]int{429, 429, 200}, code: "overloaded", routed: 1}},
 	}
 	for wi, way := range []string{"/v1/solve", "/v1/stream", "/v1/batch"} {
 		for _, tc := range cases {

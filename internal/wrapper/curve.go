@@ -34,16 +34,16 @@ func NewCurve(c *soc.Core, maxWidth int) (*Curve, error) {
 		return nil, err
 	}
 	cv := &Curve{}
-	initCurve(cv, c, maxWidth, sortedChainsDesc(c), make([]int, maxWidth))
+	initCurve(cv, c, maxWidth, sortedChainsDesc(c), make([]int, 2*maxWidth))
 	return cv, nil
 }
 
 // initCurve fills cv for core c using chainsDesc (the core's scan chains
-// sorted decreasing) and loads (balancing scratch, len >= maxWidth) —
-// the allocation-shared kernel behind NewCurve and Curves.
-func initCurve(cv *Curve, c *soc.Core, maxWidth int, chainsDesc, loads []int) {
+// sorted decreasing) and scratch (balancing scratch, len >= 2·maxWidth)
+// — the allocation-shared kernel behind NewCurve and Curves.
+func initCurve(cv *Curve, c *soc.Core, maxWidth int, chainsDesc, scratch []int) {
 	cv.table = make([]soc.Cycles, maxWidth)
-	fillTable(c, chainsDesc, cv.table, loads)
+	fillTable(c, chainsDesc, cv.table, scratch)
 	n := 0
 	for w := 1; w <= maxWidth; w++ {
 		if w == 1 || cv.table[w-1] < cv.table[w-2] {
@@ -105,11 +105,11 @@ func Curves(s *soc.SOC, maxWidth int) (*CurveSet, error) {
 		curves: make([]Curve, len(s.Cores)),
 		tables: make([][]soc.Cycles, len(s.Cores)),
 	}
-	loads := make([]int, maxWidth)
+	scratch := make([]int, 2*maxWidth)
 	var chains []int
 	for i := range s.Cores {
 		chains = sortedChainsInto(&s.Cores[i], chains)
-		initCurve(&cs.curves[i], &s.Cores[i], maxWidth, chains, loads)
+		initCurve(&cs.curves[i], &s.Cores[i], maxWidth, chains, scratch)
 		cs.tables[i] = cs.curves[i].table
 	}
 	return cs, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soctam/internal/soc"
+	"soctam/internal/socdata"
 )
 
 // loadTestdataSOCs parses every benchmark description under the repo's
@@ -173,6 +174,34 @@ func BenchmarkWrapperCurve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Curves(socs, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWrapperCurvesSynth1000 measures the wrapper-curve
+// precomputation of the synthesized 1000-core SOC at W=64 (p93791's
+// spec scaled to 1000 cores as perfbench's familySpec scales it, seed
+// 1000): a thousand Design_wrapper staircases, the packers' input on
+// the large-SOC family.
+func BenchmarkWrapperCurvesSynth1000(b *testing.B) {
+	base := socdata.P93791Spec()
+	sp := base
+	const n = 1000
+	total := base.NumLogic + base.NumMemory
+	sp.Name = "synth1000"
+	sp.NumLogic = max(2, n*base.NumLogic/total)
+	sp.NumMemory = n - sp.NumLogic
+	sp.Complexity = base.Complexity * n / total
+	sp.Seed = n
+	s, err := socdata.Synthesize(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Curves(s, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,11 +81,11 @@ func DesignWrapper(c *soc.Core, width int) (*Design, error) {
 		return nil, err
 	}
 	chains := sortedChainsDesc(c)
-	loads := make([]int, width)
+	scratch := make([]int, 2*width)
 	bestK := 1
 	bestTime := soc.Cycles(-1)
 	for k := 1; k <= width; k++ {
-		si, so := pathsInto(c, chains, loads[:k])
+		si, so := pathsInto(c, chains, k, scratch)
 		t := TestTime(c.Patterns, si, so)
 		if bestTime < 0 || t < bestTime {
 			bestTime, bestK = t, k
@@ -105,10 +105,10 @@ func Time(c *soc.Core, width int) (soc.Cycles, error) {
 		return 0, err
 	}
 	chains := sortedChainsDesc(c)
-	loads := make([]int, width)
+	scratch := make([]int, 2*width)
 	best := soc.Cycles(-1)
 	for k := 1; k <= width; k++ {
-		si, so := pathsInto(c, chains, loads[:k])
+		si, so := pathsInto(c, chains, k, scratch)
 		if t := TestTime(c.Patterns, si, so); best < 0 || t < best {
 			best = t
 		}
@@ -127,17 +127,17 @@ func TimeTable(c *soc.Core, maxWidth int) ([]soc.Cycles, error) {
 		return nil, err
 	}
 	table := make([]soc.Cycles, maxWidth)
-	fillTable(c, sortedChainsDesc(c), table, make([]int, maxWidth))
+	fillTable(c, sortedChainsDesc(c), table, make([]int, 2*maxWidth))
 	return table, nil
 }
 
 // fillTable computes table[k-1] = T(k) for k = 1..len(table), reusing
-// loads (len >= len(table)) as the balancing scratch so the whole
+// scratch (len >= 2·len(table)) for the balancing so the whole
 // staircase costs two allocations instead of one per width.
-func fillTable(c *soc.Core, chainsDesc []int, table []soc.Cycles, loads []int) {
+func fillTable(c *soc.Core, chainsDesc []int, table []soc.Cycles, scratch []int) {
 	best := soc.Cycles(-1)
 	for k := 1; k <= len(table); k++ {
-		si, so := pathsInto(c, chainsDesc, loads[:k])
+		si, so := pathsInto(c, chainsDesc, k, scratch)
 		if t := TestTime(c.Patterns, si, so); best < 0 || t < best {
 			best = t
 		}
@@ -176,111 +176,116 @@ func sortedChainsInto(c *soc.Core, buf []int) []int {
 	return chains
 }
 
-// pathsForK balances the internal scan chains over exactly k wrapper
+// pathsInto balances the internal scan chains over exactly k wrapper
 // chains and water-fills the terminal cells, returning the resulting
-// longest scan-in and scan-out paths.
-func pathsForK(c *soc.Core, chainsDesc []int, k int) (si, so int) {
-	return pathsInto(c, chainsDesc, make([]int, k))
-}
-
-// pathsInto is pathsForK balancing onto the caller's loads buffer (its
-// length is the chain count k), so staircase construction can reuse one
+// longest scan-in and scan-out paths. scratch (len >= 2k) holds the
+// balancing's loads and heap, so staircase construction reuses one
 // buffer across every k.
-func pathsInto(c *soc.Core, chainsDesc []int, loads []int) (si, so int) {
-	balanceInto(chainsDesc, loads)
-	si = fillLevel(loads, c.InputCells())
-	so = fillLevel(loads, c.OutputCells())
-	return si, so
+func pathsInto(c *soc.Core, chainsDesc []int, k int, scratch []int) (si, so int) {
+	longest, total := balance(chainsDesc, scratch[:k], scratch[k:2*k], nil)
+	return waterLevel(longest, total, k, c.InputCells()), waterLevel(longest, total, k, c.OutputCells())
 }
 
-// balance places each internal scan chain (pre-sorted decreasing) on the
-// currently shortest of k wrapper chains and returns the per-chain scan
-// totals. This is the longest-processing-time balancing at the heart of
-// Design_wrapper: internal chains are atomic items, so the result is the
-// classic 4/3-approximation of the optimal balance.
-func balance(chainsDesc []int, k int) []int {
-	loads := make([]int, k)
-	balanceInto(chainsDesc, loads)
-	return loads
-}
-
-// balanceInto runs the longest-processing-time balancing into loads,
-// zeroing it first; len(loads) is the wrapper chain count k.
-func balanceInto(chainsDesc []int, loads []int) {
-	for j := range loads {
-		loads[j] = 0
-	}
+// balance places each internal scan chain (pre-sorted decreasing, every
+// length positive as Core.Validate requires) on the currently shortest
+// of the k = len(loads) wrapper chains, the lowest-numbered one on ties,
+// and leaves the per-chain scan totals in loads. This is the
+// longest-processing-time balancing at the heart of Design_wrapper:
+// internal chains are atomic items, so the result is the classic
+// 4/3-approximation of the optimal balance. It returns the longest load
+// and the loads' total; when picks is non-nil, picks[i] receives the
+// wrapper chain of chainsDesc[i].
+//
+// The first k chains each open an empty wrapper chain in order (a
+// positive load is never the shortest while an empty chain remains);
+// the rest go through heap (len >= k), a min-heap of wrapper chains on
+// (load, index) — the very chain the linear scan for the shortest
+// would pick, found in O(log k).
+func balance(chainsDesc, loads, heap, picks []int) (longest, total int) {
 	k := len(loads)
-	for _, l := range chainsDesc {
-		m := 0
-		for j := 1; j < k; j++ {
-			if loads[j] < loads[m] {
-				m = j
-			}
+	open := min(k, len(chainsDesc))
+	for j := 0; j < open; j++ {
+		loads[j] = chainsDesc[j]
+		total += chainsDesc[j]
+		if picks != nil {
+			picks[j] = j
 		}
+	}
+	clear(loads[open:])
+	if open > 0 {
+		longest = chainsDesc[0]
+	}
+	if open == len(chainsDesc) {
+		return longest, total
+	}
+	h := heap[:k]
+	for j := range h {
+		h[j] = j
+	}
+	for j := k/2 - 1; j >= 0; j-- {
+		siftDown(h, loads, j)
+	}
+	for i := k; i < len(chainsDesc); i++ {
+		l := chainsDesc[i]
+		m := h[0]
 		loads[m] += l
+		total += l
+		longest = max(longest, loads[m])
+		if picks != nil {
+			picks[i] = m
+		}
+		siftDown(h, loads, 0)
+	}
+	return longest, total
+}
+
+// siftDown restores the (load, index) min-heap order of h below slot i.
+func siftDown(h, loads []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && shorter(loads, h[r], h[c]) {
+			c = r
+		}
+		if !shorter(loads, h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
-// fillLevel returns the longest path after optimally distributing q unit
-// cells over wrapper chains with the given scan loads: the smallest
-// achievable max_j(load_j + cells_j) with sum(cells_j) = q. Cells are
-// poured into the shortest chains first (water-filling), which is exact
-// because cells are unit-size.
-func fillLevel(loads []int, q int) int {
-	maxLoad := 0
-	for _, l := range loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	if q == 0 {
-		return maxLoad
-	}
-	// Binary search the smallest level t whose spare capacity holds q.
-	lo, hi := 1, maxLoad+q
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if capacityAt(loads, mid) >= q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo < maxLoad {
-		return maxLoad
-	}
-	return lo
+// shorter orders wrapper chains a and b by (load, index).
+func shorter(loads []int, a, b int) bool {
+	return loads[a] < loads[b] || loads[a] == loads[b] && a < b
 }
 
-// capacityAt returns how many unit cells fit under level t.
-func capacityAt(loads []int, t int) int {
-	free := 0
-	for _, l := range loads {
-		if l < t {
-			free += t - l
-		}
-	}
-	return free
+// waterLevel returns the longest path after optimally distributing q
+// unit cells over k wrapper chains whose scan loads peak at longest and
+// sum to total: the smallest achievable max_j(load_j + cells_j) with
+// sum(cells_j) = q. Poured into the shortest chains first (water
+// filling, exact because cells are unit-size), the cells raise no path
+// above longest until every chain reaches it, and beyond that they
+// spread evenly, so the level is max(longest, ⌈(total+q)/k⌉).
+func waterLevel(longest, total, k, q int) int {
+	return max(longest, (total+q+k-1)/k)
 }
 
 // buildDesign reconstructs the full wrapper design for the chosen chain
 // count k, including the per-chain cell placement.
 func buildDesign(c *soc.Core, chainsDesc []int, k int) *Design {
 	d := &Design{Chains: make([]Chain, k)}
-	loads := make([]int, k)
-	for _, l := range chainsDesc {
-		m := 0
-		for j := 1; j < k; j++ {
-			if loads[j] < loads[m] {
-				m = j
-			}
-		}
-		loads[m] += l
-		d.Chains[m].ScanChains = append(d.Chains[m].ScanChains, l)
+	scratch := make([]int, 2*k+len(chainsDesc))
+	loads, picks := scratch[:k], scratch[2*k:]
+	longest, total := balance(chainsDesc, loads, scratch[k:2*k], picks)
+	for i, l := range chainsDesc {
+		d.Chains[picks[i]].ScanChains = append(d.Chains[picks[i]].ScanChains, l)
 	}
-	distribute(loads, c.InputCells(), func(j, n int) { d.Chains[j].InputCells = n })
-	distribute(loads, c.OutputCells(), func(j, n int) { d.Chains[j].OutputCells = n })
+	in, out := c.InputCells(), c.OutputCells()
+	distribute(loads, waterLevel(longest, total, k, in), in, func(j, n int) { d.Chains[j].InputCells = n })
+	distribute(loads, waterLevel(longest, total, k, out), out, func(j, n int) { d.Chains[j].OutputCells = n })
 	for i := range d.Chains {
 		if l := d.Chains[i].ScanInLength(); l > d.ScanIn {
 			d.ScanIn = l
@@ -293,13 +298,10 @@ func buildDesign(c *soc.Core, chainsDesc []int, k int) *Design {
 	return d
 }
 
-// distribute assigns q unit cells to chains by water-filling up to the
-// optimal level and reports each chain's share through set.
-func distribute(loads []int, q int, set func(chain, cells int)) {
-	if q == 0 {
-		return
-	}
-	level := fillLevel(loads, q)
+// distribute assigns q unit cells to chains by water-filling up to
+// level (waterLevel's optimum for these loads and q), lowest-numbered
+// chains first, and reports each chain's share through set.
+func distribute(loads []int, level, q int, set func(chain, cells int)) {
 	remaining := q
 	for j, l := range loads {
 		if remaining == 0 {

@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -330,7 +331,8 @@ func TestBalanceQuality(t *testing.T) {
 		k := 1 + r.Intn(10)
 		// balance expects descending order.
 		c := soc.Core{ScanChains: items}
-		loads := balance(sortedChainsDesc(&c), k)
+		loads := make([]int, k)
+		balance(sortedChainsDesc(&c), loads, make([]int, k), nil)
 		maxLoad, sum := 0, 0
 		for _, l := range loads {
 			sum += l
@@ -369,6 +371,13 @@ func TestFillLevel(t *testing.T) {
 	for _, tc := range cases {
 		if got := fillLevel(tc.loads, tc.q); got != tc.want {
 			t.Errorf("fillLevel(%v, %d) = %d, want %d", tc.loads, tc.q, got, tc.want)
+		}
+		total := 0
+		for _, l := range tc.loads {
+			total += l
+		}
+		if got := waterLevel(slices.Max(tc.loads), total, len(tc.loads), tc.q); got != tc.want {
+			t.Errorf("waterLevel over %v, q=%d = %d, want %d", tc.loads, tc.q, got, tc.want)
 		}
 	}
 }
