@@ -329,6 +329,7 @@ func BenchmarkDesignWrapperS38584(b *testing.B) {
 func BenchmarkTimeTableP93791(b *testing.B) {
 	s := socdata.P93791()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := range s.Cores {
 			if _, err := soctam.TimeTable(&s.Cores[c], 64); err != nil {

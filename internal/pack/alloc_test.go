@@ -8,11 +8,11 @@ import (
 )
 
 // TestSkylinePlacementZeroAlloc pins one full best-fit placement pass on
-// d695 — placement keys and their sort, skyline queries, waste
-// measurement, commits, the best-schedule fold — at zero allocations
-// per attempt once the arena is warm. This is the invariant the
-// packers' budget sweep relies on: only the arena construction and the
-// final clone may allocate.
+// d695 — placement keys and their sort, flat-run summaries and the
+// shortcuts, skyline queries, waste measurement, commits, the
+// best-schedule fold — at zero allocations per attempt once the arena
+// is warm. This is the invariant the packers' budget sweep relies on:
+// only the arena construction and the final clone may allocate.
 func TestSkylinePlacementZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	const width = 32

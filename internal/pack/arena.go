@@ -7,10 +7,14 @@ import (
 )
 
 // This file holds the packers' per-solve arena: every buffer one
-// packWith run reuses across its budget sweep, plus the two incremental
+// packWith run reuses across its budget sweep, plus the incremental
 // structures the placement loop queries instead of rescanning — a
 // skyline over the per-wire free times (range-max sparse table + prefix
-// sums, rebuilt per committed rectangle) and a segmented power timeline
+// sums; a commit refreshes only the entries whose range meets its own
+// wire band), the skyline's flat-run summary (per width, the lowest run
+// of equal free times at least that wide, refreshed in O(W) per
+// placement without a ceiling, from which both packers' shortcuts
+// answer most placements with no scan) and a segmented power timeline
 // (piecewise-constant level per segment with its own range-max table)
 // replacing the O(events) window rescan of the old windowPeak.
 //
@@ -34,6 +38,14 @@ type packArena struct {
 	rmq   [][]soc.Cycles
 	logT  []int
 
+	// Flat-run summary (flatRuns): for w in 1..maxRun, runH[w] is the
+	// lowest maximal run of equal avail at least w wires wide and
+	// runAt[w] the first wire of the first such run at that height;
+	// maxRun is the widest run, and no run is wider.
+	runH   []soc.Cycles
+	runAt  []int
+	maxRun int
+
 	tl powerTimeline
 
 	cur      Schedule // schedule under construction (buffers reused)
@@ -50,6 +62,8 @@ func newPackArena(totalWidth, numCores int) *packArena {
 		avail:      make([]soc.Cycles, totalWidth),
 		pref:       make([]int64, totalWidth+1),
 		logT:       make([]int, totalWidth+1),
+		runH:       make([]soc.Cycles, totalWidth+1),
+		runAt:      make([]int, totalWidth+1),
 	}
 	for x := 2; x <= totalWidth; x++ {
 		a.logT[x] = a.logT[x/2] + 1
@@ -72,33 +86,65 @@ func (a *packArena) beginAttempt(ceiling int) {
 	for x := range a.avail {
 		a.avail[x] = 0
 	}
-	a.rebuildSkyline()
+	a.updateSkyline(0, a.totalWidth)
 	a.tl.reset()
 	a.cur.Rects = a.cur.Rects[:0]
 	a.cur.Makespan = 0
 }
 
-// rebuildSkyline refreshes the prefix sums and the sparse range-max
-// table from avail — called once per committed rectangle, so placement
-// candidates (many per commit) query in O(1).
-func (a *packArena) rebuildSkyline() {
-	var sum int64
-	for x, v := range a.avail {
-		a.pref[x] = sum
-		sum += int64(v)
-		a.rmq[0][x] = v
+// updateSkyline refreshes the prefix sums and the sparse range-max
+// table, through which placement candidates query in O(1), after avail
+// changed on wires [lo, hi): only the entries whose range meets that
+// band — pref[lo+1..W], and rmq[k][x] for x in (lo-2^k, hi). So a
+// commit costs O(W + Σ_k (hi-lo+2^k)); the whole bin, once per
+// attempt, is the O(W·log W) rebuild.
+func (a *packArena) updateSkyline(lo, hi int) {
+	sum := a.pref[lo]
+	for x := lo; x < a.totalWidth; x++ {
+		sum += int64(a.avail[x])
+		a.pref[x+1] = sum
 	}
-	a.pref[a.totalWidth] = sum
+	copy(a.rmq[0][lo:hi], a.avail[lo:hi])
 	for k := 1; k < len(a.rmq); k++ {
 		half := 1 << (k - 1)
 		row, prev := a.rmq[k], a.rmq[k-1]
-		for x := 0; x+(1<<k) <= a.totalWidth; x++ {
-			row[x] = prev[x]
-			if v := prev[x+half]; v > row[x] {
-				row[x] = v
-			}
+		for x := max(0, lo-(1<<k)+1); x < hi && x+(1<<k) <= a.totalWidth; x++ {
+			row[x] = max(prev[x], prev[x+half])
 		}
 	}
+}
+
+// flatRuns summarizes the skyline's maximal flat runs — maximal wire
+// bands of equal avail — for every width, in one left-to-right pass: a
+// run of n wires at height h is the first run wide enough for every
+// width above the widest run so far, and beats the recorded run of a
+// width m <= n only when it is lower (an equal-height run further right
+// never does). Those recorded heights never decrease with m, so the
+// comparison walks m down from n and stops at the first width the run
+// does not beat: O(W) in all. A window of w wires strands no idle area
+// under a rectangle exactly when it lies inside one flat run, so runH[w]
+// is the earliest zero-waste start for a w-wires rectangle and runAt[w]
+// its first wire.
+func (a *packArena) flatRuns() {
+	w := a.totalWidth
+	avail, runH, runAt := a.avail[:w], a.runH[:w+1], a.runAt[:w+1]
+	maxRun := 0
+	for at := 0; at < w; {
+		h, end := avail[at], at+1
+		for end < w && avail[end] == h {
+			end++
+		}
+		n := end - at
+		for ; n > maxRun; n-- {
+			runH[n], runAt[n] = h, at
+		}
+		for ; n >= 1 && h < runH[n]; n-- {
+			runH[n], runAt[n] = h, at
+		}
+		maxRun = max(maxRun, end-at)
+		at = end
+	}
+	a.maxRun = maxRun
 }
 
 // maxAvail returns max(avail[at..at+w)) — the earliest start the
@@ -138,7 +184,7 @@ func (a *packArena) commit(r Rect) {
 	for x := r.Wire; x < r.Wire+r.Width; x++ {
 		a.avail[x] = r.End
 	}
-	a.rebuildSkyline()
+	a.updateSkyline(r.Wire, r.Wire+r.Width)
 	if r.End > a.cur.Makespan {
 		a.cur.Makespan = r.End
 	}

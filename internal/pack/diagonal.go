@@ -51,8 +51,15 @@ func PackDiagonalContext(ctx context.Context, s *soc.SOC, totalWidth int, opt Op
 // placement wasting the least idle area under it (best fit) among all
 // Pareto shapes and wire positions that finish within the budget —
 // ties go to the earlier start, then to the larger rectangle diagonal,
-// then to the lower wire. When no shape meets the budget the earliest
-// finish over all shapes is taken, with the same tie chain.
+// then to the narrower shape and the lower wire. When no shape meets
+// the budget the earliest finish over all shapes is taken, with the
+// same tie chain.
+//
+// Each placement first asks diagonalShortcut, which answers from the
+// skyline's flat runs whenever some shape fits within the budget on a
+// flat run: no placement wastes less than zero, so the rule's winner is
+// the lowest such run, with the same tie chain. Otherwise, and always
+// under a ceiling, diagonalScan scores every shape at every wire.
 //
 // The skyline and power-timeline machinery is shared with packOnce:
 // under a ceiling every candidate start is pushed to the earliest
@@ -66,35 +73,77 @@ func packOnceDiagonal(a *packArena, shapes []coreShape, budget soc.Cycles, ceili
 	a.sortKeys(byDiagonal)
 	for i := range a.keys {
 		sh := &shapes[a.keys[i].core]
-		var fit, fallback Rect
-		fitWaste, fallbackWaste := int64(-1), int64(-1)
-		var fitDiag, fallbackDiag float64
-		for c := 0; c < len(sh.widths); c++ {
-			w, t := sh.widths[c], sh.times[c]
-			d := diagonal(w, t)
-			for at := 0; at+w <= a.totalWidth; at++ {
-				start, waste, end := a.measure(sh.power, at, w, t)
-				r := Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
-				if end <= budget && betterDiagonal(waste, start, d, fitWaste, fit.Start, fitDiag) {
-					fit, fitWaste, fitDiag = r, waste, d
-				}
-				// Fallback ranks by finish first: when the budget is
-				// unattainable the packer degrades to earliest-completion,
-				// with waste and diagonal as the tie chain.
-				if fallbackWaste < 0 || end < fallback.End ||
-					(end == fallback.End && betterDiagonal(waste, start, d, fallbackWaste, fallback.Start, fallbackDiag)) {
-					fallback, fallbackWaste, fallbackDiag = r, waste, d
-				}
-			}
+		r, ok := a.diagonalShortcut(sh, budget)
+		if !ok {
+			r = a.diagonalScan(sh, budget)
 		}
-		bestRect := fit
-		if fitWaste < 0 {
-			bestRect = fallback
-		}
-		bestRect.Power = sh.power
-		a.commit(bestRect)
+		r.Power = sh.power
+		a.commit(r)
 	}
 	return a.consider()
+}
+
+// diagonalShortcut answers packOnceDiagonal's placement of sh without a
+// scan when some Pareto shape, started on a flat run of the skyline,
+// finishes within the budget (no ceiling only). Such a placement wastes
+// nothing, so the rule's winner is among them: the shape whose lowest
+// wide-enough run is lowest, then the larger diagonal, then the
+// narrower shape, on the first wire of that run. It declines when no
+// shape fits on a flat run, and the scan's fit then strands idle area.
+func (a *packArena) diagonalShortcut(sh *coreShape, budget soc.Cycles) (Rect, bool) {
+	if a.ceiling > 0 {
+		return Rect{}, false
+	}
+	a.flatRuns()
+	best, bestH, bestDiag := -1, soc.Cycles(0), 0.0
+	for c, w := range sh.widths {
+		if w > a.maxRun {
+			break // widths increase: no wider shape has a run either
+		}
+		h, t := a.runH[w], sh.times[c]
+		if h+t > budget || (best >= 0 && h > bestH) {
+			continue
+		}
+		if d := diagonal(w, t); best < 0 || h < bestH || d > bestDiag {
+			best, bestH, bestDiag = c, h, d
+		}
+	}
+	if best < 0 {
+		return Rect{}, false
+	}
+	w := sh.widths[best]
+	return Rect{Core: sh.core, Wire: a.runAt[w], Width: w, Start: bestH, End: bestH + sh.times[best]}, true
+}
+
+// diagonalScan is packOnceDiagonal's placement scan: it scores every
+// Pareto shape of sh at every wire and returns the best in-budget fit,
+// or the earliest finish when no shape meets the budget.
+func (a *packArena) diagonalScan(sh *coreShape, budget soc.Cycles) Rect {
+	var fit, fallback Rect
+	fitWaste, fallbackWaste := int64(-1), int64(-1)
+	var fitDiag, fallbackDiag float64
+	for c := 0; c < len(sh.widths); c++ {
+		w, t := sh.widths[c], sh.times[c]
+		d := diagonal(w, t)
+		for at := 0; at+w <= a.totalWidth; at++ {
+			start, waste, end := a.measure(sh.power, at, w, t)
+			r := Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
+			if end <= budget && betterDiagonal(waste, start, d, fitWaste, fit.Start, fitDiag) {
+				fit, fitWaste, fitDiag = r, waste, d
+			}
+			// Fallback ranks by finish first: when the budget is
+			// unattainable the packer degrades to earliest-completion,
+			// with waste and diagonal as the tie chain.
+			if fallbackWaste < 0 || end < fallback.End ||
+				(end == fallback.End && betterDiagonal(waste, start, d, fallbackWaste, fallback.Start, fallbackDiag)) {
+				fallback, fallbackWaste, fallbackDiag = r, waste, d
+			}
+		}
+	}
+	if fitWaste < 0 {
+		return fallback
+	}
+	return fit
 }
 
 // betterDiagonal reports whether a candidate placement (waste, start,

@@ -508,9 +508,17 @@ func (a *packArena) sortKeys(ord order) {
 // with a skyline of per-wire free times, by budgeted best fit: every
 // Pareto shape at every position is considered, and the narrowest shape
 // that still finishes within the budget wins (earliest start, then least
-// idle area under the rectangle, on ties) — a core that must start late
-// compensates by going wider, which is the point of packing. When no
-// shape meets the budget the earliest finish over all shapes is taken.
+// idle area under the rectangle, then the lower wire, on ties) — a core
+// that must start late compensates by going wider, which is the point
+// of packing. When no shape meets the budget the earliest finish over
+// all shapes is taken.
+//
+// Each placement first asks bestFitShortcut, which answers from the
+// skyline's flat runs whenever the narrowest shape that can meet the
+// budget from the skyline's floor has a floor run wide enough: nothing
+// starts earlier or wastes less, so that is the scan's pick. Otherwise,
+// and always under a ceiling, bestFitScan measures every shape at every
+// wire.
 //
 // Under a power ceiling (> 0) every candidate start is pushed to the
 // earliest instant at which the already-placed rectangles leave enough
@@ -527,39 +535,74 @@ func packOnce(a *packArena, shapes []coreShape, budget soc.Cycles, ord order, ce
 	a.sortKeys(ord)
 	for i := range a.keys {
 		sh := &shapes[a.keys[i].core]
-		var fit Rect // narrowest in-budget placement
-		fitWaste := int64(-1)
-		var fallback Rect // earliest finish over all placements
-		fallbackWaste := int64(-1)
-		for c := 0; c < len(sh.widths); c++ {
-			w, t := sh.widths[c], sh.times[c]
-			if fitWaste >= 0 && w > fit.Width {
-				break // a narrower shape already meets the budget
-			}
-			for at := 0; at+w <= a.totalWidth; at++ {
-				start, waste, end := a.measure(sh.power, at, w, t)
-				if end <= budget {
-					if fitWaste < 0 || start < fit.Start ||
-						(start == fit.Start && waste < fitWaste) {
-						fit = Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
-						fitWaste = waste
-					}
-				}
-				if fallbackWaste < 0 || end < fallback.End ||
-					(end == fallback.End && waste < fallbackWaste) {
-					fallback = Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
-					fallbackWaste = waste
-				}
-			}
+		r, ok := a.bestFitShortcut(sh, budget)
+		if !ok {
+			r = a.bestFitScan(sh, budget)
 		}
-		bestRect := fit
-		if fitWaste < 0 {
-			bestRect = fallback
-		}
-		bestRect.Power = sh.power
-		a.commit(bestRect)
+		r.Power = sh.power
+		a.commit(r)
 	}
 	return a.consider()
+}
+
+// bestFitShortcut answers packOnce's placement of sh without a scan
+// when it can (no ceiling only): the narrowest shape whose test, started
+// on the skyline's floor, finishes within the budget, placed on the
+// first floor run at least that wide. Narrower shapes cannot finish in
+// time anywhere, and no position of this one starts earlier or strands
+// less idle area, so the scan would pick exactly this rectangle. It
+// declines when no such shape or no such run exists.
+func (a *packArena) bestFitShortcut(sh *coreShape, budget soc.Cycles) (Rect, bool) {
+	if a.ceiling > 0 {
+		return Rect{}, false
+	}
+	a.flatRuns()
+	floor := a.runH[1]
+	for c, w := range sh.widths {
+		if t := sh.times[c]; floor+t <= budget {
+			if w > a.maxRun || a.runH[w] != floor {
+				return Rect{}, false
+			}
+			return Rect{Core: sh.core, Wire: a.runAt[w], Width: w, Start: floor, End: floor + t}, true
+		}
+	}
+	return Rect{}, false
+}
+
+// bestFitScan is packOnce's placement scan: it measures every Pareto
+// shape of sh at every wire, up to the narrowest shape that meets the
+// budget somewhere, and returns the budgeted best fit, or the earliest
+// finish when no shape meets the budget.
+func (a *packArena) bestFitScan(sh *coreShape, budget soc.Cycles) Rect {
+	var fit Rect // narrowest in-budget placement
+	fitWaste := int64(-1)
+	var fallback Rect // earliest finish over all placements
+	fallbackWaste := int64(-1)
+	for c := 0; c < len(sh.widths); c++ {
+		w, t := sh.widths[c], sh.times[c]
+		if fitWaste >= 0 && w > fit.Width {
+			break // a narrower shape already meets the budget
+		}
+		for at := 0; at+w <= a.totalWidth; at++ {
+			start, waste, end := a.measure(sh.power, at, w, t)
+			if end <= budget {
+				if fitWaste < 0 || start < fit.Start ||
+					(start == fit.Start && waste < fitWaste) {
+					fit = Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
+					fitWaste = waste
+				}
+			}
+			if fallbackWaste < 0 || end < fallback.End ||
+				(end == fallback.End && waste < fallbackWaste) {
+				fallback = Rect{Core: sh.core, Wire: at, Width: w, Start: start, End: end}
+				fallbackWaste = waste
+			}
+		}
+	}
+	if fitWaste < 0 {
+		return fallback
+	}
+	return fit
 }
 
 // Gantt renders the packing as an ASCII wire-band chart — one row per

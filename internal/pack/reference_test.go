@@ -14,7 +14,31 @@ import (
 // oracles: a stable insertion sort over core indices whose comparator
 // re-derives each core's preferred shape at every comparison. The
 // per-budget placement keys, sorted by the order's ranking and then by
-// core index, must reproduce their sequences exactly.
+// core index, must reproduce their sequences exactly. It also keeps the
+// former per-commit skyline rebuild, the oracle of the band update.
+
+// rebuildSkyline recomputes the arena's prefix sums and sparse
+// range-max table from avail from scratch, in O(W·log W): what every
+// commit did before updateSkyline refreshed only its own band.
+func (a *packArena) rebuildSkyline() {
+	var sum int64
+	for x, v := range a.avail {
+		a.pref[x] = sum
+		sum += int64(v)
+		a.rmq[0][x] = v
+	}
+	a.pref[a.totalWidth] = sum
+	for k := 1; k < len(a.rmq); k++ {
+		half := 1 << (k - 1)
+		row, prev := a.rmq[k], a.rmq[k-1]
+		for x := 0; x+(1<<k) <= a.totalWidth; x++ {
+			row[x] = prev[x]
+			if v := prev[x+half]; v > row[x] {
+				row[x] = v
+			}
+		}
+	}
+}
 
 // lessSeq is the former Pack placement-order comparator over core
 // indices x and y at one budget.
