@@ -253,8 +253,12 @@ func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, verbo
 	fmt.Printf("core assignment:  %s\n", res.Assignment.Vector())
 	fmt.Printf("testing time:     %d cycles\n", res.Time)
 	fmt.Printf("heuristic time:   %d cycles (before final optimization)\n", res.HeuristicTime)
-	fmt.Printf("proven optimal:   %v (for the chosen partition)\n", res.AssignmentOptimal)
-	printAnytime(res)
+	exact := "not proven optimal"
+	if res.AssignmentOptimal {
+		exact = "proven optimal"
+	}
+	fmt.Printf("assignment:       %s for the chosen partition\n", exact)
+	printGrade(res)
 	statsNote := ""
 	if parallelStats {
 		// The completed/pruned split depends on parallel evaluation
@@ -313,14 +317,9 @@ func printPacking(s *soctam.SOC, res soctam.Result, verbose, gantt bool) error {
 	fmt.Printf("strategy:         %s\n", res.Strategy)
 	fmt.Printf("total TAM width:  %d\n", res.TotalWidth)
 	fmt.Printf("testing time:     %d cycles\n", res.Time)
-	if sch.Bound > 0 {
-		fmt.Printf("packing bound:    %d cycles (makespan is %.1f%% above it)\n",
-			sch.Bound, 100*(float64(res.Time)/float64(sch.Bound)-1))
-	} else {
-		fmt.Printf("packing bound:    0 cycles\n")
-	}
+	fmt.Printf("lower bound:      %d cycles\n", sch.Bound)
 	fmt.Printf("wire-cycles:      %.1f%% busy\n", 100*sch.BusyFraction())
-	printAnytime(res)
+	printGrade(res)
 	printPower(res)
 	fmt.Printf("elapsed:          %s\n", res.Elapsed)
 	fmt.Println("\nrectangle schedule (wires × cycles, half-open ranges):")
@@ -349,12 +348,14 @@ func printPacking(s *soctam.SOC, res soctam.Result, verbose, gantt bool) error {
 	return nil
 }
 
-// printAnytime reports a deadline-bounded result: the returned
-// architecture is the best incumbent at the cutoff, bounded by its
-// optimality gap against the architecture-independent lower bound.
-func printAnytime(res soctam.Result) {
+// printGrade reports how the answer stands against the lower bound:
+// its optimality gap, whether it is proven optimal, and whether the
+// deadline cut the run short, leaving the best incumbent at the cutoff.
+func printGrade(res soctam.Result) {
+	fmt.Printf("gap:              %.2f%% above the lower bound\n", 100*res.Gap)
+	fmt.Printf("proven optimal:   %v\n", res.Proven)
 	if res.Truncated {
-		fmt.Printf("deadline:         expired; best incumbent shown (at most %.1f%% above the lower bound)\n", 100*res.Gap)
+		fmt.Printf("deadline:         expired; best incumbent shown\n")
 	}
 }
 

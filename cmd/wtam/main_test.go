@@ -82,6 +82,45 @@ func TestTracePrintsSpanTree(t *testing.T) {
 	}
 }
 
+// TestPrintsGapAndProven runs a fixed-TAM and a packing strategy and
+// requires both reports to carry the gap and the proof bit. Under the
+// ceiling the ILP engine drops partitions for power, so its answer is
+// not proven optimal although its assignment is.
+func TestPrintsGapAndProven(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-benchmark", "d695", "-width", "32", "-strategy", "ilp", "-max-power", "1800"},
+			[]string{"testing time:     41291 cycles", "assignment:       proven optimal for the chosen partition",
+				"gap:              99.40% above the lower bound", "proven optimal:   false"}},
+		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "packing"},
+			[]string{"lower bound:", "gap:", "proven optimal:"}},
+	} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := os.Stdout
+		os.Stdout = w
+		runErr := run(tc.args)
+		os.Stdout = orig
+		w.Close()
+		var sb strings.Builder
+		if _, err := io.Copy(&sb, r); err != nil {
+			t.Fatal(err)
+		}
+		if runErr != nil {
+			t.Fatalf("run(%v): %v", tc.args, runErr)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("run(%v) output missing %q:\n%s", tc.args, want, sb.String())
+			}
+		}
+	}
+}
+
 // TestStrategyFlagCompatibility checks the per-strategy flag rejection:
 // partition-only flags fail fast with the packers and the portfolio,
 // and -tams fixes B only for the partition and exhaustive strategies.

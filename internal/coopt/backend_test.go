@@ -186,7 +186,10 @@ func TestPortfolioDeterministicCancellationAttribution(t *testing.T) {
 	registerBlockerForTest(t)
 	const width = 4
 	s := lbTightSOC(width)
-	lb := lowerBoundFromTables(mustTables(t, s, width), width)
+	lb, err := LowerBound(s, width)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, subset := range []string{"partition,blocker", "packing,blocker", "partition,packing,diagonal,blocker"} {
 		res, err := Solve(s, width, Options{Strategy: StrategyPortfolio, Portfolio: subset})

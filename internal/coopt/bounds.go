@@ -1,75 +1,23 @@
 package coopt
 
 import (
+	"soctam/internal/pack"
 	"soctam/internal/soc"
 )
 
-// LowerBound returns an architecture-independent lower bound on the SOC
-// testing time for a total TAM width W: no TAM count, width partition,
-// assignment or wrapper design can beat it. It is the maximum of two
-// classical bounds:
-//
-//   - the bottleneck-core bound max_i T_i(W): a core cannot finish faster
-//     than on a TAM owning all W wires (this is the bound the paper
-//     invokes for p31108, whose "Core 18" pins the SOC testing time once
-//     its staircase bottoms out);
-//   - the test-data-volume bound ceil(Σ_i min_w w·T_i(w) / W): TAM wires
-//     deliver at most W bits per cycle in aggregate, and w·T_i(w) is the
-//     wire-cycle cost of core i on a width-w TAM, so every schedule
-//     spends at least Σ_i min_w w·T_i(w) wire-cycles.
-//
-// When the SOC carries a peak-power ceiling a third bound applies: the
-// test-energy bound ceil(Σ_i P_i·T_i(W) / MaxPower) — a core's test
-// consumes at least P_i times its fastest testing time in power-cycles,
-// and the ceiling caps delivery at MaxPower power-cycles per cycle.
-// The energy term assumes the SOC's own MaxPower is the ceiling in
-// force: a run whose Options.MaxPower overrides it with a looser value
-// is bounded only by the two power-free terms.
+// LowerBound returns the architecture-independent lower bound on the
+// SOC testing time for a total TAM width W under the SOC's own power
+// ceiling: no TAM count, width partition, assignment or wrapper design
+// can beat it. It is pack.LowerBound, the one bound every backend's
+// Result.Gap and Proven are graded against; a run whose
+// Options.MaxPower overrides the SOC's ceiling is graded against the
+// bound under that override.
 func LowerBound(s *soc.SOC, width int) (soc.Cycles, error) {
 	tables, err := TimeTables(s, width)
 	if err != nil {
 		return 0, err
 	}
-	return lowerBoundWithCeiling(tables, s, width, s.MaxPower), nil
-}
-
-// lowerBoundWithCeiling combines the power-free bounds with the
-// test-energy bound under an explicit peak-power ceiling (0 = none). It
-// is shared by LowerBound (the SOC's own ceiling) and the portfolio
-// racer's cancellation bound (the race's effective ceiling).
-func lowerBoundWithCeiling(tables [][]soc.Cycles, s *soc.SOC, width, ceiling int) soc.Cycles {
-	lb := lowerBoundFromTables(tables, width)
-	if ceiling > 0 {
-		var energy int64
-		for i, table := range tables {
-			energy += int64(s.Cores[i].Power) * int64(table[width-1])
-		}
-		if pb := soc.Cycles((energy + int64(ceiling) - 1) / int64(ceiling)); pb > lb {
-			lb = pb
-		}
-	}
-	return lb
-}
-
-// lowerBoundPC is lowerBoundWithCeiling with the energy term drawn
-// from an already-built powerContext instead of the SOC — the form the
-// result-assembly paths (finishResult, the exhaustive baseline) need,
-// where the tables and power context are in scope but the SOC is not.
-// For the same SOC, width and effective ceiling it returns exactly
-// lowerBoundWithCeiling's value: pc snapshots the same core powers and
-// the same resolved ceiling.
-func lowerBoundPC(tables [][]soc.Cycles, pc *powerContext, width int) soc.Cycles {
-	lb := lowerBoundFromTables(tables, width)
-	if pc.constrained() {
-		var energy int64
-		for i, table := range tables {
-			energy += int64(pc.powers[i]) * int64(table[width-1])
-		}
-		if pb := soc.Cycles((energy + int64(pc.ceiling) - 1) / int64(pc.ceiling)); pb > lb {
-			lb = pb
-		}
-	}
-	return lb
+	return pack.LowerBound(s, tables, width, s.PowerCeiling(0)), nil
 }
 
 // gapOf is the relative optimality gap Result.Gap reports: how far a
@@ -87,25 +35,14 @@ func gapOf(t, lb soc.Cycles) float64 {
 	return float64(t-lb) / float64(lb)
 }
 
-func lowerBoundFromTables(tables [][]soc.Cycles, width int) soc.Cycles {
-	var bottleneck soc.Cycles
-	var volume int64
-	for _, table := range tables {
-		if t := table[width-1]; t > bottleneck {
-			bottleneck = t
-		}
-		best := int64(-1)
-		for w := 1; w <= width; w++ {
-			cost := int64(w) * int64(table[w-1])
-			if best < 0 || cost < best {
-				best = cost
-			}
-		}
-		volume += best
-	}
-	volumeBound := soc.Cycles((volume + int64(width) - 1) / int64(width))
-	if volumeBound > bottleneck {
-		return volumeBound
-	}
-	return bottleneck
+// grade sets the result's Gap against the lower bound lb and its
+// Proven claim. Attaining the bound proves the answer. So does an exact
+// engine's scan (exact: every partition's exact solve proven) that ran
+// to completion and dropped no partition for power: a dropped
+// partition's time-optimal assignment would have beaten the incumbent
+// but breached the ceiling, and a slower assignment of it that meets
+// the ceiling may still beat the answer.
+func (r *Result) grade(lb soc.Cycles, exact bool) {
+	r.Gap = gapOf(r.Time, lb)
+	r.Proven = r.Gap == 0 || exact && !r.Truncated && r.Stats.PowerInfeasible == 0
 }

@@ -235,22 +235,6 @@ func (o Options) tables(s *soc.SOC, width int) ([][]soc.Cycles, error) {
 	return TimeTables(s, width)
 }
 
-// effectiveCeiling resolves the peak-power ceiling a run enforces:
-// Options.MaxPower wins when positive, else the SOC's own MaxPower,
-// else 0 (unconstrained). Every ceiling consumer — the power context,
-// the portfolio cancellation bound — must use this single resolution so
-// they cannot disagree.
-func (o Options) effectiveCeiling(s *soc.SOC) int {
-	ceiling := o.MaxPower
-	if ceiling <= 0 {
-		ceiling = s.MaxPower
-	}
-	if ceiling < 0 {
-		ceiling = 0
-	}
-	return ceiling
-}
-
 // Normalized returns the options with every defaulted field resolved
 // to its effective value and the result-neutral knobs cleared — the
 // canonical form a result cache should key on. Two Options with equal
@@ -379,7 +363,7 @@ type Result struct {
 	PeakPower int
 	// Gap is the relative optimality gap of Time against the
 	// architecture-independent lower bound for this SOC, width and
-	// effective power ceiling (see LowerBound): (Time - bound) / bound,
+	// effective power ceiling (pack.LowerBound): (Time - bound) / bound,
 	// 0 when Time attains the bound. Every result carries it, truncated
 	// or not — the bound is deterministic, so no-deadline results are
 	// unchanged by the annotation.
@@ -391,9 +375,12 @@ type Result struct {
 	Truncated bool
 	// Proven reports that Time is the proven-optimal SOC testing time
 	// for this width: it attains the architecture-independent lower
-	// bound (Gap == 0), or the exhaustive baseline ran to completion
-	// with every exact solve proven. The serving layer's escalation
-	// worker upgrades cached non-proven entries toward Proven ones.
+	// bound (Gap == 0), or an exact engine's scan ran to completion with
+	// every exact solve proven and, under a power ceiling, no partition
+	// dropped for power (Stats.PowerInfeasible == 0) — a dropped
+	// partition may hold a slower assignment that meets the ceiling and
+	// beats Time. The serving layer's escalation worker upgrades cached
+	// non-proven entries toward Proven ones.
 	Proven bool
 	// Stats aggregates partition-evaluation counters.
 	Stats Stats
@@ -472,12 +459,17 @@ func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc
 	return a, true
 }
 
-// finishResult replays the heuristic on the winning partition (for the
-// assignment witness) and runs the exact final step, assembling Result.
-// A truncated run skips the exact final step — the deadline has already
-// passed, and the step can add unbounded branch-and-bound time — and
-// reports the heuristic incumbent as is.
-func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc.Cycles, bestPart []int, stats Stats, width int, started time.Time, truncated bool) (Result, error) {
+// finishResult replays the heuristic on the partition engine's winning
+// partition (for the assignment witness) and runs the exact final step,
+// assembling Result. A truncated run skips the exact final step — the
+// deadline has already passed, and the step can add unbounded
+// branch-and-bound time — and reports the heuristic incumbent as is.
+func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result, error) {
+	tables, pc, bestPart := sc.tables, sc.pc, sc.bestPart
+	best, _ := sc.incumbent()
+	truncated := sc.truncated.Load()
+	stats := sc.stats()
+	stats.Improved = sc.improved
 	if bestPart == nil {
 		return Result{}, fmt.Errorf("coopt: no feasible partition found for width %d", width)
 	}
@@ -516,8 +508,7 @@ func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc
 		}
 	}
 	res.PeakPower = pc.peak(tables, bestPart, res.Assignment.TAMOf, nil)
-	res.Gap = gapOf(res.Time, lowerBoundPC(tables, pc, width))
-	res.Proven = res.Gap == 0
+	res.grade(sc.lb, false)
 	res.Elapsed = time.Since(started)
 	return res, nil
 }
@@ -630,10 +621,7 @@ func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 	if err := sc.sweep(width, lo, hi, score); err != nil {
 		return Result{}, err
 	}
-	best, _ := sc.incumbent()
-	stats := sc.stats()
-	stats.Improved = sc.improved
-	return finishResult(sc.tables, opt, sc.pc, best, sc.bestPart, stats, width, started, sc.truncated.Load())
+	return sc.finishResult(opt, width, started)
 }
 
 // solveExhaustive is the exhaustive engine (StrategyExhaustive): the [8]

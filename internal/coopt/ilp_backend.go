@@ -35,8 +35,8 @@ func init() {
 // as a branch-and-bound instead of an enumeration. Three prunes make it
 // cheap without costing exactness:
 //
-//  1. the architecture-independent lower bound of bounds.go, shared by
-//     every partition — once an incumbent attains it the search stops;
+//  1. the architecture-independent lower bound (pack.LowerBound), shared
+//     by every partition — once an incumbent attains it the search stops;
 //  2. per-partition combinatorial bounds from the testing-time tables
 //     (bottleneck core and average load at the partition's widest TAM);
 //  3. the LP relaxation of the Section 3.2 assignment model
@@ -71,9 +71,9 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 	}
 	tables := sc.tables
 	orders := assign.NewOrders(tables)
-	// globalLB is the architecture-independent lower bound: the floor
-	// every partition bound starts from, and the early-stop target.
-	globalLB := lowerBoundPC(tables, sc.pc, width)
+	// globalLB is the solve's architecture-independent lower bound: the
+	// floor every partition bound starts from, and the early-stop target.
+	globalLB := sc.lb
 	// atBound reports whether the incumbent has reached the global lower
 	// bound: no partition anywhere can strictly improve on it, so the
 	// search may stop with a completed proof.

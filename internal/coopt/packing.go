@@ -25,14 +25,11 @@ func packEngine(strategy Strategy, packer func(context.Context, *soc.SOC, int, p
 	}
 }
 
-// packingResult wraps a packed schedule as a Result. The gap is
-// measured against the schedule's own packing bound — value-identical
-// to the partition flow's architecture-independent bound (area vs
-// bottleneck vs energy over the same tables and ceiling), so gaps are
-// comparable across backends.
+// packingResult wraps a packed schedule as a Result, graded against the
+// schedule's Bound — the one lower bound every backend reads, so gaps
+// compare across backends.
 func packingResult(strategy Strategy, sch *pack.Schedule, width int, started time.Time) Result {
-	gap := gapOf(sch.Makespan, sch.Bound)
-	return Result{
+	res := Result{
 		TotalWidth:    width,
 		Strategy:      strategy,
 		Packing:       sch,
@@ -40,9 +37,9 @@ func packingResult(strategy Strategy, sch *pack.Schedule, width int, started tim
 		Time:          sch.Makespan,
 		MaxPower:      sch.MaxPower,
 		PeakPower:     sch.PeakPower(),
-		Gap:           gap,
 		Truncated:     sch.Truncated,
-		Proven:        gap == 0,
-		Elapsed:       time.Since(started),
 	}
+	res.grade(sch.Bound, false)
+	res.Elapsed = time.Since(started)
+	return res
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soctam/internal/pack"
 	"soctam/internal/soc"
 )
 
@@ -105,13 +106,6 @@ func (in *incumbent) beats(t soc.Cycles, rank int) bool {
 	return in.v.Load() < int64(t)<<rankBits|int64(rank)
 }
 
-// portfolioLowerBound is the architecture-independent lower bound every
-// backend is held against for cancellation, with the energy term under
-// the race's effective power ceiling (Options.MaxPower over the SOC's).
-func portfolioLowerBound(tables [][]soc.Cycles, s *soc.SOC, opt Options, width int) soc.Cycles {
-	return lowerBoundWithCeiling(tables, s, width, opt.effectiveCeiling(s))
-}
-
 // portfolioRacers resolves how many backends the configured subset
 // races (the default subset on a bad spec: sizing never fails, Solve
 // reports the spec error).
@@ -183,8 +177,9 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 	if err != nil {
 		return Result{}, err
 	}
-	tables := curves.Tables()
-	lb := portfolioLowerBound(tables, s, opt, width)
+	// Every racer is held against the one lower bound, under the race's
+	// effective power ceiling, for cancellation.
+	lb := pack.LowerBound(s, curves.Tables(), width, s.PowerCeiling(opt.MaxPower))
 
 	type outcome struct {
 		res     Result

@@ -16,12 +16,12 @@ type powerContext struct {
 	ceiling int
 }
 
-// newPowerContext resolves the effective ceiling (Options.MaxPower wins
-// over the SOC's own MaxPower) and snapshots the core powers. It errors
-// when a single testable core draws more than the ceiling alone: no
-// schedule at all could satisfy it.
+// newPowerContext resolves the effective ceiling (SOC.PowerCeiling:
+// Options.MaxPower wins over the SOC's own MaxPower) and snapshots the
+// core powers. It errors when a single testable core draws more than
+// the ceiling alone: no schedule at all could satisfy it.
 func newPowerContext(s *soc.SOC, opt Options) (*powerContext, error) {
-	ceiling := opt.effectiveCeiling(s)
+	ceiling := s.PowerCeiling(opt.MaxPower)
 	if err := s.CheckPowerCeiling(ceiling); err != nil {
 		return nil, fmt.Errorf("coopt: %w", err)
 	}

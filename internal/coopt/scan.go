@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soctam/internal/assign"
+	"soctam/internal/pack"
 	"soctam/internal/partition"
 	"soctam/internal/soc"
 )
@@ -34,6 +35,7 @@ type scan struct {
 	deadline time.Time
 	tables   [][]soc.Cycles
 	pc       *powerContext
+	lb       soc.Cycles    // the solve's lower bound (pack.LowerBound)
 	sink     *progressSink // nil = no observer
 	plan     scanPlan
 	workers  []worker
@@ -100,8 +102,8 @@ type scoreFunc func(w *worker, parts []int, seq int64) error
 // it once its incumbent attains the global lower bound.
 var errStop = errors.New("coopt: scan stopped")
 
-// newScan computes the solve's testing-time tables and power context and
-// prepares the plan's workers.
+// newScan computes the solve's testing-time tables, power context and
+// lower bound and prepares the plan's workers.
 func newScan(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink, plan scanPlan) (*scan, error) {
 	tables, err := opt.tables(s, width)
 	if err != nil {
@@ -113,6 +115,7 @@ func newScan(ctx context.Context, s *soc.SOC, width int, opt Options, sink *prog
 	}
 	_, hi := opt.tamRange(width)
 	sc := &scan{ctx: ctx, deadline: opt.Deadline, tables: tables, pc: pc, sink: sink, plan: plan,
+		lb:      pack.LowerBound(s, tables, width, pc.maxPower()),
 		workers: make([]worker, plan.workers), maxParts: min(hi, width)}
 	if plan.workers > 1 {
 		sc.slack = 1
@@ -273,13 +276,10 @@ func (sc *scan) stats() Stats {
 
 // exactResult assembles an exact engine's Result from its finished scan:
 // the incumbent, with the assignment the engine kept from its winning
-// offer. A scan that ran to completion with every exact solve proven is
-// the optimum by construction, even where the lower bound is not tight.
+// offer. grade decides whether the completed scan proves it.
 func (sc *scan) exactResult(strategy Strategy, width int, a assign.Assignment, allProven bool, started time.Time) Result {
 	best, _ := sc.incumbent()
-	truncated := sc.truncated.Load()
-	gap := gapOf(best, lowerBoundPC(sc.tables, sc.pc, width))
-	return Result{
+	res := Result{
 		TotalWidth:        width,
 		Strategy:          strategy,
 		Partition:         sc.bestPart,
@@ -290,12 +290,12 @@ func (sc *scan) exactResult(strategy Strategy, width int, a assign.Assignment, a
 		AssignmentOptimal: allProven,
 		MaxPower:          sc.pc.maxPower(),
 		PeakPower:         sc.pc.peak(sc.tables, sc.bestPart, a.TAMOf, nil),
-		Gap:               gap,
-		Truncated:         truncated,
-		Proven:            gap == 0 || (allProven && !truncated),
+		Truncated:         sc.truncated.Load(),
 		Stats:             sc.stats(),
-		Elapsed:           time.Since(started),
 	}
+	res.grade(sc.lb, allProven)
+	res.Elapsed = time.Since(started)
+	return res
 }
 
 // source is a worker's partition enumerator. next is a switch, not an

@@ -45,6 +45,6 @@ func PackingVsPartition(opt Options) ([]*report.Table, error) {
 		)
 	}
 	t.AddNote("T_part is the partition flow's final time; T_pack the packed makespan; dT compares them")
-	t.AddNote("LB_pack is the packing lower bound (bin area vs longest single test); busy is wire-cycle utilization")
+	t.AddNote("LB_pack is the lower bound every backend's gap is measured against (bin area vs longest single test); busy is wire-cycle utilization")
 	return []*report.Table{t}, nil
 }

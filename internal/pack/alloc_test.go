@@ -16,14 +16,11 @@ import (
 func TestSkylinePlacementZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	const width = 32
-	shapes, err := coreShapes(s, width, nil)
+	shapes, tables, err := coreShapes(s, width, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, err := LowerBound(s, width)
-	if err != nil {
-		t.Fatal(err)
-	}
+	budget := LowerBound(s, tables, width, 0)
 	a := newPackArena(width, len(shapes))
 	a.shapeKeys(shapes, budget)
 	for _, ord := range packOrders { // warm every order's path
@@ -77,14 +74,11 @@ func TestPowerTimelineZeroAlloc(t *testing.T) {
 func BenchmarkSkylinePlacement(b *testing.B) {
 	s := socdata.D695()
 	const width = 32
-	shapes, err := coreShapes(s, width, nil)
+	shapes, tables, err := coreShapes(s, width, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget, err := LowerBound(s, width)
-	if err != nil {
-		b.Fatal(err)
-	}
+	budget := LowerBound(s, tables, width, 0)
 	a := newPackArena(width, len(shapes))
 	a.shapeKeys(shapes, budget)
 	packOnce(a, shapes, budget, byWidth, 0)

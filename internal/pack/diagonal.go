@@ -29,8 +29,8 @@ func diagonal(w int, t soc.Cycles) float64 {
 
 // PackDiagonal co-optimizes the SOC by diagonal-length rectangle
 // packing under a total width W: best-fit-decreasing placement ordered
-// and tie-broken by rectangle diagonal length. Budgets, power ceilings
-// and the returned Schedule behave exactly as in Pack; only the
+// and tie-broken by rectangle diagonal length. The budget sweep, power
+// ceilings and the returned Schedule behave exactly as in Pack; only the
 // placement heuristic differs, so neither packer dominates the other
 // across SOCs and widths.
 func PackDiagonal(s *soc.SOC, totalWidth int, opt Options) (*Schedule, error) {

@@ -8,13 +8,14 @@ import (
 	"strings"
 	"testing"
 
+	"soctam/internal/coopt"
 	"soctam/internal/pack"
 	"soctam/internal/socdata"
 )
 
 // TestPackDiagonalValid checks the diagonal packer's placement validity
-// on both SOCs across widths, and that its makespan respects the shared
-// packing lower bound.
+// on both SOCs across widths, and that its makespan respects the one
+// lower bound, coopt.LowerBound's.
 func TestPackDiagonalValid(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -35,7 +36,7 @@ func TestPackDiagonalValid(t *testing.T) {
 			if err := sch.Validate(len(s.Cores)); err != nil {
 				t.Errorf("%s W=%d: invalid schedule: %v", tc.name, w, err)
 			}
-			lb, err := pack.LowerBound(s, w)
+			lb, err := coopt.LowerBound(s, w)
 			if err != nil {
 				t.Fatalf("%s W=%d: LowerBound: %v", tc.name, w, err)
 			}

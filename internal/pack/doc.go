@@ -15,9 +15,9 @@
 // band of wires for just the duration of its own test, so wires are
 // re-divided between cores over time.
 //
-// Two placement heuristics share the pipeline (budget sweep over
-// multiples of the packing lower bound, preferred-width shaping, skyline
-// placement, power timeline, iterative refinement):
+// Two placement heuristics share the pipeline (budget sweep over fixed
+// multiples of LowerBound, preferred-width shaping, skyline placement,
+// power timeline, iterative refinement):
 //
 //   - Pack, budgeted best fit: the narrowest Pareto shape that still
 //     finishes within the budget wins, in three placement orders;

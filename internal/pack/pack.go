@@ -43,9 +43,9 @@ type Schedule struct {
 	Rects []Rect
 	// Makespan is the SOC testing time: the latest rectangle end.
 	Makespan soc.Cycles
-	// Bound is the packing lower bound for this SOC and width (bin
-	// area vs longest single test vs total test energy over the power
-	// ceiling); Makespan >= Bound always.
+	// Bound is the one lower bound on the SOC testing time at this
+	// width and ceiling (LowerBound), the figure every backend's
+	// Result.Gap is measured against; Makespan >= Bound always.
 	Bound soc.Cycles
 	// MaxPower is the peak-power ceiling the schedule was packed under;
 	// 0 means unconstrained. Validate enforces PeakPower <= MaxPower.
@@ -141,14 +141,9 @@ func (s *Schedule) Validate(numCores int) error {
 	return nil
 }
 
-// Options tunes the packer. The zero value uses the built-in budget
-// sweep.
+// Options tunes the packer. The zero value packs under the SOC's own
+// power ceiling with freshly computed wrapper curves and no deadline.
 type Options struct {
-	// Budgets are the testing-time budgets tried, as multiples of the
-	// packing lower bound; nil uses the built-in sweep. Each budget
-	// shapes the rectangles (preferred widths); the best resulting
-	// schedule wins regardless of which budget produced it.
-	Budgets []float64
 	// MaxPower is the peak-power ceiling enforced during placement: no
 	// position whose concurrent-power profile would exceed it is ever
 	// taken. <= 0 falls back to the SOC's own MaxPower; 0 there too
@@ -173,48 +168,50 @@ type Options struct {
 	Deadline time.Time
 }
 
-// builtinBudgets spans tight (wide rectangles, little slack) to relaxed
-// (narrow rectangles, more placement freedom).
-var builtinBudgets = []float64{1.0, 1.02, 1.05, 1.08, 1.12, 1.17, 1.25, 1.35, 1.5, 1.75, 2.0}
+// sweepBudgets are the testing-time budgets the sweep tries, as
+// multiples of the lower bound, from tight (wide rectangles, little
+// slack) to relaxed (narrow rectangles, more placement freedom). Each
+// budget shapes the rectangles (preferred widths); the best resulting
+// schedule wins regardless of which budget produced it.
+var sweepBudgets = [...]float64{1.0, 1.02, 1.05, 1.08, 1.12, 1.17, 1.25, 1.35, 1.5, 1.75, 2.0}
 
-func (o Options) budgets() []float64 {
-	if len(o.Budgets) > 0 {
-		return o.Budgets
+// LowerBound is the one lower bound on the SOC testing time at total
+// width W: no TAM count, width partition, assignment, packing or
+// wrapper design beats it. Every backend's Result.Gap and Proven, the
+// ILP engine's early stop, the portfolio's cancellation and
+// Schedule.Bound read it. tables holds the cores' testing times
+// ([i][w-1] = T_i(w), for w up to at least W), s the cores' powers and
+// ceiling the run's resolved peak-power ceiling (SOC.PowerCeiling; 0 =
+// none). The bound is the largest of
+//
+//   - the bottleneck bound max_i T_i(W): a core cannot finish faster
+//     than on all W wires (the bound the paper invokes for p31108,
+//     whose "Core 18" pins the SOC testing time);
+//   - the area bound ceil(Σ_i min_w w·T_i(w) / W): core i occupies at
+//     least its smallest rectangle of w wires by T_i(w) cycles, and the
+//     W wires deliver W wire-cycles per cycle;
+//   - under a ceiling, the energy bound ceil(Σ_i P_i·T_i(W) / ceiling):
+//     core i draws P_i for at least its fastest testing time, and the
+//     ceiling caps delivery at that many power-cycles per cycle.
+func LowerBound(s *soc.SOC, tables [][]soc.Cycles, width, ceiling int) soc.Cycles {
+	var bottleneck soc.Cycles
+	var area, energy int64
+	for i, table := range tables {
+		table = table[:width]
+		fastest := table[width-1]
+		bottleneck = max(bottleneck, fastest)
+		smallest := int64(math.MaxInt64)
+		for w, t := range table {
+			smallest = min(smallest, int64(w+1)*int64(t))
+		}
+		area += smallest
+		energy += int64(s.Cores[i].Power) * int64(fastest)
 	}
-	return builtinBudgets
-}
-
-// effectiveCeiling resolves the peak-power ceiling a packing run
-// enforces: Options.MaxPower wins when positive, else the SOC's own
-// MaxPower, else 0 (unconstrained) — the same resolution rule as the
-// co-optimization flows, so every backend of a portfolio race enforces
-// one ceiling.
-func (o Options) effectiveCeiling(s *soc.SOC) int {
-	ceiling := o.MaxPower
-	if ceiling <= 0 {
-		ceiling = s.MaxPower
+	lb := max(bottleneck, soc.Cycles((area+int64(width)-1)/int64(width)))
+	if ceiling > 0 {
+		lb = max(lb, soc.Cycles((energy+int64(ceiling)-1)/int64(ceiling)))
 	}
-	if ceiling < 0 {
-		ceiling = 0
-	}
-	return ceiling
-}
-
-// LowerBound returns the packing lower bound on the SOC testing time for
-// a total width W: the largest of the area bound — each core claims at
-// least its minimal rectangle area min_w w·T_i(w), and the bin offers
-// W wire-cycles per cycle — the longest unavoidable single test
-// max_i T_i(W), and, under the SOC's peak-power ceiling, the energy
-// bound Σ_i P_i·T_i(W) / MaxPower. The energy term assumes the SOC's
-// own MaxPower is in force; a Pack run whose Options.MaxPower loosens
-// it is bounded only by the power-free terms (Schedule.Bound always
-// reflects the effective ceiling).
-func LowerBound(s *soc.SOC, totalWidth int) (soc.Cycles, error) {
-	cores, err := coreShapes(s, totalWidth, nil)
-	if err != nil {
-		return 0, err
-	}
-	return lowerBound(cores, totalWidth, s.MaxPower), nil
+	return lb
 }
 
 // coreShape is the per-core packing input: the Pareto widths worth
@@ -227,25 +224,26 @@ type coreShape struct {
 	minArea int64        // min over k of widths[k]·times[k]
 }
 
-// coreShapes computes every core's packing input. Only Pareto widths
-// are offered: at any other width the wrapper uses fewer wires than the
-// rectangle would claim, wasting bin area for no time gain. A non-nil
-// curve set covering the SOC and width supplies the wrapper staircases
-// as lookups; otherwise one wrapper.Curves call computes them here
-// (identical values either way — the memoized curve is bit-for-bit the
-// fresh one).
-func coreShapes(s *soc.SOC, totalWidth int, cs *wrapper.CurveSet) ([]coreShape, error) {
+// coreShapes computes every core's packing input, and returns the
+// testing-time tables it read them from (LowerBound's input). Only
+// Pareto widths are offered: at any other width the wrapper uses fewer
+// wires than the rectangle would claim, wasting bin area for no time
+// gain. A non-nil curve set covering the SOC and width supplies the
+// wrapper staircases as lookups; otherwise one wrapper.Curves call
+// computes them here (identical values either way — the memoized curve
+// is bit-for-bit the fresh one).
+func coreShapes(s *soc.SOC, totalWidth int, cs *wrapper.CurveSet) ([]coreShape, [][]soc.Cycles, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if totalWidth < 1 {
-		return nil, fmt.Errorf("pack: total TAM width %d < 1", totalWidth)
+		return nil, nil, fmt.Errorf("pack: total TAM width %d < 1", totalWidth)
 	}
 	if cs == nil || cs.NumCores() != len(s.Cores) || cs.MaxWidth() < totalWidth {
 		// No precomputation, or a mismatched one: compute fresh curves.
 		var err error
 		if cs, err = wrapper.Curves(s, totalWidth); err != nil {
-			return nil, fmt.Errorf("pack: %w", err)
+			return nil, nil, fmt.Errorf("pack: %w", err)
 		}
 	}
 	shapes := make([]coreShape, len(s.Cores))
@@ -263,33 +261,7 @@ func coreShapes(s *soc.SOC, totalWidth int, cs *wrapper.CurveSet) ([]coreShape, 
 		}
 		shapes[i] = sh
 	}
-	return shapes, nil
-}
-
-func lowerBound(shapes []coreShape, totalWidth, maxPower int) soc.Cycles {
-	var area, energy int64
-	var longest soc.Cycles
-	for i := range shapes {
-		sh := &shapes[i]
-		area += sh.minArea
-		shortest := sh.times[len(sh.times)-1]
-		if shortest > longest {
-			longest = shortest
-		}
-		// Power is width-independent, so a core's test energy is at
-		// least its power times its fastest testing time.
-		energy += int64(sh.power) * int64(shortest)
-	}
-	lb := soc.Cycles((area + int64(totalWidth) - 1) / int64(totalWidth))
-	if longest > lb {
-		lb = longest
-	}
-	if maxPower > 0 {
-		if pb := soc.Cycles((energy + int64(maxPower) - 1) / int64(maxPower)); pb > lb {
-			lb = pb
-		}
-	}
-	return lb
+	return shapes, cs.Tables(), nil
 }
 
 // preferredIndex returns the index of the smallest Pareto width whose
@@ -346,15 +318,15 @@ type attemptFunc func(a *packArena, shapes []coreShape, budget soc.Cycles, ceili
 // around one placement heuristic. Both the budgeted-best-fit packer
 // (Pack) and the diagonal packer (PackDiagonal) are instances of it.
 func packWith(ctx context.Context, s *soc.SOC, totalWidth int, opt Options, attempt attemptFunc) (*Schedule, error) {
-	shapes, err := coreShapes(s, totalWidth, opt.Curves)
+	shapes, tables, err := coreShapes(s, totalWidth, opt.Curves)
 	if err != nil {
 		return nil, err
 	}
-	ceiling := opt.effectiveCeiling(s)
+	ceiling := s.PowerCeiling(opt.MaxPower)
 	if err := s.CheckPowerCeiling(ceiling); err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
-	lb := lowerBound(shapes, totalWidth, ceiling)
+	lb := LowerBound(s, tables, totalWidth, ceiling)
 	// The arena carries every buffer the placement loops reuse across
 	// the whole budget sweep; only the winning schedule leaves it, as a
 	// fresh clone.
@@ -380,7 +352,7 @@ func packWith(ctx context.Context, s *soc.SOC, totalWidth int, opt Options, atte
 	// the sweep's first attempt always completes, so a deadline run
 	// always returns a valid schedule, merely a possibly worse one.
 	truncated := false
-	for _, mult := range opt.budgets() {
+	for _, mult := range sweepBudgets {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func miniSOC() *soc.SOC {
 
 // TestPackValid checks placement validity on both SOCs across widths:
 // every core placed once, inside the bin, no overlaps, and the makespan
-// never below the packing lower bound.
+// never below the lower bound, which is coopt.LowerBound's.
 func TestPackValid(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -44,7 +44,7 @@ func TestPackValid(t *testing.T) {
 			if err := sch.Validate(len(tc.s.Cores)); err != nil {
 				t.Errorf("%s W=%d: invalid schedule: %v", tc.name, w, err)
 			}
-			lb, err := pack.LowerBound(tc.s, w)
+			lb, err := coopt.LowerBound(tc.s, w)
 			if err != nil {
 				t.Fatalf("%s W=%d: LowerBound: %v", tc.name, w, err)
 			}
@@ -115,19 +115,6 @@ func TestPackWiderNeverWorse(t *testing.T) {
 	}
 }
 
-// TestPackBudgetsOption pins that a caller-supplied budget sweep is
-// honored and still yields a valid schedule.
-func TestPackBudgetsOption(t *testing.T) {
-	s := miniSOC()
-	sch, err := pack.Pack(s, 12, pack.Options{Budgets: []float64{1.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sch.Validate(len(s.Cores)); err != nil {
-		t.Errorf("single-budget schedule invalid: %v", err)
-	}
-}
-
 // TestPackZeroTimeCore pins the zero-duration edge: a pattern-free core
 // tests in 0 cycles, yet the schedule must place it and stay valid.
 func TestPackZeroTimeCore(t *testing.T) {
@@ -151,12 +138,6 @@ func TestPackErrors(t *testing.T) {
 	}
 	if _, err := pack.Pack(&soc.SOC{}, 8, pack.Options{}); err == nil {
 		t.Error("empty SOC accepted")
-	}
-	if _, err := pack.LowerBound(miniSOC(), 0); err == nil {
-		t.Error("LowerBound accepted zero width")
-	}
-	if _, err := pack.LowerBound(&soc.SOC{}, 8); err == nil {
-		t.Error("LowerBound accepted empty SOC")
 	}
 }
 

@@ -178,9 +178,9 @@ func TestPlacementOrdersMatchReference(t *testing.T) {
 		name := fmt.Sprintf("shape trial %d (%d cores, W=%d)", trial, tc.n, tc.width)
 		shapes := tieHeavyShapes(r, tc.n, tc.width)
 		a := newPackArena(tc.width, len(shapes))
-		lb := lowerBound(shapes, tc.width, 0)
+		lb := shapeBound(shapes, tc.width, 0)
 		var budgets []soc.Cycles
-		for _, mult := range builtinBudgets {
+		for _, mult := range sweepBudgets {
 			budgets = append(budgets, scaleCycles(lb, mult))
 		}
 		for i := range shapes {

@@ -97,8 +97,9 @@ type resultJSON struct {
 	// Truncated marks a deadline-bounded result: the best incumbent at
 	// the cutoff rather than the strategy's natural answer.
 	Truncated bool `json:"truncated,omitempty"`
-	// Proven marks a result known optimal (gap 0, or an exhaustive run
-	// that completed with every assignment solved exactly).
+	// Proven marks a result known optimal: gap 0, or an exact engine's
+	// completed scan with every assignment solved exactly and, under a
+	// power ceiling, no partition dropped for power.
 	Proven    bool             `json:"proven,omitempty"`
 	SolveMS   float64          `json:"solve_ms"`
 	Stats     *statsJSON       `json:"stats,omitempty"`

@@ -39,6 +39,17 @@ func PeakConcurrent(events []PowerEvent) int {
 	return peak
 }
 
+// PowerCeiling resolves the peak-power ceiling a run enforces: override
+// when positive, else the SOC's own MaxPower, else 0 (unconstrained).
+// Every backend resolves its ceiling here, so the engines of one
+// portfolio race, their bounds and their results cannot disagree.
+func (s *SOC) PowerCeiling(override int) int {
+	if override > 0 {
+		return override
+	}
+	return max(s.MaxPower, 0)
+}
+
 // CheckPowerCeiling reports the first core whose test power alone
 // exceeds the ceiling: no schedule at all could satisfy it. Cores
 // without patterns test in zero cycles and cannot breach anything.

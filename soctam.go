@@ -34,7 +34,8 @@
 //   - DesignWrapper / TestTime: per-core wrapper design (P_W);
 //   - NewInstance / CoreAssign / SolveAssignment: the core-assignment
 //     problem P_AW on fixed TAM widths, heuristically and exactly;
-//   - LowerBound / PackingLowerBound: architecture-independent bounds;
+//   - LowerBound: the architecture-independent lower bound that every
+//     backend's Result.Gap and Proven are graded against;
 //   - ParseSOC / (*SOC).Encode: the .soc text format (and
 //     (*SOC).Digest / (*SOC).Canonical, the canonical content hashing
 //     behind the wtamd solver service's result cache);
@@ -264,13 +265,6 @@ func SolveContext(ctx context.Context, s *SOC, totalWidth int, opt Options) (Res
 // WriteTree to render per-backend spans with incumbent events — the
 // tree `wtam -trace` prints. The name labels the tree header.
 func NewSolveTrace(name string) *SolveTrace { return coopt.NewSolveTrace(name) }
-
-// PackingLowerBound returns the rectangle-packing lower bound on the SOC
-// testing time: bin area, longest-single-test and (under a power
-// ceiling) test-energy arguments combined.
-func PackingLowerBound(s *SOC, totalWidth int) (Cycles, error) {
-	return pack.LowerBound(s, totalWidth)
-}
 
 // CoOptimizeFixedTAMs co-optimizes with the TAM count fixed (problem
 // P_PAW): Solve's partition flow with its TAM-count sweep narrowed to
