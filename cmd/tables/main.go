@@ -44,7 +44,7 @@ func run() error {
 		list      = flag.Bool("list", false, "list experiment names and exit")
 		widthsArg = flag.String("widths", "", "comma-separated total TAM widths (default: the paper's 16..64 step 8)")
 		maxTAMs   = flag.Int("max-tams", 10, "largest TAM count in P_NPAW sweeps")
-		nodeLimit = flag.Int64("node-limit", 2_000_000, "node budget per exact solve (0 = solver default)")
+		nodeLimit = flag.Int64("node-limit", 0, "node budget per exact solve (0 = the solver default, 5,000,000)")
 		workers   = flag.Int("workers", 0, "partition-evaluation goroutines (0 = all CPUs, 1 = paper's sequential order; table1 always runs sequentially for paper-comparable pruning stats)")
 		outPath   = flag.String("out", "", "output file (default: stdout)")
 	)

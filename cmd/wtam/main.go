@@ -163,9 +163,9 @@ func run(args []string) error {
 		return err
 	}
 
-	// The stats note reflects the worker count the partition flow
-	// actually got (the portfolio reserves workers for the packers); the
-	// exact engines enumerate sequentially.
+	// The stats note reflects whether the partition flow evaluated on a
+	// pool: inside the portfolio it gets every resolved worker, if the
+	// subset races it at all; the exact engines enumerate sequentially.
 	parallelStats := opt.ParallelEvaluation()
 	switch strat {
 	case soctam.StrategyPortfolio:

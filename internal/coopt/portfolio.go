@@ -106,41 +106,13 @@ func (in *incumbent) beats(t soc.Cycles, rank int) bool {
 	return in.v.Load() < int64(t)<<rankBits|int64(rank)
 }
 
-// portfolioRacers resolves how many backends the configured subset
-// races (the default subset on a bad spec: sizing never fails, Solve
-// reports the spec error).
-func (o Options) portfolioRacers() int {
-	subset, err := resolveSubset(o.Portfolio)
-	if err != nil {
-		return len(defaultSubset())
-	}
-	return len(subset)
-}
-
-// partitionWorkersForRace returns the worker count the partition racer
-// gets in a race of n backends: the resolved Workers minus one for
-// each other racer (they are single-threaded), never below one.
-func (o Options) partitionWorkersForRace(n int) int {
-	w := o.workers() - (n - 1)
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// portfolioPartitionWorkers is partitionWorkersForRace over the
-// configured subset — the form the public predicate below needs, where
-// no resolved subset is in scope.
-func (o Options) portfolioPartitionWorkers() int {
-	return o.partitionWorkersForRace(o.portfolioRacers())
-}
-
 // PortfolioPartitionParallel reports whether the partition racer inside
 // a portfolio run evaluates partitions on a worker pool — i.e. whether
 // the Stats split of a partition-won portfolio Result is
 // evaluation-order dependent (the ParallelEvaluation analogue for
-// StrategyPortfolio). False when the configured subset does not race
-// the partition flow at all.
+// StrategyPortfolio). The racer gets every resolved worker, so this is
+// ParallelEvaluation when the configured subset races the partition
+// flow, and false when it does not.
 func (o Options) PortfolioPartitionParallel() bool {
 	if subset, err := resolveSubset(o.Portfolio); err == nil {
 		racesPartition := false
@@ -153,7 +125,7 @@ func (o Options) PortfolioPartitionParallel() bool {
 			return false
 		}
 	}
-	return o.portfolioPartitionWorkers() > 1
+	return o.ParallelEvaluation()
 }
 
 // solvePortfolio races the subset of registered backends selected by
@@ -205,13 +177,6 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 			// cancellation bound's tables came from — result-neutral
 			// (see Options.curves).
 			runOpt.curves = curves
-			if b.strategy == StrategyPartition {
-				// Workers split: every racer but the partition flow is
-				// single-threaded, so each reserves one resolved worker
-				// and the partition flow's pool gets the rest (never
-				// below one).
-				runOpt.Workers = opt.partitionWorkersForRace(len(backends))
-			}
 			res, err := b.solve(ctx, s, width, runOpt, sink)
 			if err == nil {
 				bound.offer(res.Time, rank)

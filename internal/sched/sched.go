@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"soctam/internal/soc"
@@ -255,28 +257,40 @@ func BranchAndBound(m Matrix, opt Options) (Result, error) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return minTime[order[a]] > minTime[order[b]] })
 
-	// suffixMin[d] = total minimum work of jobs order[d:].
+	// suffixMin[d] = total minimum work of jobs order[d:]; slab holds
+	// their rows in the same order, row d at [d*nm, (d+1)*nm), and
+	// shares one allocation with the per-depth keys.
 	suffixMin := make([]soc.Cycles, n+1)
+	cycles := make([]soc.Cycles, 2*n*nm)
+	slab, keys := cycles[:n*nm], cycles[n*nm:]
 	for d := n - 1; d >= 0; d-- {
 		suffixMin[d] = suffixMin[d+1] + minTime[order[d]]
+		copy(slab[d*nm:], m[order[d]])
 	}
 
 	s := &search{
-		m:         m,
-		order:     order,
-		suffixMin: suffixMin,
-		twins:     lowerTwins(deriveClasses(m)),
-		loads:     make([]soc.Cycles, nm),
-		cur:       make([]int, n),
-		byKey:     make([]int, n*nm),
-		keys:      make([]soc.Cycles, n*nm),
-		best:      bestAssign,
-		incumbent: incumbent,
-		found:     found,
+		slab:       slab,
+		order:      order,
+		suffixMin:  suffixMin,
+		twin:       lowerTwins(deriveClasses(m)),
+		loads:      make([]soc.Cycles, nm),
+		cur:        make([]int, n),
+		byKey:      make([]int, n*nm),
+		keys:       keys,
+		best:       bestAssign,
+		incumbent:  incumbent,
+		pruneAbove: pruneThreshold(incumbent, nm),
+		found:      found,
+		// The root is node 1: nodeLimit is at least 1, so its cap
+		// check never fires, and n >= 1, so it is no leaf and only its
+		// bound applies.
+		nodes:     1,
 		nodeLimit: nodeLimit,
 		complete:  true,
 	}
-	s.branch(0, 0)
+	if suffixMin[0] <= s.pruneAbove {
+		s.branch(0, 0, 0)
+	}
 
 	if !s.found {
 		return Result{Nodes: s.nodes, Optimal: s.complete}, nil
@@ -287,12 +301,12 @@ func BranchAndBound(m Matrix, opt Options) (Result, error) {
 // search is one BranchAndBound run's state. Every slice is sized once
 // up front, so the recursion writes into them but never allocates.
 type search struct {
-	m         Matrix
+	slab      []soc.Cycles // job rows in branching order, one per depth
 	order     []int        // jobs in branching order
 	suffixMin []soc.Cycles // suffixMin[d] = total minimum work of order[d:]
-	twins     [][]int      // twins[j] = lower-indexed machines identical to j
+	twin      []int        // twin[j] = nearest lower-indexed machine identical to j, or -1
 	loads     []soc.Cycles // current per-machine loads
-	cur       []int        // current partial assignment
+	cur       []int        // cur[d] = machine of job order[d] on the current path
 	// byKey and keys hold, per depth d, the machines at
 	// [d*nm, (d+1)*nm) in increasing order of resulting load and those
 	// loads. Recursion levels must not share a slot: inner levels
@@ -301,71 +315,82 @@ type search struct {
 	keys      []soc.Cycles
 	best      []int
 	incumbent soc.Cycles
-	found     bool
-	nodes     int64
-	nodeLimit int64
-	complete  bool
+	// pruneAbove is pruneThreshold(incumbent, machines): a node whose
+	// placed plus remaining minimum work exceeds it cannot beat the
+	// incumbent.
+	pruneAbove soc.Cycles
+	found      bool
+	nodes      int64
+	nodeLimit  int64
+	complete   bool
 }
 
-// branch expands the node at depth d, where total is the work already
-// placed. Machines are ordered by a stable insertion sort on the
-// resulting load, ties in index order. Node-capped answers depend on
-// the order nodes are visited in, so this order must not change.
-// Once a machine's resulting load reaches the incumbent the loop stops:
-// later keys are no smaller, each child restores the loads, and the
-// incumbent only falls, so every later machine would fail the same test.
-func (s *search) branch(d int, total soc.Cycles) {
-	if s.nodes >= s.nodeLimit {
-		s.complete = false
-		return
-	}
-	s.nodes++
+// branch expands a node at depth d that is already counted and has
+// passed its bound: total is the work placed and span the largest
+// machine load. Its children are the machines in a stable insertion
+// sort on the resulting load, ties in index order. Node-capped answers
+// depend on the order nodes are visited in, so neither that order nor
+// the set of nodes visited may change. Each child's own steps run here
+// in its order: the cap check, the count, then the leaf test or the
+// remaining-work bound, then the parent's cap check after it.
+//
+// The fill leaves out two kinds of machine that the loop would skip
+// anyway, because every child restores loads[j]: one whose resulting
+// load reaches the incumbent (keys ascend and the incumbent only
+// falls, so the loop would have stopped first), and an idle twin
+// (the loads it compares are the same at fill and at visit time).
+func (s *search) branch(d int, total, span soc.Cycles) {
 	loads := s.loads
-	if d == len(s.order) {
-		span := soc.Cycles(0)
-		for _, l := range loads {
-			if l > span {
-				span = l
-			}
-		}
-		if span < s.incumbent {
-			s.incumbent = span
-			copy(s.best, s.cur)
-			s.found = true
-		}
-		return
-	}
-	// Remaining-work bound: even spreading the remaining minimum work
-	// over all machines cannot beat the incumbent -> prune.
 	nm := len(loads)
-	avg := (total + s.suffixMin[d] + soc.Cycles(nm) - 1) / soc.Cycles(nm)
-	if avg >= s.incumbent {
-		return
-	}
-	i := s.order[d]
-	row := s.m[i]
+	row := s.slab[d*nm : (d+1)*nm]
 	byKey := s.byKey[d*nm : (d+1)*nm]
 	keys := s.keys[d*nm : (d+1)*nm]
+	n := 0
 	for j, t := range row {
 		k := loads[j] + t
-		p := j
+		if k >= s.incumbent || s.idleTwin(j) {
+			continue
+		}
+		p := n
 		for ; p > 0 && keys[p-1] > k; p-- {
 			keys[p], byKey[p] = keys[p-1], byKey[p-1]
 		}
 		keys[p], byKey[p] = k, j
+		n++
 	}
-	for p, j := range byKey {
-		newLoad := keys[p]
-		if newLoad >= s.incumbent {
+	// The first child's cap check. Each later child's is the check
+	// after its elder sibling, which returns once the cap is reached.
+	if n > 0 && s.nodes >= s.nodeLimit {
+		s.complete = false
+		return
+	}
+	leaf := d+1 == len(s.order)
+	// A child placing t more cycles holds rest+t placed and remaining
+	// minimum work.
+	rest := total + s.suffixMin[d+1]
+	for p, j := range byKey[:n] {
+		k := keys[p]
+		if k >= s.incumbent {
 			break
 		}
-		if s.idleTwin(j) {
-			continue
+		s.nodes++
+		childSpan := max(span, k)
+		t := row[j]
+		switch {
+		case leaf:
+			if childSpan < s.incumbent {
+				s.cur[d] = j
+				s.improve(childSpan)
+			}
+		case rest+t > s.pruneAbove:
+			// Even spreading the child's remaining minimum work over
+			// all machines cannot beat the incumbent.
+		default:
+			loads[j] = k
+			s.cur[d] = j
+			s.branch(d+1, total+t, childSpan)
+			loads[j] = k - t
 		}
-		loads[j] = newLoad
-		s.cur[i] = j
-		s.branch(d+1, total+row[j])
-		loads[j] = newLoad - row[j]
 		if s.nodes >= s.nodeLimit {
 			s.complete = false
 			return
@@ -373,11 +398,39 @@ func (s *search) branch(d int, total soc.Cycles) {
 	}
 }
 
+// improve makes the current complete path, of makespan span, the
+// incumbent.
+func (s *search) improve(span soc.Cycles) {
+	s.incumbent = span
+	s.pruneAbove = pruneThreshold(span, len(s.loads))
+	for d, i := range s.order {
+		s.best[i] = s.cur[d]
+	}
+	s.found = true
+}
+
+// pruneThreshold returns the most work that machines can share evenly
+// below incumbent: work x fits iff ceil(x/machines) < incumbent, that
+// is x <= (incumbent-1)*machines. It replaces a division per node by a
+// compare. A product past math.MaxInt64 admits every int64 sum of
+// times, so it saturates there; a non-positive incumbent admits no
+// work at all.
+func pruneThreshold(incumbent soc.Cycles, machines int) soc.Cycles {
+	if incumbent <= 0 {
+		return -1
+	}
+	hi, lo := bits.Mul64(uint64(incumbent-1), uint64(machines))
+	if hi != 0 || lo > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return soc.Cycles(lo)
+}
+
 // idleTwin reports whether a lower-indexed machine identical to j has
 // the same current load. Symmetry breaking tries only the lowest-indexed
 // machine of such a group.
 func (s *search) idleTwin(j int) bool {
-	for _, q := range s.twins[j] {
+	for q := s.twin[j]; q >= 0; q = s.twin[q] {
 		if s.loads[q] == s.loads[j] {
 			return true
 		}
@@ -385,18 +438,21 @@ func (s *search) idleTwin(j int) bool {
 	return false
 }
 
-// lowerTwins lists, for each machine, the lower-indexed machines of its
-// class.
-func lowerTwins(classes []int) [][]int {
-	twins := make([][]int, len(classes))
+// lowerTwins returns, for each machine, the nearest lower-indexed
+// machine of its class, or -1; following it from j visits every
+// lower-indexed machine identical to j.
+func lowerTwins(classes []int) []int {
+	twin := make([]int, len(classes))
 	for j, c := range classes {
-		for q := 0; q < j; q++ {
+		twin[j] = -1
+		for q := j - 1; q >= 0; q-- {
 			if classes[q] == c {
-				twins[j] = append(twins[j], q)
+				twin[j] = q
+				break
 			}
 		}
 	}
-	return twins
+	return twin
 }
 
 // deriveClasses groups machines whose whole time columns are equal.

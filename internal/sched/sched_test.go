@@ -550,3 +550,64 @@ func referenceBranchAndBound(m Matrix, opt Options) (Result, error) {
 	}
 	return Result{Assign: bestAssign, Makespan: incumbent, Nodes: nodes, Optimal: complete}, nil
 }
+
+// fuzzBytes reads a fuzz input one byte at a time, as zeros once it
+// runs out.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// FuzzBranchAndBound draws from each input a tie-heavy matrix (at most
+// 12 jobs × 6 machines, times 0-16, some columns copies of a
+// lower-indexed one), an optional warm start, a node cap and a cutoff,
+// and requires the reference's exact Result, node count included.
+func FuzzBranchAndBound(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		seed := make([]byte, 8+r.Intn(90))
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		n, nm, maxTime := 1+b.next()%12, 1+b.next()%6, 1+b.next()%16
+		m := make(Matrix, n)
+		for i := range m {
+			m[i] = make([]soc.Cycles, nm)
+			for j := range m[i] {
+				m[i][j] = soc.Cycles(b.next() % (maxTime + 1))
+			}
+		}
+		for j := 1; j < nm; j++ {
+			if c := b.next(); c%3 == 0 {
+				q := (c / 3) % j
+				for i := range m {
+					m[i][j] = m[i][q]
+				}
+			}
+		}
+		var opt Options
+		if b.next()%2 == 1 {
+			opt.WarmAssign = make([]int, n)
+			for i := range opt.WarmAssign {
+				opt.WarmAssign[i] = b.next() % nm
+			}
+		}
+		// A cap of 0 is the default 5,000,000; the trees here are far
+		// smaller.
+		opt.NodeLimit = int64(b.next()<<8 | b.next())
+		opt.Cutoff = soc.Cycles(b.next())
+		want, werr := referenceBranchAndBound(m, opt)
+		got, gerr := BranchAndBound(m, opt)
+		if werr != nil || gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v %+v:\n got %+v (%v)\nwant %+v (%v)", m, opt, got, gerr, want, werr)
+		}
+	})
+}

@@ -145,6 +145,40 @@ func TestEscalationSkipsProvenEntries(t *testing.T) {
 	}
 }
 
+// Escalation leaves exact-engine results alone: under a power ceiling
+// the ilp engine's answer is unproven once it drops a partition for
+// power, and an ilp re-solve would return the same answer.
+func TestEscalationSkipsExactEngineResults(t *testing.T) {
+	sv := New(Config{Escalate: true, EscalateBudget: 30 * time.Second})
+	defer sv.Close()
+
+	res, _, err := sv.Solve(context.Background(), socdata.D695(), 16,
+		coopt.Options{Strategy: coopt.StrategyILP, MaxPower: 1800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proven {
+		t.Fatal("ilp answer proven (test needs an unproven exact answer)")
+	}
+	// The worker drains its backlog in order, so once it has taken a
+	// marker queued after the solve, any escalation the solve queued has
+	// run. The marker's key is not cached, so it counts nothing itself.
+	sv.escq <- escJob{key: "marker"}
+	eventually(t, 30*time.Second, "the escalation worker to take the marker", func() bool {
+		return len(sv.escq) == 0
+	})
+	if st := sv.Stats().Jobs; st.Escalations != 0 {
+		t.Errorf("exact-engine result triggered %d escalation attempts", st.Escalations)
+	}
+	var text strings.Builder
+	if err := sv.Registry().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(text.String(), `soctam_solver_solves_total{strategy="ilp"}`); got != 1 {
+		t.Errorf(`soctam_solver_solves_total{strategy="ilp"} = %v, want 1`, got)
+	}
+}
+
 // POST /v1/solve must validate deadline_ms and carry the anytime fields
 // in every response.
 func TestDeadlineMSOverHTTP(t *testing.T) {

@@ -63,13 +63,13 @@ type Config struct {
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Escalate enables the background escalation worker: whenever a
-	// completed but non-proven result lands in the cache (its Gap is
-	// positive and no exactness proof backs it), the worker re-solves
-	// the job with the exhaustive baseline during idle pool capacity
-	// and upgrades the entry when the exact run finishes in budget with
-	// a proven, no-worse testing time. Off by default: escalation
-	// changes what later cache hits return (a better, proven result),
-	// which a reproducibility-focused deployment may not want.
+	// heuristic backend's completed but non-proven result lands in the
+	// cache (its Gap is positive and no exactness proof backs it), the
+	// worker re-solves the job with the exact ilp engine during idle
+	// pool capacity and upgrades the entry when the exact run finishes
+	// in budget with a proven, no-worse testing time. Off by default:
+	// escalation changes what later cache hits return (a better, proven
+	// result), which a reproducibility-focused deployment may not want.
 	Escalate bool
 	// EscalateBudget bounds each escalation attempt via the solver's
 	// own anytime deadline; 0 means DefaultEscalateBudget.
@@ -543,19 +543,33 @@ func (sv *Server) observedSolve(canon *soc.SOC, width int, opt coopt.Options) (c
 // the one request that set the deadline, but the shared entry for the
 // key must hold a complete result — this is what keeps a hit
 // bit-for-bit identical to the cold solve it replaces, whatever
-// deadlines other clients used (see jobKey).
+// deadlines other clients used (see jobKey). A completed exact-engine
+// result is never queued: it is unproven only because of its node cap
+// or a partition dropped for power, and the ILP re-solve would return
+// the same answer.
 func (sv *Server) cachePut(key string, canon *soc.SOC, width int, norm coopt.Options, res coopt.Result) {
 	if sv.results == nil || res.Truncated {
 		return
 	}
 	sv.results.Put(key, res)
-	if res.Proven || sv.escq == nil {
+	if res.Proven || sv.escq == nil || exactEngine(res.Strategy) {
 		return
 	}
 	select {
 	case sv.escq <- escJob{key: key, canon: canon, width: width, norm: norm}:
 	default: // backlog full: drop — escalation is best-effort
 	}
+}
+
+// exactEngine reports whether strategy names a registered backend that
+// carries the registry's Exact flag.
+func exactEngine(strategy coopt.Strategy) bool {
+	for _, info := range coopt.Solvers() {
+		if info.Name == strategy.String() {
+			return info.Exact
+		}
+	}
+	return false
 }
 
 // escalateLoop drains the escalation backlog until the server closes.

@@ -238,10 +238,10 @@ func SolveAssignment(in *Instance, nodeLimit int64) (Assignment, bool, error) {
 // single backend, with ties broken in fixed strategy order and
 // per-backend attribution in Result.Portfolio. Partition evaluation
 // runs on Options.Workers goroutines (0 = all CPUs; 1 reproduces the
-// paper's sequential evaluation order exactly); the portfolio reserves
-// one resolved worker for each single-threaded packing racer and hands
-// the rest to the partition flow. Results are bit-for-bit identical at
-// any worker count.
+// paper's sequential evaluation order exactly), and inside the
+// portfolio the partition racer gets every resolved worker while the
+// single-threaded packers run beside it. Results are bit-for-bit
+// identical at any worker count.
 func Solve(s *SOC, totalWidth int, opt Options) (Result, error) {
 	return coopt.Solve(s, totalWidth, opt)
 }
