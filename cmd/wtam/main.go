@@ -17,12 +17,12 @@
 //	wtam -benchmark p21241 -width 64 -workers 8
 //	wtam -benchmark p93791 -width 64 -strategy exhaustive -deadline 100ms
 //
-// -strategy is the one backend selector: it names any backend
-// registered in the solver-engine registry, and every solve runs
-// through soctam.Solve. partition (the default) is the paper's
-// heuristic flow; packing (or diagonal) replaces it with one of the two
-// rectangle bin-packing heuristics (wires are re-divided between cores
-// over time instead of forming fixed test buses); exhaustive is the
+// -strategy is the one backend selector: it names any backend that
+// soctam.Solvers lists, and every solve runs through soctam.Solve.
+// partition (the default) is the paper's heuristic flow; packing (or
+// diagonal) replaces it with one of the two rectangle bin-packing
+// heuristics (wires are re-divided between cores over time instead of
+// forming fixed test buses); exhaustive is the
 // exact enumerate-and-solve baseline of [8] and ilp the exact
 // LP-pruned branch and bound, both proven optimal. With -tams 0 (the
 // default) the TAM count is optimized too (problem P_NPAW); a fixed
@@ -30,8 +30,8 @@
 // -strategy portfolio races every heuristic backend concurrently and
 // reports the winner with per-backend attribution; a subset spec
 // (portfolio:partition,exhaustive) races exactly the named backends —
-// the only way an exact engine joins a race. Ties go to the
-// earlier-registered backend whatever the spec's order.
+// the only way an exact engine joins a race. Ties go to the backend
+// Solvers lists first whatever the spec's order.
 // -progress streams solver events (backend start/finish/cancellation,
 // incumbent improvements) to stderr while the solve runs. -trace
 // records the same events as a span tree — one child span per backend,
@@ -89,7 +89,7 @@ func run(args []string) error {
 		tams      = flags.Int("tams", 0, "fixed number of TAMs B for the partition and exhaustive strategies (0 = optimize the TAM count too)")
 		maxTAMs   = flags.Int("max-tams", 10, "largest TAM count explored when -tams is 0")
 		nodeLimit = flags.Int64("node-limit", 0, "node budget per exact solve (0 = default)")
-		strategy  = flags.String("strategy", "partition", "co-optimization backend ("+strings.Join(soctam.StrategyNames(), ", ")+") or a portfolio subset spec like portfolio:partition,exhaustive")
+		strategy  = flags.String("strategy", "partition", "co-optimization backend ("+solverNames()+") or a portfolio subset spec like portfolio:partition,exhaustive")
 		workers   = flags.Int("workers", 0, "partition-evaluation goroutines (0 = all CPUs, 1 = paper's sequential order)")
 		maxPower  = flags.Int("max-power", 0, "peak-power ceiling on concurrent tests (0 = the SOC's own maxpower, if any)")
 		deadline  = flags.Duration("deadline", 0, "wall-clock budget for the solve; past it the best incumbent so far is returned with its optimality gap (0 = unbounded)")
@@ -163,21 +163,27 @@ func run(args []string) error {
 		return err
 	}
 
-	// The stats note reflects whether the partition flow evaluated on a
-	// pool: inside the portfolio it gets every resolved worker, if the
-	// subset races it at all; the exact engines enumerate sequentially.
-	parallelStats := opt.ParallelEvaluation()
-	switch strat {
-	case soctam.StrategyPortfolio:
+	if strat == soctam.StrategyPortfolio {
 		printPortfolio(res)
-		parallelStats = opt.PortfolioPartitionParallel()
-	case soctam.StrategyExhaustive, soctam.StrategyILP:
-		parallelStats = false
 	}
 	if res.Packing != nil {
 		return printPacking(s, res, *verbose, *gantt)
 	}
+	// Only the partition flow evaluates on a pool (inside a portfolio
+	// too, where it gets every resolved worker); the Stats reported are
+	// those of the engine that produced res, and the exact engines
+	// enumerate sequentially.
+	parallelStats := res.Strategy == soctam.StrategyPartition && opt.ParallelEvaluation()
 	return printPartitionResult(s, res, parallelStats, *verbose, *gantt)
+}
+
+// solverNames lists every -strategy name, in Solvers order.
+func solverNames() string {
+	var names []string
+	for _, info := range soctam.Solvers() {
+		names = append(names, info.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // progressPrinter renders the Options.Progress event stream as one

@@ -97,28 +97,52 @@ func TestPrintsGapAndProven(t *testing.T) {
 		{[]string{"-benchmark", "d695", "-width", "16", "-strategy", "packing"},
 			[]string{"lower bound:", "gap:", "proven optimal:"}},
 	} {
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig := os.Stdout
-		os.Stdout = w
-		runErr := run(tc.args)
-		os.Stdout = orig
-		w.Close()
-		var sb strings.Builder
-		if _, err := io.Copy(&sb, r); err != nil {
-			t.Fatal(err)
-		}
-		if runErr != nil {
-			t.Fatalf("run(%v): %v", tc.args, runErr)
-		}
+		out := runStdout(t, tc.args...)
 		for _, want := range tc.want {
-			if !strings.Contains(sb.String(), want) {
-				t.Errorf("run(%v) output missing %q:\n%s", tc.args, want, sb.String())
+			if !strings.Contains(out, want) {
+				t.Errorf("run(%v) output missing %q:\n%s", tc.args, want, out)
 			}
 		}
 	}
+}
+
+// TestStatsNoteFollowsReportedEngine pins that the "split varies" note
+// describes the engine whose Stats are printed: a portfolio race won by
+// the sequential ILP engine reports ILP's deterministic counts with no
+// note, even with the partition racer on a two-worker pool, while the
+// partition flow on that pool keeps the note.
+func TestStatsNoteFollowsReportedEngine(t *testing.T) {
+	const note = "split varies"
+	race := runStdout(t, "-benchmark", "d695", "-width", "32", "-strategy", "portfolio:partition,ilp", "-workers", "2")
+	if !strings.Contains(race, "* ilp") || strings.Contains(race, note) {
+		t.Errorf("ILP-won race must print ILP's stats without %q:\n%s", note, race)
+	}
+	if alone := runStdout(t, "-benchmark", "d695", "-width", "32", "-workers", "2"); !strings.Contains(alone, note) {
+		t.Errorf("partition flow on two workers lost %q:\n%s", note, alone)
+	}
+}
+
+// runStdout runs the command with args and returns what it printed to
+// stdout, failing the test on an error.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = orig
+	w.Close()
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	return sb.String()
 }
 
 // TestStrategyFlagCompatibility checks the per-strategy flag rejection:

@@ -43,7 +43,7 @@
 // Endpoints: POST /v1/solve (one job), POST /v1/batch (many jobs,
 // NDJSON lines in completion order), POST /v1/stream (one job, progress
 // events and incumbent improvements as NDJSON while it solves), GET
-// /v1/solvers (the registered backends and their capability flags), GET
+// /v1/solvers (the selectable backends and their capability flags), GET
 // /v1/healthz, GET /v1/stats, GET /metrics (Prometheus text
 // exposition; /v1/stats is a JSON view over the same registry, so the
 // two can never disagree). -pprof additionally exposes the Go runtime

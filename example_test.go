@@ -23,8 +23,8 @@ func ExampleSolve() {
 	// testing time 21566 cycles
 }
 
-// ExampleSolve_strategies selects each registered co-optimization
-// backend in turn — the partition flow, the two rectangle bin-packing
+// ExampleSolve_strategies selects each co-optimization backend in
+// turn — the partition flow, the two rectangle bin-packing
 // heuristics, the exact exhaustive baseline, the pruning exact ILP
 // engine — and finally the portfolio combinator that races the
 // heuristics concurrently and returns the winner, never worse than the
@@ -34,11 +34,7 @@ func ExampleSolve() {
 func ExampleSolve_strategies() {
 	s := soctam.D695()
 	for _, info := range soctam.Solvers() {
-		strategy, err := soctam.ParseStrategy(info.Name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := soctam.Solve(s, 32, soctam.Options{Strategy: strategy})
+		res, err := soctam.Solve(s, 32, soctam.Options{Strategy: info.Strategy})
 		if err != nil {
 			log.Fatal(err)
 		}

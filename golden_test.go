@@ -66,7 +66,7 @@ func TestSolveMatchesPreRegistryGolden(t *testing.T) {
 			}
 			socs[e.SOC] = s
 		}
-		strat, err := soctam.ParseStrategy(e.Strategy)
+		strat, _, err := soctam.ParseStrategySpec(e.Strategy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,40 +8,15 @@ import (
 // LRU is a bounded, thread-safe least-recently-used map. The zero value
 // is not usable; construct with New.
 type LRU[K comparable, V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	order     *list.List // front = most recently used; holds *entry[K, V]
-	items     map[K]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	hooks     Hooks
+	mu       sync.Mutex
+	capacity int
+	order    *list.List // front = most recently used; holds *entry[K, V]
+	items    map[K]*list.Element
 }
 
 type entry[K comparable, V any] struct {
 	key K
 	val V
-}
-
-// Hooks are optional callbacks fired on cache events, for mirroring the
-// counters into an external metrics registry. Each hook runs under the
-// LRU's own mutex, synchronously with the internal counter update, so a
-// mirror can never drift from Stats — the two increment or neither
-// does. Hooks must therefore be cheap and must not call back into the
-// cache. Nil members are skipped.
-type Hooks struct {
-	Hit   func()
-	Miss  func()
-	Evict func()
-}
-
-// SetHooks installs the event hooks, replacing any previous set. Not
-// for concurrent use with cache operations — install once, right after
-// New.
-func (l *LRU[K, V]) SetHooks(h Hooks) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hooks = h
 }
 
 // New returns an empty LRU holding at most capacity entries; a
@@ -66,23 +41,15 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 	defer l.mu.Unlock()
 	el, ok := l.items[key]
 	if !ok {
-		l.misses++
-		if l.hooks.Miss != nil {
-			l.hooks.Miss()
-		}
 		var zero V
 		return zero, false
-	}
-	l.hits++
-	if l.hooks.Hit != nil {
-		l.hooks.Hit()
 	}
 	l.order.MoveToFront(el)
 	return el.Value.(*entry[K, V]).val, true
 }
 
 // Peek returns the value stored under key like Get, but does not touch
-// recency or the hit/miss counters.
+// recency.
 func (l *LRU[K, V]) Peek(key K) (V, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -94,25 +61,24 @@ func (l *LRU[K, V]) Peek(key K) (V, bool) {
 }
 
 // Put stores val under key, replacing any existing value and evicting
-// the least-recently-used entry if the cache is full.
-func (l *LRU[K, V]) Put(key K, val V) {
+// the least-recently-used entry if the cache is full. It reports
+// whether an entry was evicted.
+func (l *LRU[K, V]) Put(key K, val V) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if el, ok := l.items[key]; ok {
 		el.Value.(*entry[K, V]).val = val
 		l.order.MoveToFront(el)
-		return
+		return false
 	}
-	if l.order.Len() >= l.capacity {
+	evicted := l.order.Len() >= l.capacity
+	if evicted {
 		oldest := l.order.Back()
 		l.order.Remove(oldest)
 		delete(l.items, oldest.Value.(*entry[K, V]).key)
-		l.evictions++
-		if l.hooks.Evict != nil {
-			l.hooks.Evict()
-		}
 	}
 	l.items[key] = l.order.PushFront(&entry[K, V]{key: key, val: val})
+	return evicted
 }
 
 // Len returns the number of entries currently stored.
@@ -123,7 +89,7 @@ func (l *LRU[K, V]) Len() int {
 }
 
 // Keys returns a snapshot of the stored keys, most recently used first.
-// It does not touch recency or the hit/miss counters.
+// It does not touch recency.
 func (l *LRU[K, V]) Keys() []K {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -135,7 +101,7 @@ func (l *LRU[K, V]) Keys() []K {
 }
 
 // Remove deletes the entry stored under key, reporting whether one
-// existed. A removal is not an eviction (the counter is untouched).
+// existed. A removal frees a slot without being an eviction.
 func (l *LRU[K, V]) Remove(key K) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -146,36 +112,4 @@ func (l *LRU[K, V]) Remove(key K) bool {
 	l.order.Remove(el)
 	delete(l.items, key)
 	return true
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
-type Stats struct {
-	// Len and Capacity are the current and maximum entry counts.
-	Len, Capacity int
-	// Hits and Misses count Get outcomes since construction.
-	Hits, Misses uint64
-	// Evictions counts entries dropped to make room.
-	Evictions uint64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any Get.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns a snapshot of the cache counters.
-func (l *LRU[K, V]) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{
-		Len:       l.order.Len(),
-		Capacity:  l.capacity,
-		Hits:      l.hits,
-		Misses:    l.misses,
-		Evictions: l.evictions,
-	}
 }

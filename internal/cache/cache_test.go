@@ -11,13 +11,16 @@ func TestGetPutAndEviction(t *testing.T) {
 	if _, ok := l.Get("a"); ok {
 		t.Fatal("empty cache returned a value")
 	}
-	l.Put("a", 1)
-	l.Put("b", 2)
+	if l.Put("a", 1) || l.Put("b", 2) {
+		t.Fatal("Put into a cache with room reported an eviction")
+	}
 	if v, ok := l.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %v; want 1, true", v, ok)
 	}
 	// "a" is now most recently used, so inserting "c" must evict "b".
-	l.Put("c", 3)
+	if !l.Put("c", 3) {
+		t.Error("Put into a full cache reported no eviction")
+	}
 	if _, ok := l.Get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
@@ -27,15 +30,8 @@ func TestGetPutAndEviction(t *testing.T) {
 	if v, ok := l.Get("c"); !ok || v != 3 {
 		t.Errorf("Get(c) = %d, %v; want 3, true", v, ok)
 	}
-	st := l.Stats()
-	if st.Len != 2 || st.Capacity != 2 || st.Evictions != 1 {
-		t.Errorf("stats = %+v; want len 2, cap 2, 1 eviction", st)
-	}
-	if st.Hits != 3 || st.Misses != 2 {
-		t.Errorf("stats = %+v; want 3 hits, 2 misses", st)
-	}
-	if got, want := st.HitRate(), 3.0/5.0; got != want {
-		t.Errorf("hit rate = %g, want %g", got, want)
+	if n := l.Len(); n != 2 {
+		t.Errorf("Len() = %d, want 2", n)
 	}
 }
 
@@ -43,9 +39,9 @@ func TestPutReplacesInPlace(t *testing.T) {
 	l := New[string, int](2)
 	l.Put("a", 1)
 	l.Put("b", 2)
-	l.Put("a", 10) // replacement, not insertion: nothing may be evicted
-	if st := l.Stats(); st.Evictions != 0 || st.Len != 2 {
-		t.Errorf("replacement evicted: %+v", st)
+	// Replacement, not insertion: nothing may be evicted.
+	if l.Put("a", 10) || l.Len() != 2 {
+		t.Errorf("replacement evicted (len %d)", l.Len())
 	}
 	if v, _ := l.Get("a"); v != 10 {
 		t.Errorf("Get(a) = %d after replacement, want 10", v)
@@ -55,15 +51,8 @@ func TestPutReplacesInPlace(t *testing.T) {
 func TestCapacityClamp(t *testing.T) {
 	l := New[int, int](-5)
 	l.Put(1, 1)
-	l.Put(2, 2)
-	if st := l.Stats(); st.Capacity != 1 || st.Len != 1 {
-		t.Errorf("clamped cache stats = %+v; want capacity 1, len 1", st)
-	}
-}
-
-func TestZeroHitRate(t *testing.T) {
-	if r := (Stats{}).HitRate(); r != 0 {
-		t.Errorf("empty hit rate = %g, want 0", r)
+	if !l.Put(2, 2) || l.Len() != 1 {
+		t.Errorf("clamped cache held %d entries without evicting; want capacity 1", l.Len())
 	}
 }
 
@@ -97,11 +86,11 @@ func ExampleLRU() {
 	l.Put("x", "ex")
 	l.Put("y", "why")
 	l.Get("x")
-	l.Put("z", "zed") // evicts "y", the least recently used
+	evicted := l.Put("z", "zed") // evicts "y", the least recently used
 	_, okY := l.Get("y")
 	x, _ := l.Get("x")
-	fmt.Println(x, okY, l.Stats().Evictions)
-	// Output: ex false 1
+	fmt.Println(x, okY, evicted)
+	// Output: ex false true
 }
 
 func TestKeysAndRemove(t *testing.T) {
@@ -132,14 +121,9 @@ func TestKeysAndRemove(t *testing.T) {
 	if l.Len() != 2 {
 		t.Errorf("Len() = %d after removal, want 2", l.Len())
 	}
-	// Removal must not count as an eviction.
-	if st := l.Stats(); st.Evictions != 0 {
-		t.Errorf("Remove counted as eviction: %+v", st)
-	}
 	// The freed slot must be reusable without evicting.
-	l.Put("d", 4)
-	if st := l.Stats(); st.Evictions != 0 || st.Len != 3 {
-		t.Errorf("stats after refill = %+v", st)
+	if l.Put("d", 4) || l.Len() != 3 {
+		t.Errorf("refill after Remove evicted (len %d)", l.Len())
 	}
 }
 
@@ -152,9 +136,6 @@ func TestPeekLeavesRecencyAndCounters(t *testing.T) {
 	}
 	if _, ok := l.Peek("z"); ok {
 		t.Error("Peek of an absent key reported true")
-	}
-	if st := l.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Peek counted: %+v", st)
 	}
 	l.Put("c", 3) // evicts "a": the Peek did not make it recently used
 	if _, ok := l.Peek("a"); ok {

@@ -8,8 +8,9 @@
 // identically to a cold solve. The LRU itself is generic and knows
 // nothing about SOCs: it stores any value type under any comparable
 // key, evicts the least-recently-used entry beyond a fixed capacity,
-// and counts hits, misses and evictions for the service's /v1/stats
-// endpoint.
+// and tells the caller of Put when it evicted. It keeps no counters:
+// the service books hits, misses and evictions in its own metrics
+// registry, at its lookups and stores.
 //
 // Values are returned as stored, without copying. A caller whose values
 // contain shared structure (slices, maps, pointers) must either never

@@ -12,18 +12,32 @@ import (
 	"soctam/internal/socdata"
 )
 
-// TestSolversListing pins the discovery surface: the registered engines
-// in registration order (the tie-break order), then the portfolio
-// combinator, with the capability flags the redesign promises.
+// TestSolversListing pins the discovery surface: the table's engines
+// in rank order (the tie-break order), then the portfolio combinator,
+// with the strategy each row answers to and the capability flags the
+// redesign promises.
 func TestSolversListing(t *testing.T) {
 	infos := Solvers()
-	wantNames := []string{"partition", "packing", "diagonal", "exhaustive", "ilp", "portfolio"}
-	if len(infos) != len(wantNames) {
-		t.Fatalf("Solvers() lists %d backends, want %d", len(infos), len(wantNames))
+	want := []struct {
+		name     string
+		strategy Strategy
+	}{
+		{"partition", StrategyPartition},
+		{"packing", StrategyPacking},
+		{"diagonal", StrategyDiagonal},
+		{"exhaustive", StrategyExhaustive},
+		{"ilp", StrategyILP},
+		{"portfolio", StrategyPortfolio},
+	}
+	if len(infos) != len(want) {
+		t.Fatalf("Solvers() lists %d backends, want %d", len(infos), len(want))
 	}
 	for i, info := range infos {
-		if info.Name != wantNames[i] {
-			t.Errorf("Solvers()[%d] = %q, want %q", i, info.Name, wantNames[i])
+		if info.Name != want[i].name || info.Strategy != want[i].strategy {
+			t.Errorf("Solvers()[%d] = %q/%v, want %q/%v", i, info.Name, info.Strategy, want[i].name, want[i].strategy)
+		}
+		if info.Strategy.String() != info.Name {
+			t.Errorf("%s: Strategy.String() = %q", info.Name, info.Strategy)
 		}
 		if info.Description == "" {
 			t.Errorf("%s: empty description", info.Name)
@@ -37,9 +51,6 @@ func TestSolversListing(t *testing.T) {
 		if info.Combinator != (info.Name == "portfolio") {
 			t.Errorf("%s: Combinator = %t", info.Name, info.Combinator)
 		}
-	}
-	if !reflect.DeepEqual(StrategyNames(), wantNames) {
-		t.Errorf("StrategyNames() = %v, want %v", StrategyNames(), wantNames)
 	}
 }
 
@@ -74,33 +85,10 @@ func TestFixedTAMEntryPointsSolveLikeSolve(t *testing.T) {
 	}
 }
 
-// TestParseStrategyFolding pins the satellite fix: names parse with
-// surrounding whitespace and in any case.
-func TestParseStrategyFolding(t *testing.T) {
-	for spelling, want := range map[string]Strategy{
-		" partition":   StrategyPartition,
-		"Packing ":     StrategyPacking,
-		"\tDIAGONAL\t": StrategyDiagonal,
-		"Exhaustive":   StrategyExhaustive,
-		" PORTFOLIO ":  StrategyPortfolio,
-	} {
-		got, err := ParseStrategy(spelling)
-		if err != nil {
-			t.Errorf("ParseStrategy(%q): %v", spelling, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("ParseStrategy(%q) = %v, want %v", spelling, got, want)
-		}
-	}
-	if _, err := ParseStrategy("portfolio:partition"); err == nil {
-		t.Error("ParseStrategy accepted a subset spec; that is ParseSpec's job")
-	}
-}
-
-// TestParseSpec covers the portfolio subset spec syntax: canonical
-// ordering by registration rank, whitespace/case folding, and the
-// duplicate/unknown/empty error cases.
+// TestParseSpec covers the spec syntax: bare names with whitespace and
+// case folding, the portfolio subset's canonical ordering by rank, the
+// duplicate/unknown/empty error cases, a round trip of every Solvers
+// name, and an unknown name's error listing every valid one.
 func TestParseSpec(t *testing.T) {
 	for _, tc := range []struct {
 		spec     string
@@ -109,8 +97,13 @@ func TestParseSpec(t *testing.T) {
 		wantErr  string
 	}{
 		{"partition", StrategyPartition, "", ""},
+		{" partition", StrategyPartition, "", ""},
+		{"Packing ", StrategyPacking, "", ""},
+		{"\tDIAGONAL\t", StrategyDiagonal, "", ""},
 		{" Exhaustive ", StrategyExhaustive, "", ""},
+		{" ILP ", StrategyILP, "", ""},
 		{"portfolio", StrategyPortfolio, "", ""},
+		{" PORTFOLIO ", StrategyPortfolio, "", ""},
 		{"portfolio:partition,exhaustive", StrategyPortfolio, "partition,exhaustive", ""},
 		{"Portfolio: Exhaustive , partition", StrategyPortfolio, "partition,exhaustive", ""},
 		{"portfolio:diagonal,packing,partition", StrategyPortfolio, "partition,packing,diagonal", ""},
@@ -137,26 +130,45 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = (%v, %q), want (%v, %q)", tc.spec, strat, subset, tc.strategy, tc.subset)
 		}
 	}
+	for _, info := range Solvers() {
+		strat, subset, err := ParseSpec(info.Name)
+		if err != nil || strat != info.Strategy || subset != "" || strat.String() != info.Name {
+			t.Errorf("ParseSpec(%q) = (%v, %q, %v), want (%v, \"\", nil)", info.Name, strat, subset, err, info.Strategy)
+		}
+	}
+	_, _, err := ParseSpec("simulated-annealing")
+	if err == nil {
+		t.Fatal("unknown strategy accepted")
+	}
+	for _, info := range Solvers() {
+		if !strings.Contains(err.Error(), info.Name) {
+			t.Errorf("error %q does not list valid strategy %q", err, info.Name)
+		}
+	}
 }
 
-// registerBlockerForTest registers an engine that blocks until its
-// context fires — the deterministic cancellation victim for the
-// attribution tests. It is marked Exact so the bare portfolio's default
-// subset never picks it up; only an explicit spec races it. The
-// registration is undone at test cleanup.
+// registerBlockerForTest appends a table row for an engine that blocks
+// until its context fires — the deterministic cancellation victim for
+// the attribution tests. It is marked Exact so the bare portfolio's
+// default subset never picks it up; only an explicit spec races it. The
+// row is truncated away at test cleanup.
 func registerBlockerForTest(t *testing.T) {
 	t.Helper()
-	n := len(registry)
-	register(BackendInfo{
-		Name:        "blocker",
-		Description: "test-only engine that blocks until cancelled",
-		Cancellable: true,
-		Exact:       true,
-	}, Strategy(200), func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-		<-ctx.Done()
-		return Result{}, ctx.Err()
+	n := len(engines)
+	engines = append(engines, engine{
+		info: BackendInfo{
+			Name:        "blocker",
+			Strategy:    Strategy(200),
+			Description: "test-only engine that blocks until cancelled",
+			Cancellable: true,
+			Exact:       true,
+		},
+		solve: func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
+			<-ctx.Done()
+			return Result{}, ctx.Err()
+		},
 	})
-	t.Cleanup(func() { registry = registry[:n] })
+	t.Cleanup(func() { engines = engines[:n] })
 }
 
 // lbTightSOC returns a SOC on which the heuristic backends achieve the
@@ -242,7 +254,7 @@ func TestPortfolioDeterministicCancellationAttribution(t *testing.T) {
 // TestPortfolioSubsetsWithExhaustive races explicit subsets — including
 // the newly raceable exhaustive engine — on d695 at small widths and
 // checks the portfolio invariant (winner time = min of the subset's
-// standalone times, ties to the earlier-registered backend) plus the
+// standalone times, ties to the earlier-ranked backend) plus the
 // attribution bookkeeping for every entry.
 func TestPortfolioSubsetsWithExhaustive(t *testing.T) {
 	s := socdata.D695()
@@ -286,7 +298,7 @@ func TestPortfolioSubsetsWithExhaustive(t *testing.T) {
 				t.Errorf("W=%d %q: %s failed: %s", tc.width, tc.subset, name, run.Err)
 				continue
 			}
-			strat, err := ParseStrategy(name)
+			strat, _, err := ParseSpec(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"soctam/internal/assign"
@@ -15,8 +14,8 @@ import (
 )
 
 // Strategy selects the co-optimization backend used by Solve. Each
-// value (portfolio aside) names a registered engine; the registry in
-// backend.go is the authority for names, capability flags and the
+// value (portfolio aside) names a row of the backend table in
+// backend.go, the authority for names, capability flags and the
 // portfolio tie-break order.
 type Strategy uint8
 
@@ -34,12 +33,12 @@ const (
 	// heuristic of arXiv:1008.4446: best-fit-decreasing placement ordered
 	// and tie-broken by the rectangle diagonal sqrt(w²+t²) (pack.PackDiagonal).
 	StrategyDiagonal
-	// StrategyPortfolio races a subset of the registered backends on
+	// StrategyPortfolio races a subset of the backend table's engines on
 	// concurrent goroutines against a shared incumbent bound and returns
 	// the winner — the best answer of any racing backend in roughly the
 	// wall-clock of the slowest still-relevant one, with per-backend
 	// attribution in Result.Portfolio. Options.Portfolio picks the
-	// subset; empty races every registered non-exact engine.
+	// subset; empty races every non-exact engine.
 	StrategyPortfolio
 	// StrategyExhaustive is the exact enumerate-and-solve baseline of
 	// the earlier JETTA 2002 paper [8]: every unique width partition for
@@ -58,7 +57,7 @@ const (
 	StrategyILP
 )
 
-// String names the strategy by its registered backend name.
+// String names the strategy by its backend name.
 func (s Strategy) String() string {
 	if s == StrategyPortfolio {
 		return portfolioName
@@ -130,16 +129,16 @@ type Options struct {
 	// order and is therefore reproducible only with Workers = 1. The
 	// exact engines always run one worker.
 	Workers int
-	// Strategy picks the Solve backend (a registered engine or the
-	// portfolio combinator). The fixed-TAM-count entry points
+	// Strategy picks the Solve backend (an engine of the backend table
+	// or the portfolio combinator). The fixed-TAM-count entry points
 	// (PartitionEvaluate, Exhaustive) set it themselves.
 	Strategy Strategy
 	// Portfolio is the portfolio race's backend subset as a
-	// comma-separated list of registered backend names (the spec tail of
-	// "portfolio:partition,diagonal"). Empty races every registered
-	// non-exact engine. Only StrategyPortfolio reads it; ties between
-	// racers always resolve by registration order, whatever order the
-	// subset lists them in.
+	// comma-separated list of engine names (the spec tail of
+	// "portfolio:partition,diagonal"). Empty races every non-exact
+	// engine. Only StrategyPortfolio reads it; ties between racers
+	// always resolve by the engines' rank (their row order in the
+	// backend table), whatever order the subset lists them in.
 	Portfolio string
 	// Progress, when non-nil, receives solver progress events (backend
 	// start/finish/cancellation, incumbent improvements) while a Solve
@@ -245,7 +244,7 @@ func (o Options) tables(s *soc.SOC, width int) ([][]soc.Cycles, error) {
 // and solely when more than one worker runs), negative "use the
 // default" sentinels collapse onto their defaults, and the Portfolio
 // subset collapses onto its canonical spelling — names folded, ordered
-// by registration rank, the default race spelled out, and the field
+// by rank, the default race spelled out, and the field
 // cleared entirely for non-portfolio strategies. Deadline and Budget
 // are cleared too: a deadline bounds how long a run may take, never
 // what a completed run computes, so cache keys must stay
@@ -273,16 +272,12 @@ func (o Options) Normalized() Options {
 		// Only the portfolio reads the subset; anything else carrying one
 		// must not split cache entries.
 		o.Portfolio = ""
-	} else if subset, err := resolveSubset(o.Portfolio); err == nil {
+	} else if ranks, err := raceRanks(o.Portfolio); err == nil {
 		// Canonical spelling, with the default race spelled out so
 		// "portfolio" and an explicit list of the same engines share one
 		// cache entry. An unparsable subset is left as typed — Solve will
 		// reject it, and a cache can only ever key an error entry on it.
-		names := make([]string, len(subset))
-		for i, e := range subset {
-			names[i] = e.info.Name
-		}
-		o.Portfolio = strings.Join(names, ",")
+		o.Portfolio = subsetNames(ranks)
 	}
 	return o
 }
@@ -514,7 +509,7 @@ func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result,
 }
 
 // Solve is the unified co-optimization entry point: it dispatches on
-// Options.Strategy to the matching registered backend — the paper's
+// Options.Strategy to the matching row of the backend table — the paper's
 // partition flow, the two rectangle bin-packing engines (package pack),
 // the exact engines (the exhaustive baseline of [8] and the ILP branch
 // and bound) — or to the portfolio combinator that races a subset of
@@ -551,6 +546,13 @@ func SolveContext(ctx context.Context, s *soc.SOC, width int, opt Options) (Resu
 	if !ok {
 		return Result{}, fmt.Errorf("coopt: no registered backend for strategy %v", opt.Strategy)
 	}
+	return runEngine(ctx, e, s, width, opt, sink)
+}
+
+// runEngine runs one engine framed on the progress stream: start, the
+// engine's own events, then exactly one done or cancelled. A context
+// error of either kind reads as a cancellation.
+func runEngine(ctx context.Context, e *engine, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	sink.start(e.info.Name)
 	res, err := e.solve(ctx, s, width, opt, sink)
 	switch {

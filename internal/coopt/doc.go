@@ -1,14 +1,14 @@
 // Package coopt is the top of the wrapper/TAM co-optimization stack
 // (ARCHITECTURE.md §3, §5, §8–§9, §11): the DATE 2002 paper's
 // Partition_evaluate heuristic (Figure 3) for the problems P_PAW and
-// P_NPAW, the exact final optimization step, and the solver-engine
-// registry (backend.go) that Solve dispatches over — the partition
+// P_NPAW, the exact final optimization step, and the backend table
+// (backend.go) that Solve dispatches over — the partition
 // flow, rectangle bin-packing (StrategyPacking), diagonal-length
 // bin-packing (StrategyDiagonal), the exhaustive enumerate-and-solve
 // baseline of the earlier JETTA 2002 work [8] (StrategyExhaustive),
 // the exact LP-pruned branch and bound over the same partitions
 // (StrategyILP), and the portfolio combinator (StrategyPortfolio) that
-// races any registered subset concurrently against a shared incumbent
+// races any subset of them concurrently against a shared incumbent
 // bound and returns the winner. Solve/SolveContext is the one way to
 // run any of them; PartitionEvaluate and Exhaustive are Solve with the
 // engine's TAM-count sweep narrowed to one B. Options.Progress streams

@@ -9,26 +9,6 @@ import (
 	"soctam/internal/soc"
 )
 
-// ilpBackendName is the registered name of the exact branch-and-bound
-// engine (see partitionBackendName for why these live as constants).
-const ilpBackendName = "ilp"
-
-// The ILP engine registers after the built-in engines of backend.go:
-// within a package Go runs init functions in file-name order, and
-// "ilp_backend.go" sorts after "backend.go", so the registry keeps the
-// pre-PR-8 ranks (partition, packing, diagonal, exhaustive) and every
-// earlier result — portfolio tie-breaks included — is reproduced bit
-// for bit.
-func init() {
-	register(BackendInfo{
-		Name:        ilpBackendName,
-		Description: "exact branch-and-bound over width partitions with LP-relaxation and lower-bound pruning",
-		PowerAware:  true,
-		Cancellable: true,
-		Exact:       true,
-	}, StrategyILP, solveILP)
-}
-
 // solveILP is the exact engine behind StrategyILP: the same partition
 // space as the exhaustive baseline (every unique width partition for
 // B = 1..MaxTAMs, each solved to a proven-optimal assignment), searched

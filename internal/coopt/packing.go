@@ -9,7 +9,7 @@ import (
 )
 
 // packEngine adapts one of package pack's packers (PackContext,
-// PackDiagonalContext) into a registered engine that wraps the
+// PackDiagonalContext) into an engine's solve function that wraps the
 // schedule as a Result. Partition/Assignment stay empty: a packed
 // architecture re-divides the W wires between cores over time instead
 // of fixing test buses, so there is no width partition to report — the

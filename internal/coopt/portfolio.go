@@ -15,16 +15,16 @@ import (
 )
 
 // This file implements StrategyPortfolio as a combinator over the
-// backend registry: Solve races an arbitrary subset of the registered
-// engines (Options.Portfolio; the default is every non-exact engine) on
+// backend table: Solve races an arbitrary subset of its engines
+// (Options.Portfolio; the default is every non-exact engine) on
 // concurrent goroutines and returns the winner. The backends share the
 // best completed testing time through an atomic incumbent bound; a
 // backend whose lower bound proves it can neither beat nor tie-win the
-// incumbent is cancelled via its context. Tie-break ranks come from
-// registration order, never from the subset's spelling, so racing any
-// subset reproduces the standalone results of its members bit for bit.
-// See ARCHITECTURE.md §9 for the determinism argument and §11 for the
-// registry.
+// incumbent is cancelled via its context. Tie-break ranks are the
+// table's row order, never the subset's spelling, so racing any subset
+// reproduces the standalone results of its members bit for bit. See
+// ARCHITECTURE.md §9 for the determinism argument and §11 for the
+// table.
 //
 // Sharing is deliberately limited to provably consequence-free
 // cancellation. Feeding the cross-backend incumbent into a backend's
@@ -37,7 +37,7 @@ import (
 // returns a worse time than the best single backend.
 
 // BackendRun is one racer's outcome inside a portfolio run, in the
-// fixed registration (tie-break) order of the racing subset.
+// fixed rank (tie-break) order of the racing subset.
 type BackendRun struct {
 	// Strategy is the backend this entry describes.
 	Strategy Strategy
@@ -65,8 +65,9 @@ type BackendRun struct {
 // smaller means lexicographically better on (time, tie-break rank).
 type incumbent struct{ v atomic.Int64 }
 
-// rankBits is the low-bit budget for the tie-break rank; registries of
-// up to 1<<rankBits engines race with full cancellation power.
+// rankBits is the low-bit budget for the tie-break rank; a backend
+// table of up to 1<<rankBits engines races with full cancellation
+// power.
 const rankBits = 3
 
 // maxEncodable is the largest testing time the incumbent encoding
@@ -106,44 +107,26 @@ func (in *incumbent) beats(t soc.Cycles, rank int) bool {
 	return in.v.Load() < int64(t)<<rankBits|int64(rank)
 }
 
-// PortfolioPartitionParallel reports whether the partition racer inside
-// a portfolio run evaluates partitions on a worker pool — i.e. whether
-// the Stats split of a partition-won portfolio Result is
-// evaluation-order dependent (the ParallelEvaluation analogue for
-// StrategyPortfolio). The racer gets every resolved worker, so this is
-// ParallelEvaluation when the configured subset races the partition
-// flow, and false when it does not.
-func (o Options) PortfolioPartitionParallel() bool {
-	if subset, err := resolveSubset(o.Portfolio); err == nil {
-		racesPartition := false
-		for _, e := range subset {
-			if e.strategy == StrategyPartition {
-				racesPartition = true
-			}
-		}
-		if !racesPartition {
-			return false
-		}
-	}
-	return o.ParallelEvaluation()
-}
-
-// solvePortfolio races the subset of registered backends selected by
+// solvePortfolio races the subset of engines selected by
 // Options.Portfolio (default: every non-exact engine) concurrently and
 // returns the winner: the best testing time, ties broken by the fixed
-// registration order. Each backend runs its standalone algorithm
+// rank order. Each backend runs its standalone algorithm
 // unchanged (so the portfolio time equals the minimum of the
 // single-backend times, bit for bit at any Workers setting); the
 // incumbent bound cancels a backend only when it provably cannot win.
 // The backends' contexts derive from the caller's parent ctx, so
 // cancelling it stops the whole race (SolveContext's contract).
 // Lifecycle and improvement events from every racer deliver into the
-// one sink, serialized.
+// one sink, serialized, each racer framed by runEngine.
 func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
 	started := time.Now()
-	backends, err := resolveSubset(opt.Portfolio)
+	ranks, err := raceRanks(opt.Portfolio)
 	if err != nil {
 		return Result{}, err
+	}
+	backends := make([]engine, len(ranks))
+	for i, rank := range ranks {
+		backends[i] = engines[rank]
 	}
 	curves, err := curvesFor(s, width) // validates SOC and width up front
 	if err != nil {
@@ -163,32 +146,26 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 	results := make([]outcome, len(backends))
 	done := make(chan int, len(backends))
 	var wg sync.WaitGroup
-	for i, b := range backends {
+	for i := range backends {
 		ctx, cancel := context.WithCancel(parent)
 		cancels[i] = cancel
 		wg.Add(1)
-		go func(i int, b *engine, rank int) {
+		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
-			sink.start(b.info.Name)
 			runOpt := opt
-			runOpt.Strategy = b.strategy
+			runOpt.Strategy = backends[i].info.Strategy
 			// The racers share the memoized wrapper curves the
 			// cancellation bound's tables came from — result-neutral
 			// (see Options.curves).
 			runOpt.curves = curves
-			res, err := b.solve(ctx, s, width, runOpt, sink)
+			res, err := runEngine(ctx, &backends[i], s, width, runOpt, sink)
 			if err == nil {
-				bound.offer(res.Time, rank)
-				sink.done(b.info.Name, res.Time, nil)
-			} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				sink.cancelled(b.info.Name)
-			} else {
-				sink.done(b.info.Name, 0, err)
+				bound.offer(res.Time, ranks[i])
 			}
 			results[i] = outcome{res: res, err: err, elapsed: time.Since(t0)}
 			done <- i
-		}(i, b, rankOf(b))
+		}(i)
 	}
 
 	// Monitor: after every completion, cancel any still-running backend
@@ -199,8 +176,8 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 	finished := make([]bool, len(backends))
 	for range backends {
 		finished[<-done] = true
-		for j, b := range backends {
-			if !finished[j] && bound.beats(lb, rankOf(b)) {
+		for j, rank := range ranks {
+			if !finished[j] && bound.beats(lb, rank) {
 				cancels[j]()
 			}
 		}
@@ -214,13 +191,13 @@ func solvePortfolio(parent context.Context, s *soc.SOC, width int, opt Options, 
 	winner := -1
 	for i, b := range backends {
 		out := &results[i]
-		runs[i] = BackendRun{Strategy: b.strategy, Elapsed: out.elapsed}
+		runs[i] = BackendRun{Strategy: b.info.Strategy, Elapsed: out.elapsed}
 		switch {
 		case out.err == nil:
 			runs[i].Time = out.res.Time
 			runs[i].Truncated = out.res.Truncated
 			// Strict < keeps the earlier backend on ties: backends are
-			// visited in registration (tie-break) order.
+			// visited in rank (tie-break) order.
 			if winner < 0 || out.res.Time < results[winner].res.Time {
 				winner = i
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"soctam/internal/soc"
@@ -176,29 +175,6 @@ func TestCoOptimizeCancellation(t *testing.T) {
 		_, err := SolveContext(ctx, s, 32, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: cancelled partition solve returned %v, want context.Canceled", workers, err)
-		}
-	}
-}
-
-// TestParseStrategy covers the name round-trip and the error listing
-// every valid name.
-func TestParseStrategy(t *testing.T) {
-	for _, name := range StrategyNames() {
-		strat, err := ParseStrategy(name)
-		if err != nil {
-			t.Fatalf("ParseStrategy(%q): %v", name, err)
-		}
-		if strat.String() != name {
-			t.Errorf("ParseStrategy(%q).String() = %q", name, strat.String())
-		}
-	}
-	_, err := ParseStrategy("simulated-annealing")
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	for _, name := range StrategyNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list valid strategy %q", err, name)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (k ProgressKind) String() string {
 
 // ProgressEvent is one solver progress notification.
 type ProgressEvent struct {
-	// Backend is the registered name of the backend the event concerns.
+	// Backend is the name of the backend the event concerns.
 	Backend string
 	// Kind classifies the event.
 	Kind ProgressKind

@@ -8,10 +8,9 @@ import (
 )
 
 // raceableBackends returns the engines the bare portfolio races — every
-// registered non-exact, non-combinator backend, in registration (tie
-// break) order. The experiment derives its columns from the registry so
-// a newly registered heuristic joins the comparison without touching
-// this file.
+// non-exact, non-combinator backend, in rank (tie-break) order. The
+// experiment derives its columns from Solvers so a heuristic added to
+// the backend table joins the comparison without touching this file.
 func raceableBackends() []coopt.BackendInfo {
 	var out []coopt.BackendInfo
 	for _, info := range coopt.Solvers() {
@@ -29,8 +28,8 @@ func raceableBackends() []coopt.BackendInfo {
 // race costs in wall clock against running the backends one after
 // another. This experiment has no counterpart in the source paper — it
 // quantifies the multi-backend scenario the ROADMAP's north star asks
-// for. The racing set comes from the solver-engine registry, so the
-// tables grow a column per newly registered heuristic.
+// for. The racing set comes from the backend table, so the tables grow
+// a column per heuristic added to it.
 func PortfolioVsSingle(opt Options) ([]*report.Table, error) {
 	cfg := opt.cooptOptions()
 	backends := raceableBackends()
@@ -54,12 +53,8 @@ func PortfolioVsSingle(opt Options) ([]*report.Table, error) {
 			times := make([]string, len(backends))
 			var serial float64
 			for i, b := range backends {
-				strat, err := coopt.ParseStrategy(b.Name)
-				if err != nil {
-					return nil, err
-				}
 				c := cfg
-				c.Strategy = strat
+				c.Strategy = b.Strategy
 				res, err := coopt.Solve(s, w, c)
 				if err != nil {
 					return nil, err

@@ -9,7 +9,7 @@
 // jobs, answered as NDJSON lines in completion order), POST /v1/stream
 // (one job, answered as an NDJSON stream of solver progress and one
 // terminal line), GET /v1/solvers (capability discovery over the
-// solver-engine registry), GET /v1/healthz, GET /v1/stats and GET
+// solver's backend table), GET /v1/healthz, GET /v1/stats and GET
 // /metrics (the Prometheus text exposition of the server's registry).
 // Each way in turns a body into a job through one parse-and-route step
 // and answers it through one solve-and-shape step (ARCHITECTURE.md

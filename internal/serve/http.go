@@ -509,12 +509,10 @@ func toResultJSON(s *soc.SOC, res coopt.Result) resultJSON {
 	}
 	// The enumerating backends report their evaluation counters; the
 	// packers have none (a packed schedule has no partition enumeration).
-	if res.Packing == nil && (res.Strategy == coopt.StrategyPartition || res.Strategy == coopt.StrategyExhaustive ||
-		res.Strategy == coopt.StrategyILP) {
+	if res.Packing == nil {
 		st := statsJSON(res.Stats)
 		out.Stats = &st
-	}
-	if res.Packing != nil {
+	} else {
 		p := &packingJSON{
 			Makespan: int64(res.Packing.Makespan),
 			Bound:    int64(res.Packing.Bound),
@@ -692,7 +690,7 @@ func (sv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	out.line(streamLine{Event: "result", Result: resp})
 }
 
-// solverJSON is one GET /v1/solvers entry: a registered backend's name
+// solverJSON is one GET /v1/solvers entry: a selectable backend's name
 // and capability flags — the discovery surface clients use to build
 // strategy and portfolio-subset requests without hard-coding the
 // engine set.

@@ -43,8 +43,9 @@ type serverMetrics struct {
 	httpInflight obs.Gauge        // requests currently being served
 
 	// Cache counters are resolved only when the result cache is enabled;
-	// the zero handles are never touched otherwise (the LRU hooks that
-	// drive them are only installed alongside).
+	// the zero handles are never touched otherwise. The request path
+	// counts hits and misses at its one cache lookup and evictions at
+	// the cache's two stores.
 	cacheHits      obs.Counter
 	cacheMisses    obs.Counter
 	cacheEvictions obs.Counter

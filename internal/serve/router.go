@@ -346,18 +346,13 @@ func relayHeader(w http.ResponseWriter, resp *http.Response) {
 // maybeRecordWarm remembers how to replay a job this node answered for
 // a digest owned by someone else, so the owner's cache can be primed
 // when it comes back (probeLoop triggers warmPush on the up
-// transition). Jobs whose options carry library-only fields the wire
-// schema cannot express are skipped — handoff is best-effort.
+// transition).
 func (rt *router) maybeRecordWarm(key string, rs *resolvedSOC, width int, norm coopt.Options) {
 	owner, ok := rt.ring.Owner(rs.digest)
 	if !ok || owner == rt.self {
 		return
 	}
-	o, ok := wireOptions(norm)
-	if !ok {
-		return
-	}
-	body, err := json.Marshal(solveRequest{SOC: rs.canon.EncodeString(), Width: width, Options: o})
+	body, err := json.Marshal(solveRequest{SOC: rs.canon.EncodeString(), Width: width, Options: wireOptions(norm)})
 	if err != nil {
 		return
 	}
@@ -365,13 +360,10 @@ func (rt *router) maybeRecordWarm(key string, rs *resolvedSOC, width int, norm c
 }
 
 // wireOptions re-encodes normalized options into the HTTP request
-// schema, for warm-handoff replays. The bool is false when the options
-// carry a field the wire schema cannot express (possible only for
-// library callers of Server.Solve; every HTTP-parsed job round-trips).
-func wireOptions(opt coopt.Options) (*optionsJSON, bool) {
-	if opt.SkipFinal || opt.NoEarlyAbort || opt.Enumeration != 0 || opt.PlainCoreAssign {
-		return nil, false
-	}
+// schema, for warm-handoff replays. Every option the service solves
+// with has a wire spelling (the solve path rejects the ablation knobs
+// that have none), so every job round-trips.
+func wireOptions(opt coopt.Options) *optionsJSON {
 	o := &optionsJSON{MaxTAMs: opt.MaxTAMs, MaxPower: opt.MaxPower, NodeLimit: opt.NodeLimit}
 	if opt.Strategy != coopt.StrategyPartition {
 		o.Strategy = opt.Strategy.String()
@@ -379,7 +371,7 @@ func wireOptions(opt coopt.Options) (*optionsJSON, bool) {
 	if opt.Strategy == coopt.StrategyPortfolio && opt.Portfolio != "" {
 		o.Strategy = "portfolio:" + opt.Portfolio
 	}
-	return o, true
+	return o
 }
 
 // probeLoop actively probes every peer's /v1/healthz on the configured

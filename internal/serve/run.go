@@ -75,5 +75,5 @@ func cacheDesc(sv *Server) string {
 	if sv.results == nil {
 		return "disabled"
 	}
-	return fmt.Sprintf("%d entries", sv.results.Stats().Capacity)
+	return fmt.Sprintf("%d entries", sv.cfg.CacheSize)
 }

@@ -235,15 +235,7 @@ func NewCluster(cfg Config) (*Server, error) {
 		func() float64 { return time.Since(sv.started).Seconds() })
 	if cfg.CacheSize > 0 {
 		sv.results = cache.New[string, coopt.Result](cfg.CacheSize)
-		// The LRU fires these under its own mutex, synchronously with its
-		// internal counters, so the registry's view and cache.Stats() can
-		// never drift apart.
 		sv.m.resolveCacheMetrics(reg)
-		sv.results.SetHooks(cache.Hooks{
-			Hit:   sv.m.cacheHits.Inc,
-			Miss:  sv.m.cacheMisses.Inc,
-			Evict: sv.m.cacheEvictions.Inc,
-		})
 		reg.GaugeFunc("soctam_cache_entries", "Result-cache entries currently stored.",
 			func() float64 { return float64(sv.results.Len()) })
 		reg.Gauge("soctam_cache_capacity", "Result-cache capacity in entries.").Set(float64(cfg.CacheSize))
@@ -285,20 +277,25 @@ type Meta struct {
 // jobKey composes the cache key for one (SOC, width, options) job. The
 // options must already be Normalized — the caller hashes the canonical
 // form so parallelism knobs and spelled-out defaults cannot split
-// cache entries. Every result-affecting Options field appears here;
-// when a field is added to coopt.Options it must be added to this
-// fingerprint (or consciously excluded, like Workers — and like
-// Deadline/Budget, which bound how long a run may take but never what
-// a completed run computes, so keys stay deadline-independent and a
-// deadline-free client can hit an entry a deadline-bounded one
-// populated, and vice versa).
+// cache entries. Every result-affecting Options field the service
+// solves with appears here; when a field is added to coopt.Options it
+// must be added to this fingerprint, rejected in solve, or
+// consciously excluded, like Workers — and like Deadline/Budget, which
+// bound how long a run may take but never what a completed run
+// computes, so keys stay deadline-independent and a deadline-free
+// client can hit an entry a deadline-bounded one populated, and vice
+// versa.
 func jobKey(digest string, width int, opt coopt.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|node=%d|skipfinal=%t|noabort=%t|enum=%d|plain=%t|maxpower=%d|portfolio=%s",
-		digest, width, opt.Strategy, opt.MaxTAMs, opt.NodeLimit, opt.SkipFinal,
-		opt.NoEarlyAbort, opt.Enumeration, opt.PlainCoreAssign, opt.MaxPower, opt.Portfolio)
+	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|node=%d|maxpower=%d|portfolio=%s",
+		digest, width, opt.Strategy, opt.MaxTAMs, opt.NodeLimit, opt.MaxPower, opt.Portfolio)
 	return fmt.Sprintf("job:%x", h.Sum(nil))
 }
+
+// errAblation rejects a job that sets one of coopt.Options' ablation
+// knobs: no wire request can set them, and the paper-table experiments
+// run them through coopt directly.
+var errAblation = errors.New("serve: ablation options (SkipFinal, NoEarlyAbort, PlainCoreAssign, a non-canonical Enumeration) are not served")
 
 // Solve answers one job: validate, canonicalize, consult the cache,
 // deduplicate against identical in-flight solves, and only then spend a
@@ -329,12 +326,18 @@ func (sv *Server) Solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Op
 // directly, and only complete (non-truncated) results are ever cached.
 func (sv *Server) solve(ctx context.Context, rs *resolvedSOC, width int, opt coopt.Options, fn coopt.ProgressFunc) (coopt.Result, Meta, error) {
 	t0 := time.Now()
-	norm := opt.Normalized()
 	meta := Meta{Digest: rs.digest}
+	if opt.SkipFinal || opt.NoEarlyAbort || opt.PlainCoreAssign || opt.Enumeration != coopt.EnumCanonical {
+		sv.m.failed.Inc()
+		return coopt.Result{}, meta, errAblation
+	}
+	norm := opt.Normalized()
 	meta.Key = jobKey(meta.Digest, width, norm)
 
 	if sv.results != nil {
-		if res, ok := sv.results.Get(meta.Key); ok {
+		res, ok := sv.results.Get(meta.Key)
+		if ok {
+			sv.m.cacheHits.Inc()
 			// A cached entry is always a complete result (truncated ones
 			// are never stored), so it answers deadline-bounded queries
 			// too — a complete answer within any deadline.
@@ -343,6 +346,7 @@ func (sv *Server) solve(ctx context.Context, rs *resolvedSOC, width int, opt coo
 			sv.m.completed.Inc()
 			return remapResult(res, rs.perm), meta, nil
 		}
+		sv.m.cacheMisses.Inc()
 	}
 	var res coopt.Result
 	var err error
@@ -551,7 +555,9 @@ func (sv *Server) cachePut(key string, canon *soc.SOC, width int, norm coopt.Opt
 	if sv.results == nil || res.Truncated {
 		return
 	}
-	sv.results.Put(key, res)
+	if sv.results.Put(key, res) {
+		sv.m.cacheEvictions.Inc()
+	}
 	if res.Proven || sv.escq == nil || exactEngine(res.Strategy) {
 		return
 	}
@@ -561,11 +567,11 @@ func (sv *Server) cachePut(key string, canon *soc.SOC, width int, norm coopt.Opt
 	}
 }
 
-// exactEngine reports whether strategy names a registered backend that
-// carries the registry's Exact flag.
+// exactEngine reports whether strategy's row in the backend table
+// carries the Exact flag.
 func exactEngine(strategy coopt.Strategy) bool {
 	for _, info := range coopt.Solvers() {
-		if info.Name == strategy.String() {
+		if info.Strategy == strategy {
 			return info.Exact
 		}
 	}
@@ -619,7 +625,9 @@ func (sv *Server) escalateOne(j escJob) {
 	if err != nil || res.Truncated || !res.Proven || res.Time > cur.Time {
 		return
 	}
-	sv.results.Put(j.key, res)
+	if sv.results.Put(j.key, res) {
+		sv.m.cacheEvictions.Inc()
+	}
 	sv.m.escalated.Inc()
 }
 
@@ -754,13 +762,10 @@ func (sv *Server) Stats() Stats {
 		},
 	}
 	if sv.results != nil {
-		cs := sv.results.Stats()
 		st.Cache = CacheStats{
-			Enabled:  true,
-			Entries:  cs.Len,
-			Capacity: cs.Capacity,
-			// Counters from the registry handles; the LRU hooks keep them
-			// identical to the cache's own (see NewCluster).
+			Enabled:   true,
+			Entries:   sv.results.Len(),
+			Capacity:  sv.cfg.CacheSize,
 			Hits:      sv.m.cacheHits.Value(),
 			Misses:    sv.m.cacheMisses.Value(),
 			Evictions: sv.m.cacheEvictions.Value(),

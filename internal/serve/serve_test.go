@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -285,6 +286,29 @@ func TestSolveInvalidSOC(t *testing.T) {
 	}
 	if st := sv.Stats(); st.Jobs.Failed != 1 {
 		t.Errorf("failed count %d, want 1", st.Jobs.Failed)
+	}
+}
+
+// The service solves only what its wire can say: each ablation knob of
+// coopt.Options is rejected as a failed job, before any cache lookup or
+// solve.
+func TestSolveRejectsAblationOptions(t *testing.T) {
+	sv := New(Config{})
+	defer sv.Close()
+	for i, opt := range []coopt.Options{
+		{SkipFinal: true},
+		{NoEarlyAbort: true},
+		{PlainCoreAssign: true},
+		{Enumeration: coopt.EnumOdometer},
+	} {
+		if _, _, err := sv.Solve(context.Background(), socdata.D695(), 16, opt); !errors.Is(err, errAblation) {
+			t.Errorf("%+v: err %v, want errAblation", opt, err)
+		}
+		st := sv.Stats()
+		if st.Jobs.Failed != int64(i+1) || st.Jobs.Solved != 0 || st.Cache.Misses != 0 || st.Cache.Entries != 0 {
+			t.Errorf("after %+v: jobs %+v, cache %+v; want %d failed and nothing solved or looked up",
+				opt, st.Jobs, st.Cache, i+1)
+		}
 	}
 }
 

@@ -66,9 +66,9 @@ func TestReadmeMentionsEveryStrategyName(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(raw)
-	for _, name := range soctam.StrategyNames() {
-		if !strings.Contains(text, "`"+name+"`") {
-			t.Errorf("README never mentions strategy `%s`", name)
+	for _, info := range soctam.Solvers() {
+		if !strings.Contains(text, "`"+info.Name+"`") {
+			t.Errorf("README never mentions strategy `%s`", info.Name)
 		}
 	}
 	if !strings.Contains(text, "portfolio:") {

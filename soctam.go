@@ -12,11 +12,11 @@
 // The top-level entry points are:
 //
 //   - Solve (and its cancellable form SolveContext): the one way to run
-//     a co-optimization — any backend registered in the solver-engine
-//     registry (the paper's partition flow, the two rectangle
-//     bin-packing heuristics, the exact exhaustive baseline and the
-//     exact ILP branch and bound) or the portfolio combinator that
-//     races a subset of them and returns the winner, selected by
+//     a co-optimization — any backend of the backend table (the paper's
+//     partition flow, the two rectangle bin-packing heuristics, the
+//     exact exhaustive baseline and the exact ILP branch and bound) or
+//     the portfolio combinator that races a subset of them and returns
+//     the winner, selected by
 //     Options.Strategy (and Options.Portfolio for the race subset),
 //     with partition evaluation parallelized across Options.Workers, an
 //     optional peak-power ceiling enforced via Options.MaxPower (or the
@@ -28,9 +28,10 @@
 //     P_PAW) and the exact enumerate-and-solve baseline of the earlier
 //     JETTA 2002 paper [8] with the TAM count fixed — Solve with the
 //     engine's TAM-count sweep narrowed to one B;
-//   - Solvers / ParseStrategySpec: the registry's discovery surface —
-//     every selectable backend with its capability flags (power-aware,
-//     cancellable, exact, combinator);
+//   - Solvers / ParseStrategySpec: the backend table's discovery
+//     surface — every selectable backend with its strategy constant and
+//     capability flags (power-aware, cancellable, exact, combinator) —
+//     and the parser of a -strategy value or "strategy" field;
 //   - DesignWrapper / TestTime: per-core wrapper design (P_W);
 //   - NewInstance / CoreAssign / SolveAssignment: the core-assignment
 //     problem P_AW on fixed TAM widths, heuristically and exactly;
@@ -88,8 +89,9 @@ type (
 	// BackendRun is one racer's outcome inside a portfolio run
 	// (Result.Portfolio).
 	BackendRun = coopt.BackendRun
-	// BackendInfo describes a registered backend: name and capability
-	// flags (power-aware, cancellable, exact, combinator).
+	// BackendInfo describes a selectable backend: name, strategy
+	// constant and capability flags (power-aware, cancellable, exact,
+	// combinator).
 	BackendInfo = coopt.BackendInfo
 	// ProgressEvent is one solver progress notification delivered to
 	// Options.Progress.
@@ -128,7 +130,7 @@ const (
 	// StrategyDiagonal is rectangle bin-packing with the diagonal-length
 	// heuristic of arXiv:1008.4446.
 	StrategyDiagonal = coopt.StrategyDiagonal
-	// StrategyPortfolio races a subset of the registered backends
+	// StrategyPortfolio races a subset of the backend table's engines
 	// concurrently (Options.Portfolio; by default every non-exact
 	// engine) and returns the winner, with per-backend attribution in
 	// Result.Portfolio.
@@ -158,29 +160,19 @@ const (
 	ProgressImproved = coopt.ProgressImproved
 )
 
-// ParseStrategy maps a strategy name ("partition", "packing",
-// "diagonal", "exhaustive", "portfolio") to its constant, trimming
-// whitespace and matching case-insensitively; the error of an unknown
-// name lists every valid choice. For portfolio subset specs
-// ("portfolio:partition,diagonal") use ParseStrategySpec.
-func ParseStrategy(name string) (Strategy, error) { return coopt.ParseStrategy(name) }
-
-// ParseStrategySpec parses a strategy spec: a bare strategy name, or a
+// ParseStrategySpec parses a strategy spec: a bare strategy name (any
+// Solvers name, whitespace-trimmed and case-insensitive), or a
 // portfolio subset "portfolio:name,name,..." racing exactly the named
 // backends. It returns the strategy and, for a subset spec, the
 // canonical Options.Portfolio value (names folded and re-ordered into
-// registration order — the portfolio's tie-break order, which the
-// spec's own order never changes).
+// rank order — the portfolio's tie-break order, which the spec's own
+// order never changes). The error of an unknown name lists every valid
+// choice.
 func ParseStrategySpec(spec string) (Strategy, string, error) { return coopt.ParseSpec(spec) }
 
-// StrategyNames returns the names ParseStrategy accepts: the registered
-// backends in the portfolio's fixed racing/tie-break order, then
-// "portfolio".
-func StrategyNames() []string { return coopt.StrategyNames() }
-
 // Solvers returns the BackendInfo of every selectable backend — the
-// registered engines in registration order, then the portfolio
-// combinator — with their capability flags. It is the discovery
+// engines in rank order, then the portfolio combinator — with their
+// strategy constants and capability flags. It is the discovery
 // surface behind the wtamd GET /v1/solvers endpoint and the README
 // strategy table.
 func Solvers() []BackendInfo { return coopt.Solvers() }
