@@ -85,10 +85,51 @@ func TestFixedTAMEntryPointsSolveLikeSolve(t *testing.T) {
 	}
 }
 
-// TestParseSpec covers the spec syntax: bare names with whitespace and
-// case folding, the portfolio subset's canonical ordering by rank, the
-// duplicate/unknown/empty error cases, a round trip of every Solvers
-// name, and an unknown name's error listing every valid one.
+// TestParseStrategyFolding checks that a bare strategy name parses
+// whatever its case and surrounding whitespace, and names no subset.
+func TestParseStrategyFolding(t *testing.T) {
+	for spelling, want := range map[string]Strategy{
+		" partition":   StrategyPartition,
+		"Packing ":     StrategyPacking,
+		"\tDIAGONAL\t": StrategyDiagonal,
+		"Exhaustive":   StrategyExhaustive,
+		" ILP ":        StrategyILP,
+		" PORTFOLIO ":  StrategyPortfolio,
+	} {
+		got, subset, err := ParseSpec(spelling)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", spelling, err)
+			continue
+		}
+		if got != want || subset != "" {
+			t.Errorf("ParseSpec(%q) = (%v, %q), want (%v, \"\")", spelling, got, subset, want)
+		}
+	}
+}
+
+// TestParseStrategy covers the name round-trip over every Solvers name
+// and the unknown-name error listing every valid name.
+func TestParseStrategy(t *testing.T) {
+	for _, info := range Solvers() {
+		strat, subset, err := ParseSpec(info.Name)
+		if err != nil || strat != info.Strategy || subset != "" || strat.String() != info.Name {
+			t.Errorf("ParseSpec(%q) = (%v, %q, %v), want (%v, \"\", nil)", info.Name, strat, subset, err, info.Strategy)
+		}
+	}
+	_, _, err := ParseSpec("simulated-annealing")
+	if err == nil {
+		t.Fatal("unknown strategy accepted")
+	}
+	for _, info := range Solvers() {
+		if !strings.Contains(err.Error(), info.Name) {
+			t.Errorf("error %q does not list valid strategy %q", err, info.Name)
+		}
+	}
+}
+
+// TestParseSpec covers the spec syntax: bare names, the portfolio
+// subset's canonical ordering by rank, and the duplicate/unknown/empty
+// error cases.
 func TestParseSpec(t *testing.T) {
 	for _, tc := range []struct {
 		spec     string
@@ -97,13 +138,8 @@ func TestParseSpec(t *testing.T) {
 		wantErr  string
 	}{
 		{"partition", StrategyPartition, "", ""},
-		{" partition", StrategyPartition, "", ""},
-		{"Packing ", StrategyPacking, "", ""},
-		{"\tDIAGONAL\t", StrategyDiagonal, "", ""},
 		{" Exhaustive ", StrategyExhaustive, "", ""},
-		{" ILP ", StrategyILP, "", ""},
 		{"portfolio", StrategyPortfolio, "", ""},
-		{" PORTFOLIO ", StrategyPortfolio, "", ""},
 		{"portfolio:partition,exhaustive", StrategyPortfolio, "partition,exhaustive", ""},
 		{"Portfolio: Exhaustive , partition", StrategyPortfolio, "partition,exhaustive", ""},
 		{"portfolio:diagonal,packing,partition", StrategyPortfolio, "partition,packing,diagonal", ""},
@@ -128,21 +164,6 @@ func TestParseSpec(t *testing.T) {
 		}
 		if strat != tc.strategy || subset != tc.subset {
 			t.Errorf("ParseSpec(%q) = (%v, %q), want (%v, %q)", tc.spec, strat, subset, tc.strategy, tc.subset)
-		}
-	}
-	for _, info := range Solvers() {
-		strat, subset, err := ParseSpec(info.Name)
-		if err != nil || strat != info.Strategy || subset != "" || strat.String() != info.Name {
-			t.Errorf("ParseSpec(%q) = (%v, %q, %v), want (%v, \"\", nil)", info.Name, strat, subset, err, info.Strategy)
-		}
-	}
-	_, _, err := ParseSpec("simulated-annealing")
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	for _, info := range Solvers() {
-		if !strings.Contains(err.Error(), info.Name) {
-			t.Errorf("error %q does not list valid strategy %q", err, info.Name)
 		}
 	}
 }
