@@ -492,7 +492,7 @@ func BenchmarkILPPrune(b *testing.B) {
 		parts = append(parts, append([]int(nil), p...))
 		return true
 	})
-	orders := assign.NewOrders(tables)
+	orders := assign.NewOrders(tables, 0)
 	var in assign.Instance
 	var sc assign.Scratch
 	var rel assign.Relaxation

@@ -170,9 +170,10 @@ func CoreAssignPlain(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool)
 // The zero value is ready; the buffers grow to the largest instance
 // seen. A Scratch belongs to one goroutine at a time.
 type Scratch struct {
-	ints  []int // TAMOf (one per core), then col and cursor (one per TAM)
-	loads []soc.Cycles
-	order []int32 // the instance feed's per-TAM core orders
+	ints   []int // TAMOf (one per core), then col and cursor (one per TAM)
+	loads  []soc.Cycles
+	order  []int32 // the instance feed's per-TAM core orders
+	widths []int   // Orders.Aborts' sorted copy of an unsorted partition
 }
 
 // CoreAssignWith is CoreAssign writing into sc's buffers, so a caller
@@ -205,20 +206,27 @@ type Orders struct {
 	tables [][]soc.Cycles
 	width  int     // W, the length of every table
 	flat   []int32 // width w's order is flat[(w-1)·n : w·n]
+	// heads holds width w's k largest times, descending, at
+	// heads[(w-1)·k : w·k]: the order statistics Aborts reads.
+	heads []soc.Cycles
+	k     int // min(N, the picks NewOrders was asked for)
 }
 
 // NewOrders sorts the cores once per width of tables, which must all
 // have the same length W: O(W·N·log N) time and W·N int32s of memory.
 // The comparator breaks time ties by index, a total order, so no
-// stable sort is needed. The orders alias tables, which must not
-// change while they are used.
-func NewOrders(tables [][]soc.Cycles) *Orders {
+// stable sort is needed. It also keeps, per width, the first
+// min(N, picks) times of the order for Aborts: pass the most TAMs a
+// partition scored from the orders has, or 0 for none. The orders
+// alias tables, which must not change while they are used.
+func NewOrders(tables [][]soc.Cycles, picks int) *Orders {
 	n := len(tables)
-	o := &Orders{tables: tables}
+	o := &Orders{tables: tables, k: max(min(n, picks), 0)}
 	if n > 0 {
 		o.width = len(tables[0])
 	}
 	o.flat = make([]int32, o.width*n)
+	o.heads = make([]soc.Cycles, o.width*o.k)
 	for c := 0; c < o.width; c++ {
 		order := o.flat[c*n : (c+1)*n]
 		for i := range order {
@@ -230,8 +238,52 @@ func NewOrders(tables [][]soc.Cycles) *Orders {
 			}
 			return cmp.Compare(a, b)
 		})
+		for j, i := range order[:o.k] {
+			o.heads[c*o.k+j] = tables[i][c]
+		}
 	}
 	return o
+}
+
+// Aborts reports, without running it, that CoreAssign (CoreAssignPlain
+// when plain) on the width partition widths, given in any order, must
+// abort under bestKnown; false means it may complete, not that it will.
+// Every width must lie in 1..W; sc holds only a sorted copy of unsorted
+// widths, so the call allocates nothing once sc has grown.
+//
+// The rule: while every earlier pick added a positive time, pick j goes
+// to a TAM still at load 0, the j-th widest (the j-th in index order
+// when plain), since lines 10–12 take the least load and break ties to
+// the widest TAM, then the lowest index. Pick j takes the largest time
+// left among N−j+1 cores at that TAM's width, at least the j-th largest
+// time of all cores there, and that TAM's load is then the running
+// makespan's floor. So if for some j ≤ min(B, N) the j-th largest time
+// at the j-th TAM's width reaches bestKnown, lines 18–20 abort by pick
+// j. A zero order statistic ends the argument: a pick that adds nothing
+// leaves its TAM at load 0, the next pick's target.
+func (o *Orders) Aborts(sc *Scratch, widths []int, bestKnown soc.Cycles, plain bool) bool {
+	if bestKnown <= 0 {
+		return false
+	}
+	m := min(len(widths), o.k)
+	if !plain && !slices.IsSorted(widths) {
+		sc.widths = append(sc.widths[:0], widths...)
+		slices.Sort(sc.widths)
+		widths = sc.widths
+	}
+	for j := 0; j < m; j++ {
+		w := widths[j]
+		if !plain {
+			w = widths[len(widths)-1-j] // ascending, so widest first from the end
+		}
+		switch t := o.heads[(w-1)*o.k+j]; {
+		case t >= bestKnown:
+			return true
+		case t == 0:
+			return false
+		}
+	}
+	return false
 }
 
 // CoreAssign is CoreAssignWith on the width partition widths of the

@@ -176,7 +176,7 @@ func TestCoreAssignMatchesReference(t *testing.T) {
 				loose.Times[i][j] = row[r.Intn(len(row))]
 			}
 		}
-		orders := NewOrders(tables)
+		orders := NewOrders(tables, 0)
 		for _, tieBreaks := range []bool{true, false} {
 			fresh, warmed, byOrder := CoreAssign, CoreAssignWith, orders.CoreAssign
 			if !tieBreaks {
@@ -224,9 +224,9 @@ func TestCoreAssignMatchesReference(t *testing.T) {
 }
 
 // TestCoreAssignAllocations pins the kernel's allocations on p93791's
-// 32 cores: a warm scratch allocates nothing on either feed, in either
-// tie-break mode, and a fresh one (the public CoreAssign) allocates at
-// most its three buffers.
+// 32 cores: a warm scratch allocates nothing on either feed or in the
+// lookahead, in either tie-break mode, and a fresh one (the public
+// CoreAssign) allocates at most its three buffers.
 func TestCoreAssignAllocations(t *testing.T) {
 	s := socdata.P93791()
 	const width = 64
@@ -242,13 +242,18 @@ func TestCoreAssignAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orders := NewOrders(tables)
+	orders := NewOrders(tables, len(widths))
+	unsorted := []int{15, 3, 24, 9, 5, 8}
+	const never = soc.Cycles(1) << 40 // no pick reaches it, so Aborts walks every one
 	var sc Scratch
 	for name, run := range map[string]func(){
-		"instance":        func() { CoreAssignWith(&sc, in, 0) },
-		"instance/plain":  func() { CoreAssignPlainWith(&sc, in, 0) },
-		"partition":       func() { orders.CoreAssign(&sc, widths, 0) },
-		"partition/plain": func() { orders.CoreAssignPlain(&sc, widths, 0) },
+		"instance":           func() { CoreAssignWith(&sc, in, 0) },
+		"instance/plain":     func() { CoreAssignPlainWith(&sc, in, 0) },
+		"partition":          func() { orders.CoreAssign(&sc, widths, 0) },
+		"partition/plain":    func() { orders.CoreAssignPlain(&sc, widths, 0) },
+		"lookahead":          func() { orders.Aborts(&sc, widths, never, false) },
+		"lookahead/unsorted": func() { orders.Aborts(&sc, unsorted, never, false) },
+		"lookahead/plain":    func() { orders.Aborts(&sc, unsorted, never, true) },
 	} {
 		run() // warm
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {

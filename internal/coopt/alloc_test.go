@@ -21,7 +21,7 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orders := assign.NewOrders(tables)
+	orders := assign.NewOrders(tables, 0)
 	parts := []int{4, 8, 8, 12}
 	for _, opt := range []Options{{}, {PlainCoreAssign: true}} {
 		var w worker
@@ -86,7 +86,7 @@ func BenchmarkPartitionScoring(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := []int{4, 8, 8, 12}
-	orders := assign.NewOrders(tables)
+	orders := assign.NewOrders(tables, 0)
 	var w worker
 	var last soc.Cycles
 	scoreOne(orders, &w.asg, parts, 0, Options{}, &w.stats) // warm the scratch
@@ -100,4 +100,30 @@ func BenchmarkPartitionScoring(b *testing.B) {
 		last = a.Time
 	}
 	_ = last
+}
+
+// BenchmarkPartitionScan times the partition engine's whole W=64 scan
+// on each paper SOC with one worker and no final step: the enumeration,
+// the lookahead and Core_assign's aborts over all 296,320 partitions,
+// the path that BenchmarkPartitionScoring, at bound 0, never reaches.
+func BenchmarkPartitionScan(b *testing.B) {
+	for _, name := range []string{"d695", "p21241", "p31108", "p93791"} {
+		s, err := socdata.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			opt := Options{Workers: 1, SkipFinal: true}
+			var last soc.Cycles
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Solve(s, 64, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res.HeuristicTime
+			}
+			_ = last
+		})
+	}
 }

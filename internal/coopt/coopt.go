@@ -113,7 +113,8 @@ type Options struct {
 	// SkipFinal skips the exact final optimization step (ablation).
 	SkipFinal bool
 	// NoEarlyAbort disables the Core_assign lines 18–20 abort during
-	// partition evaluation (ablation of pruning level two).
+	// partition evaluation (ablation of pruning level two), and with it
+	// the lookahead that skips the calls the abort would stop.
 	NoEarlyAbort bool
 	// Enumeration picks the partition generator (see the constants).
 	Enumeration Enumeration
@@ -301,13 +302,17 @@ func (o Options) ParallelEvaluation() bool { return o.workers() > 1 }
 // Stats counts partition-evaluation work, the quantities behind the
 // paper's Table 1.
 type Stats struct {
-	// Enumerated counts partitions generated by the odometer (including
-	// duplicates the Line-1 bound could not suppress).
+	// Enumerated counts partitions generated by the enumeration: each
+	// unique partition once under the default canonical enumeration,
+	// the odometers' duplicates included under theirs.
 	Enumerated int
 	// Completed counts partitions whose Core_assign evaluation ran to
 	// completion — the paper's p_eval.
 	Completed int
-	// Aborted counts evaluations cut short by the lines 18–20 bound.
+	// Aborted counts evaluations cut short by the lines 18–20 bound,
+	// including the partitions the partition engine's lookahead
+	// (assign.Orders.Aborts) proves Core_assign would abort and so
+	// never scores; for the ILP engine, the partitions it prunes.
 	Aborted int
 	// Improved counts how often the running best testing time improved.
 	Improved int
@@ -608,11 +613,17 @@ func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 	if err != nil {
 		return Result{}, err
 	}
-	orders := assign.NewOrders(sc.tables)
+	orders := assign.NewOrders(sc.tables, sc.maxParts)
 	score := func(w *worker, parts []int, seq int64) error {
 		var bound soc.Cycles
 		if !opt.NoEarlyAbort {
-			bound = sc.bound()
+			bound = sc.bound(seq)
+		}
+		if orders.Aborts(&w.asg, parts, bound, opt.PlainCoreAssign) {
+			// Core_assign would abort: book it so, without the call.
+			w.stats.Enumerated++
+			w.stats.Aborted++
+			return nil
 		}
 		if a, completed := scoreOne(orders, &w.asg, parts, bound, opt, &w.stats); completed {
 			sc.offer(w, a.Time, parts, a.TAMOf, seq)

@@ -50,7 +50,7 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 		return Result{}, err
 	}
 	tables := sc.tables
-	orders := assign.NewOrders(tables)
+	orders := assign.NewOrders(tables, 0)
 	// globalLB is the solve's architecture-independent lower bound: the
 	// floor every partition bound starts from, and the early-stop target.
 	globalLB := sc.lb

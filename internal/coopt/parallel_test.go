@@ -1,6 +1,7 @@
 package coopt
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -65,6 +66,80 @@ func TestParallelMatchesSequentialD695(t *testing.T) {
 		if !reflect.DeepEqual(par.Partition, seq.Partition) {
 			t.Errorf("W=%d: parallel partition %v, sequential %v", width, par.Partition, seq.Partition)
 		}
+	}
+}
+
+// TestParallelMatchesSequentialW64 holds the pool to one worker on the
+// four paper SOCs at W=64, where nearly every partition aborts and
+// p31108's incumbent sits at the lower bound with thousands of ties
+// behind it: the pool aborts the ties enumerated after the incumbent's
+// partition at the incumbent and completes the earlier ones, and the
+// time, partition and assignment must not move.
+func TestParallelMatchesSequentialW64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("W=64 scans")
+	}
+	for _, name := range []string{"d695", "p21241", "p31108", "p93791"} {
+		s, err := socdata.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := Solve(s, 64, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s, 1 worker: %v", name, err)
+		}
+		par, err := Solve(s, 64, Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s, 4 workers: %v", name, err)
+		}
+		if par.Time != seq.Time || par.HeuristicTime != seq.HeuristicTime ||
+			!reflect.DeepEqual(par.Partition, seq.Partition) || !reflect.DeepEqual(par.Assignment, seq.Assignment) {
+			t.Errorf("%s: 4 workers %d (heuristic %d) on %v %s, 1 worker %d (heuristic %d) on %v %s", name,
+				par.Time, par.HeuristicTime, par.Partition, par.Assignment.Vector(),
+				seq.Time, seq.HeuristicTime, seq.Partition, seq.Assignment.Vector())
+		}
+		if par.Stats.Enumerated != seq.Stats.Enumerated {
+			t.Errorf("%s: 4 workers enumerated %d, 1 worker %d", name, par.Stats.Enumerated, seq.Stats.Enumerated)
+		}
+	}
+}
+
+// TestOfferRefusesLateTies pins the pool's tie rule at the incumbent: a
+// tie enumerated after the incumbent's partition cannot win, so bound
+// aborts it at the incumbent and offer refuses it before the power
+// check, never booking it PowerInfeasible; an earlier tie is bounded one
+// cycle above and still reaches the check.
+func TestOfferRefusesLateTies(t *testing.T) {
+	s := testSOC()
+	for i := range s.Cores {
+		s.Cores[i].Power = 10
+	}
+	sc, err := newScan(context.Background(), s, 16, Options{MaxPower: 30}, nil,
+		scanPlan{backend: partitionBackendName, workers: 2, poll: heuristicPoll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &sc.workers[0]
+	// One TAM tests the cores one at a time, at power 10; six TAMs of
+	// one core each test all of them at once, at 60.
+	serial, spread := []int{16}, []int{1, 1, 1, 1, 1, 11}
+	if !sc.offer(w, 100, serial, []int{0, 0, 0, 0, 0, 0}, 10) {
+		t.Fatal("the first offer did not become the incumbent")
+	}
+	if got := sc.bound(20); got != 100 {
+		t.Errorf("bound of a later partition %d, want the incumbent's 100", got)
+	}
+	if got := sc.bound(5); got != 101 {
+		t.Errorf("bound of an earlier partition %d, want 101", got)
+	}
+	if sc.offer(w, 100, spread, []int{0, 1, 2, 3, 4, 5}, 20) || w.stats.PowerInfeasible != 0 {
+		t.Errorf("a later tie was taken or power-checked: PowerInfeasible %d", w.stats.PowerInfeasible)
+	}
+	if sc.offer(w, 100, spread, []int{0, 1, 2, 3, 4, 5}, 5) || w.stats.PowerInfeasible != 1 {
+		t.Errorf("an earlier infeasible tie was taken or not power-checked: PowerInfeasible %d", w.stats.PowerInfeasible)
+	}
+	if !sc.offer(w, 100, serial, []int{0, 0, 0, 0, 0, 0}, 5) || sc.bestSeq.Load() != 5 {
+		t.Errorf("an earlier feasible tie did not take the incumbent: sequence %d", sc.bestSeq.Load())
 	}
 }
 

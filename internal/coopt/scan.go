@@ -42,19 +42,16 @@ type scan struct {
 	wg       sync.WaitGroup // the workers beyond the first, during sweep
 	maxParts int            // the most parts a partition of the sweep has
 
-	// slack is how far above the incumbent a partition may still win:
-	// none on one worker, which meets ties only after the incumbent; one
-	// cycle on the pool, where a tie with an earlier sequence number can
-	// arrive late and must complete to win.
-	slack soc.Cycles
-
+	// The incumbent's time and sequence number change under mu, the
+	// sequence number stored before the time, and lock-free readers load
+	// the time before the sequence number (see bound).
 	best      atomic.Int64 // the incumbent's time; -1 until one exists
+	bestSeq   atomic.Int64 // the incumbent's sequence number
 	truncated atomic.Bool  // the deadline stopped the scan
 
-	mu       sync.Mutex // guards the incumbent's sequence, partition and count
-	bestSeq  int64
-	bestPart []int // the incumbent's partition, sorted; nil until one exists
-	improved int   // strict improvements of the incumbent
+	mu       sync.Mutex // guards the incumbent's changes, partition and count
+	bestPart []int      // the incumbent's partition, sorted; nil until one exists
+	improved int        // strict improvements of the incumbent
 }
 
 // scanPlan is what an engine fixes about its scan.
@@ -117,9 +114,6 @@ func newScan(ctx context.Context, s *soc.SOC, width int, opt Options, sink *prog
 	sc := &scan{ctx: ctx, deadline: opt.Deadline, tables: tables, pc: pc, sink: sink, plan: plan,
 		lb:      pack.LowerBound(s, tables, width, pc.maxPower()),
 		workers: make([]worker, plan.workers), maxParts: min(hi, width)}
-	if plan.workers > 1 {
-		sc.slack = 1
-	}
 	sc.best.Store(-1)
 	for i := range sc.workers {
 		sc.workers[i].skip = i + 1
@@ -217,26 +211,39 @@ func (sc *scan) incumbent() (t soc.Cycles, ok bool) {
 	return soc.Cycles(b), b >= 0
 }
 
-// bound is Core_assign's abort bound for the next partition: the
-// incumbent plus the slack, 0 (none) until a nonzero incumbent exists.
-func (sc *scan) bound() soc.Cycles {
-	if b := sc.best.Load(); b > 0 {
-		return soc.Cycles(b) + sc.slack
+// bound is Core_assign's abort bound for partition seq, 0 (none) until
+// a nonzero incumbent exists. A partition enumerated after the
+// incumbent's cannot win a tie, so it aborts at the incumbent's time,
+// which is every partition's bound on one worker. On the pool a
+// partition enumerated before it can arrive late and win a tie, so it
+// must complete one: its bound is one cycle above. The time is loaded
+// before the sequence number, which offer stores first, so a pair read
+// mid-change pairs a time with a sequence number of the same or a later
+// incumbent: the bound only grows, or the tie it refuses could not win
+// against the later incumbent either.
+func (sc *scan) bound(seq int64) soc.Cycles {
+	b := sc.best.Load()
+	switch {
+	case b <= 0:
+		return 0
+	case seq > sc.bestSeq.Load():
+		return soc.Cycles(b)
 	}
-	return 0
+	return soc.Cycles(b) + 1
 }
 
 // offer proposes a completed evaluation of partition seq for the
 // incumbent and reports whether it became it: a strictly better time
-// wins, an equal time only with an earlier sequence number. A would-be
-// winner whose serial-per-TAM schedule breaches the power ceiling counts
-// as PowerInfeasible instead; the check runs outside the lock on the
-// worker's own scratch, since feasibility is a property of the
-// partition and its assignment alone. A strict improvement fires the
-// improved event under the lock, so the stream stays serialized and its
-// times strictly decrease.
+// wins, an equal time only with an earlier sequence number, and
+// anything else is refused first, by bound's rule and before the power
+// check. A would-be winner whose serial-per-TAM schedule breaches the
+// power ceiling counts as PowerInfeasible instead; the check runs
+// outside the lock on the worker's own scratch, since feasibility is a
+// property of the partition and its assignment alone. A strict
+// improvement fires the improved event under the lock, so the stream
+// stays serialized and its times strictly decrease.
 func (sc *scan) offer(w *worker, t soc.Cycles, parts, tamOf []int, seq int64) bool {
-	if b := sc.best.Load(); b >= 0 && t >= soc.Cycles(b)+sc.slack {
+	if b := sc.best.Load(); b >= 0 && (t > soc.Cycles(b) || t == soc.Cycles(b) && seq > sc.bestSeq.Load()) {
 		return false
 	}
 	if !sc.pc.feasible(sc.tables, parts, tamOf, &w.ps) {
@@ -247,16 +254,17 @@ func (sc *scan) offer(w *worker, t soc.Cycles, parts, tamOf []int, seq int64) bo
 	defer sc.mu.Unlock()
 	switch b := sc.best.Load(); {
 	case b < 0 || t < soc.Cycles(b):
+		sc.bestSeq.Store(seq)
 		sc.best.Store(int64(t))
 		sc.improved++
 		sc.sink.improved(sc.plan.backend, t, int(seq)+1)
-	case t == soc.Cycles(b) && seq < sc.bestSeq:
+	case t == soc.Cycles(b) && seq < sc.bestSeq.Load():
 		// An earlier tie takes the partition; the time, and so the
 		// stream, is unchanged.
+		sc.bestSeq.Store(seq)
 	default:
 		return false
 	}
-	sc.bestSeq = seq
 	if sc.bestPart == nil {
 		sc.bestPart = make([]int, 0, sc.maxParts)
 	}

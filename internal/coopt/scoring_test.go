@@ -18,38 +18,47 @@ import (
 // heuristic time and every Stats count must equal the figures recorded
 // before Core_assign moved to per-width core orders, so a changed pick
 // or a changed abort point on any of the 296,320 W=64 partitions fails
-// here even when the winner survives it.
+// here even when the winner survives it. Beside the canonical
+// enumeration's widest-first picks, the cells cover plain Core_assign's
+// index-order picks and the odometers' unsorted partitions, each
+// recorded before the lookahead skipped Core_assign on partitions it
+// must abort.
 func TestPartitionSearchPinned(t *testing.T) {
 	for _, tc := range []struct {
 		soc      string
 		width    int
 		plain    bool
+		enum     Enumeration
 		maxPower int
 		heur     int64
 		want     Stats
 	}{
-		{"d695", 64, false, 0, 11034, Stats{Enumerated: 296320, Completed: 47, Aborted: 296273, Improved: 47}},
-		{"p21241", 64, false, 0, 326184, Stats{Enumerated: 296320, Completed: 77, Aborted: 296243, Improved: 77}},
-		{"p31108", 64, false, 0, 602021, Stats{Enumerated: 296320, Completed: 48, Aborted: 296272, Improved: 48}},
-		{"p93791", 48, false, 0, 1745344, Stats{Enumerated: 49037, Completed: 40, Aborted: 48997, Improved: 40}},
-		{"p93791", 64, false, 0, 1501359, Stats{Enumerated: 296320, Completed: 55, Aborted: 296265, Improved: 55}},
-		{"p21241", 32, true, 0, 661480, Stats{Enumerated: 5013, Completed: 13, Aborted: 5000, Improved: 13}},
-		{"d695", 32, false, 1800, 29518, Stats{Enumerated: 5013, Completed: 873, Aborted: 4140, Improved: 10, PowerInfeasible: 863}},
+		{"d695", 64, false, EnumCanonical, 0, 11034, Stats{Enumerated: 296320, Completed: 47, Aborted: 296273, Improved: 47}},
+		{"p21241", 64, false, EnumCanonical, 0, 326184, Stats{Enumerated: 296320, Completed: 77, Aborted: 296243, Improved: 77}},
+		{"p31108", 64, false, EnumCanonical, 0, 602021, Stats{Enumerated: 296320, Completed: 48, Aborted: 296272, Improved: 48}},
+		{"p93791", 48, false, EnumCanonical, 0, 1745344, Stats{Enumerated: 49037, Completed: 40, Aborted: 48997, Improved: 40}},
+		{"p93791", 64, false, EnumCanonical, 0, 1501359, Stats{Enumerated: 296320, Completed: 55, Aborted: 296265, Improved: 55}},
+		{"p21241", 32, true, EnumCanonical, 0, 661480, Stats{Enumerated: 5013, Completed: 13, Aborted: 5000, Improved: 13}},
+		{"d695", 32, false, EnumCanonical, 1800, 29518, Stats{Enumerated: 5013, Completed: 873, Aborted: 4140, Improved: 10, PowerInfeasible: 863}},
+		{"d695", 64, true, EnumCanonical, 0, 13550, Stats{Enumerated: 296320, Completed: 27, Aborted: 296293, Improved: 27}},
+		{"p93791", 40, true, EnumOdometer, 0, 2522637, Stats{Enumerated: 3519554, Completed: 6, Aborted: 3519548, Improved: 6}},
+		{"p93791", 40, false, EnumOdometer, 0, 2195422, Stats{Enumerated: 3519554, Completed: 17, Aborted: 3519537, Improved: 17}},
+		{"d695", 20, false, EnumNaive, 0, 34684, Stats{Enumerated: 262144, Completed: 9, Aborted: 262135, Improved: 9}},
 	} {
-		if testing.Short() && tc.width == 64 {
+		if testing.Short() && (tc.width == 64 || tc.enum == EnumOdometer) {
 			continue
 		}
 		s, err := socdata.ByName(tc.soc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(s, tc.width, Options{Workers: 1, SkipFinal: true, PlainCoreAssign: tc.plain, MaxPower: tc.maxPower})
+		name := fmt.Sprintf("%s W=%d plain=%t %v P=%d", tc.soc, tc.width, tc.plain, tc.enum, tc.maxPower)
+		res, err := Solve(s, tc.width, Options{Workers: 1, SkipFinal: true, PlainCoreAssign: tc.plain, Enumeration: tc.enum, MaxPower: tc.maxPower})
 		if err != nil {
-			t.Fatalf("%s W=%d plain=%t P=%d: %v", tc.soc, tc.width, tc.plain, tc.maxPower, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if int64(res.HeuristicTime) != tc.heur || res.Stats != tc.want {
-			t.Errorf("%s W=%d plain=%t P=%d: heuristic %d stats %+v; want %d, %+v",
-				tc.soc, tc.width, tc.plain, tc.maxPower, res.HeuristicTime, res.Stats, tc.heur, tc.want)
+			t.Errorf("%s: heuristic %d stats %+v; want %d, %+v", name, res.HeuristicTime, res.Stats, tc.heur, tc.want)
 		}
 	}
 }
@@ -136,6 +145,89 @@ func TestPartitionFlowOnRandomSOCs(t *testing.T) {
 	}
 }
 
+// TestLookaheadSound is the differential check of the partition
+// engine's lookahead (assign.Orders.Aborts) on the random-SOC draw
+// (randomCases) and on a hand-built SOC at W=24 whose cores include two
+// of zero time and a tied pair. Every partition of each case's width
+// into at most 6 parts is asked under each enumeration's part order and
+// both Core_assign variants, at bounds of g quarters of its unbounded
+// time for g = 1..5, and wherever the lookahead rejects, Core_assign on
+// a fresh instance must abort at that bound. Each enumeration and
+// variant must see rejects, so no slice passes vacuously.
+func TestLookaheadSound(t *testing.T) {
+	cases := randomCases(t)
+	if testing.Short() {
+		cases = cases[:50]
+	}
+	hand := testSOC()
+	hand.Cores = append(hand.Cores,
+		soc.Core{Name: "zero2", Outputs: 2},
+		soc.Core{Name: "zero3", Outputs: 3},
+		soc.Core{Name: "mem2", Inputs: 10, Outputs: 10, Patterns: 500})
+	cases = append(cases, randomCase{name: "hand-built", s: hand, width: 24})
+	const maxParts = 6
+	enums := []Enumeration{EnumCanonical, EnumOdometer, EnumNaive}
+	var rejects [3][2]int // by enumeration, then plain
+	for _, rc := range cases {
+		tables, err := TimeTables(rc.s, rc.width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders := assign.NewOrders(tables, maxParts)
+		// sc serves the orders, ref the fresh instances.
+		var sc, ref assign.Scratch
+		var src source
+		for e, enum := range enums {
+			for b := 1; b <= min(maxParts, rc.width); b++ {
+				if err := src.reset(enum, rc.width, b); err != nil {
+					t.Fatal(err)
+				}
+				for parts, ok := src.next(); ok; parts, ok = src.next() {
+					var in *assign.Instance
+					for p, plain := range []bool{false, true} {
+						score, fresh := orders.CoreAssign, assign.CoreAssignWith
+						if plain {
+							score, fresh = orders.CoreAssignPlain, assign.CoreAssignPlainWith
+						}
+						full, _ := score(&sc, parts, 0)
+						// Core_assign's picks do not depend on the bound, so
+						// a call that aborts at one bound aborts at every
+						// smaller one: the largest rejected bound is the one
+						// to check.
+						var top soc.Cycles
+						for g := soc.Cycles(1); g <= 5; g++ {
+							if bound := full.Time * g / 4; orders.Aborts(&sc, parts, bound, plain) {
+								rejects[e][p]++
+								top = bound
+							}
+						}
+						if top == 0 {
+							continue
+						}
+						if in == nil {
+							if in, err = assign.FromTimeTable(tables, parts); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if a, ok := fresh(&ref, in, top); ok {
+							t.Fatalf("%s: %v (%v, plain=%t) rejected at bound %d, but Core_assign completes at %d",
+								rc.name, parts, enum, plain, top, a.Time)
+						}
+					}
+				}
+			}
+		}
+	}
+	for e, enum := range enums {
+		for p, n := range rejects[e] {
+			if n == 0 {
+				t.Errorf("%v, plain=%t: the lookahead rejected nothing", enum, p == 1)
+			}
+		}
+	}
+	t.Logf("rejects (by enumeration, then plain): %v", rejects)
+}
+
 // TestOrdersSharedAcrossGoroutines scores every partition of p93791's
 // W=24 into at most 6 TAMs from several goroutines sharing one set of
 // per-width orders, each on its own scratch, in its own tie-break mode
@@ -182,7 +274,7 @@ func TestOrdersSharedAcrossGoroutines(t *testing.T) {
 			want[k][g] = outcome{bound, a, ok}
 		}
 	}
-	orders := assign.NewOrders(tables)
+	orders := assign.NewOrders(tables, 0)
 	var wg sync.WaitGroup
 	for g := range goroutines {
 		wg.Add(1)
