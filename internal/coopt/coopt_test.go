@@ -7,6 +7,7 @@ import (
 	"soctam/internal/assign"
 	"soctam/internal/partition"
 	"soctam/internal/soc"
+	"soctam/internal/socdata"
 )
 
 // testSOC is a small heterogeneous SOC: scan-heavy, I/O-heavy, pattern-
@@ -82,29 +83,49 @@ func TestPartitionEvaluateFixedB(t *testing.T) {
 }
 
 func TestEarlyAbortDoesNotChangeResult(t *testing.T) {
-	// Pruning levels must never alter the chosen testing time, only the
-	// work done.
-	s := testSOC()
-	base, err := Solve(s, 14, Options{MaxTAMs: 4})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+	// The lines 18–20 abort, and the lookahead that skips the calls it
+	// would stop, may cut work, never change the answer: the heuristic
+	// time is the least unbounded Core_assign time over every partition
+	// the sweep covers.
+	cases := []struct {
+		s     *soc.SOC
+		width int
+	}{
+		{testSOC(), 14},
+		{socdata.D695(), 16},
+		{socdata.D695(), 32},
+		{socdata.P21241(), 24},
 	}
-	noAbort, err := Solve(s, 14, Options{MaxTAMs: 4, NoEarlyAbort: true})
-	if err != nil {
-		t.Fatalf("Solve(NoEarlyAbort): %v", err)
-	}
-	if base.HeuristicTime != noAbort.HeuristicTime || base.Time != noAbort.Time {
-		t.Errorf("early abort changed results: %d/%d vs %d/%d",
-			base.HeuristicTime, base.Time, noAbort.HeuristicTime, noAbort.Time)
-	}
-	if base.Stats.Aborted == 0 {
-		t.Error("early abort never fired on the base run")
-	}
-	if noAbort.Stats.Aborted != 0 {
-		t.Error("NoEarlyAbort still aborted evaluations")
-	}
-	if noAbort.Stats.Completed < base.Stats.Completed {
-		t.Error("disabling the abort reduced completed evaluations")
+	const maxTAMs = 4
+	for _, tc := range cases {
+		tables, err := TimeTables(tc.s, tc.width)
+		if err != nil {
+			t.Fatalf("%s: TimeTables: %v", tc.s.Name, err)
+		}
+		var want soc.Cycles
+		for b := 1; b <= maxTAMs; b++ {
+			partition.Enumerate(tc.width, b, func(parts []int) bool {
+				in, err := assign.FromTimeTable(tables, parts)
+				if err != nil {
+					t.Fatalf("%s: FromTimeTable(%v): %v", tc.s.Name, parts, err)
+				}
+				if a, _ := assign.CoreAssign(in, 0); want == 0 || a.Time < want {
+					want = a.Time
+				}
+				return true
+			})
+		}
+		res, err := Solve(tc.s, tc.width, Options{Workers: 1, SkipFinal: true, MaxTAMs: maxTAMs})
+		if err != nil {
+			t.Fatalf("%s W=%d: Solve: %v", tc.s.Name, tc.width, err)
+		}
+		if res.HeuristicTime != want {
+			t.Errorf("%s W=%d: heuristic time %d, the unbounded scan's least %d",
+				tc.s.Name, tc.width, res.HeuristicTime, want)
+		}
+		if res.Stats.Aborted == 0 {
+			t.Errorf("%s W=%d: the early abort never fired", tc.s.Name, tc.width)
+		}
 	}
 }
 
