@@ -84,32 +84,8 @@ func BenchmarkTable19P93791NPAW(b *testing.B) { runExperiment(b, "table19", heav
 
 // --- Ablation benches -------------------------------------------------
 
-// BenchmarkAblationEarlyAbort measures pruning level two: Core_assign's
-// lines 18-20 abort against the running best during partition evaluation.
-func BenchmarkAblationEarlyAbort(b *testing.B) {
-	s := socdata.P21241()
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"with-abort", false}, {"without-abort", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := coopt.Solve(s, 32, coopt.Options{
-					MaxTAMs:      6,
-					SkipFinal:    true,
-					NoEarlyAbort: tc.disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEnumeration measures pruning level one: the Figure 3
-// Line-1 bound (odometer) against unrestricted nested loops (naive) and
-// against the library's canonical enumeration.
+// Line-1 bound (odometer) against the library's canonical enumeration.
 func BenchmarkAblationEnumeration(b *testing.B) {
 	s := socdata.P21241()
 	for _, tc := range []struct {
@@ -118,7 +94,6 @@ func BenchmarkAblationEnumeration(b *testing.B) {
 	}{
 		{"canonical", coopt.EnumCanonical},
 		{"odometer", coopt.EnumOdometer},
-		{"naive", coopt.EnumNaive},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -153,33 +128,6 @@ func BenchmarkAblationFinalStep(b *testing.B) {
 					b.Fatal(err)
 				}
 				last = res.Time
-			}
-			b.ReportMetric(float64(last), "cycles")
-		})
-	}
-}
-
-// BenchmarkAblationTieBreaks compares the Figure 1 tie-break rules
-// against plain lowest-index tie-breaking, reporting the testing time
-// each variant reaches (quality, not just speed).
-func BenchmarkAblationTieBreaks(b *testing.B) {
-	s := socdata.P93791()
-	for _, tc := range []struct {
-		name  string
-		plain bool
-	}{{"paper-tie-breaks", false}, {"plain", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var last soctam.Cycles
-			for i := 0; i < b.N; i++ {
-				res, err := coopt.Solve(s, 32, coopt.Options{
-					MaxTAMs:         6,
-					SkipFinal:       true,
-					PlainCoreAssign: tc.plain,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.HeuristicTime
 			}
 			b.ReportMetric(float64(last), "cycles")
 		})

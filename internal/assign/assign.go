@@ -155,15 +155,7 @@ func (a *Assignment) Validate(in *Instance) error {
 // Orders, which serves the same body from tables sorted once per solve).
 func CoreAssign(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
 	var sc Scratch
-	return sc.instance(in, bestKnown, true)
-}
-
-// CoreAssignPlain is the ablation variant of CoreAssign without the
-// paper's two tie-break rules: TAM ties resolve by index and core ties by
-// index. The early-abort rule is retained.
-func CoreAssignPlain(in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	var sc Scratch
-	return sc.instance(in, bestKnown, false)
+	return sc.instance(in, bestKnown)
 }
 
 // Scratch holds Core_assign's working buffers for reuse across calls.
@@ -174,21 +166,6 @@ type Scratch struct {
 	loads  []soc.Cycles
 	order  []int32 // the instance feed's per-TAM core orders
 	widths []int   // Orders.Aborts' sorted copy of an unsorted partition
-}
-
-// CoreAssignWith is CoreAssign writing into sc's buffers, so a caller
-// running the heuristic many times allocates nothing per call once sc
-// has grown. The returned assignment's TAMOf and Loads alias sc and
-// are valid only until the next call with the same scratch; callers
-// keeping a result must copy it.
-func CoreAssignWith(sc *Scratch, in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return sc.instance(in, bestKnown, true)
-}
-
-// CoreAssignPlainWith is CoreAssignPlain on a caller-owned scratch,
-// with the same aliasing rules as CoreAssignWith.
-func CoreAssignPlainWith(sc *Scratch, in *Instance, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return sc.instance(in, bestKnown, false)
 }
 
 // Orders lists, for every TAM width w = 1..W of a set of testing-time
@@ -245,37 +222,33 @@ func NewOrders(tables [][]soc.Cycles, picks int) *Orders {
 	return o
 }
 
-// Aborts reports, without running it, that CoreAssign (CoreAssignPlain
-// when plain) on the width partition widths, given in any order, must
-// abort under bestKnown; false means it may complete, not that it will.
+// Aborts reports, without running it, that CoreAssign on the width
+// partition widths, given in any order, must abort under bestKnown;
+// false means it may complete, not that it will.
 // Every width must lie in 1..W; sc holds only a sorted copy of unsorted
 // widths, so the call allocates nothing once sc has grown.
 //
 // The rule: while every earlier pick added a positive time, pick j goes
-// to a TAM still at load 0, the j-th widest (the j-th in index order
-// when plain), since lines 10–12 take the least load and break ties to
-// the widest TAM, then the lowest index. Pick j takes the largest time
+// to a TAM still at load 0, the j-th widest, since lines 10–12 take the
+// least load and break ties to the widest TAM, then the lowest index. Pick j takes the largest time
 // left among N−j+1 cores at that TAM's width, at least the j-th largest
 // time of all cores there, and that TAM's load is then the running
 // makespan's floor. So if for some j ≤ min(B, N) the j-th largest time
 // at the j-th TAM's width reaches bestKnown, lines 18–20 abort by pick
 // j. A zero order statistic ends the argument: a pick that adds nothing
 // leaves its TAM at load 0, the next pick's target.
-func (o *Orders) Aborts(sc *Scratch, widths []int, bestKnown soc.Cycles, plain bool) bool {
+func (o *Orders) Aborts(sc *Scratch, widths []int, bestKnown soc.Cycles) bool {
 	if bestKnown <= 0 {
 		return false
 	}
 	m := min(len(widths), o.k)
-	if !plain && !slices.IsSorted(widths) {
+	if !slices.IsSorted(widths) {
 		sc.widths = append(sc.widths[:0], widths...)
 		slices.Sort(sc.widths)
 		widths = sc.widths
 	}
 	for j := 0; j < m; j++ {
-		w := widths[j]
-		if !plain {
-			w = widths[len(widths)-1-j] // ascending, so widest first from the end
-		}
+		w := widths[len(widths)-1-j] // ascending, so widest first from the end
 		switch t := o.heads[(w-1)*o.k+j]; {
 		case t >= bestKnown:
 			return true
@@ -286,36 +259,28 @@ func (o *Orders) Aborts(sc *Scratch, widths []int, bestKnown soc.Cycles, plain b
 	return false
 }
 
-// CoreAssign is CoreAssignWith on the width partition widths of the
-// orders' tables — the instance FromTimeTable(tables, widths) would
-// build, with the same result — scored without building it. Every
-// width must lie in 1..W. The result aliases sc as in CoreAssignWith;
-// a warm sc makes the call allocate nothing.
+// CoreAssign is the package-level CoreAssign on the instance
+// FromTimeTable(tables, widths) would build for the width partition
+// widths, with the same result, scored without building it: the
+// partition feed. TAM j reads column widths[j]-1 of the tables and
+// walks that width's shared order. Every width must lie in 1..W.
+//
+// The returned assignment's TAMOf and Loads alias sc and are valid
+// only until the next call with the same scratch; callers keeping a
+// result must copy it. The scratch is grown for up to W TAMs at once —
+// no partition of W has more — so a sweep over TAM counts sizes it a
+// single time, and a warm sc makes the call allocate nothing.
 func (o *Orders) CoreAssign(sc *Scratch, widths []int, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return o.coreAssign(sc, widths, bestKnown, true)
-}
-
-// CoreAssignPlain is CoreAssignPlainWith on the width partition
-// widths, with the contract of Orders.CoreAssign.
-func (o *Orders) CoreAssignPlain(sc *Scratch, widths []int, bestKnown soc.Cycles) (a Assignment, ok bool) {
-	return o.coreAssign(sc, widths, bestKnown, false)
-}
-
-// coreAssign is the partition feed: TAM j reads column widths[j]-1 of
-// the tables and walks that width's shared order. The scratch is grown
-// for up to W TAMs at once — no partition of W has more — so a sweep
-// over TAM counts sizes it a single time.
-func (o *Orders) coreAssign(sc *Scratch, widths []int, bestKnown soc.Cycles, tieBreaks bool) (Assignment, bool) {
 	col := sc.prepare(len(o.tables), len(widths), max(len(widths), o.width))
 	for j, w := range widths {
 		col[j] = w - 1
 	}
-	return coreAssign(o.tables, o.flat, widths, bestKnown, tieBreaks, sc)
+	return coreAssign(o.tables, o.flat, widths, bestKnown, sc)
 }
 
 // instance is the instance feed: TAM j reads column j of in.Times, and
 // its order is sorted afresh into sc on every call.
-func (sc *Scratch) instance(in *Instance, bestKnown soc.Cycles, tieBreaks bool) (Assignment, bool) {
+func (sc *Scratch) instance(in *Instance, bestKnown soc.Cycles) (Assignment, bool) {
 	n, nb := in.NumCores(), in.NumTAMs()
 	col := sc.prepare(n, nb, nb)
 	if cap(sc.order) < n*nb {
@@ -326,7 +291,7 @@ func (sc *Scratch) instance(in *Instance, bestKnown soc.Cycles, tieBreaks bool) 
 		col[j] = j
 		sortOrder(order[j*n:(j+1)*n], in.Times, j)
 	}
-	return coreAssign(in.Times, order, in.Widths, bestKnown, tieBreaks, sc)
+	return coreAssign(in.Times, order, in.Widths, bestKnown, sc)
 }
 
 // prepare sizes sc for n cores on nb TAMs, growing it, when it must,
@@ -383,7 +348,7 @@ func narrower(widths []int, j int) int {
 // after the cursor is the paper's pick: the maximum time, lowest index
 // on ties. Cursors only advance, so the picks cost O(N·B) in all, plus
 // the line 15 lookahead's walk over a run of tied times.
-func coreAssign(rows [][]soc.Cycles, order []int32, widths []int, bestKnown soc.Cycles, tieBreaks bool, sc *Scratch) (Assignment, bool) {
+func coreAssign(rows [][]soc.Cycles, order []int32, widths []int, bestKnown soc.Cycles, sc *Scratch) (Assignment, bool) {
 	n, nb := len(rows), len(widths)
 	tamOf := sc.ints[:n:n]
 	col, cursor := sc.ints[n:n+nb], sc.ints[n+nb:n+2*nb]
@@ -402,7 +367,7 @@ func coreAssign(rows [][]soc.Cycles, order []int32, widths []int, bestKnown soc.
 			switch {
 			case a.Loads[k] < a.Loads[j]:
 				j = k
-			case tieBreaks && a.Loads[k] == a.Loads[j] && widths[k] > widths[j]:
+			case a.Loads[k] == a.Loads[j] && widths[k] > widths[j]:
 				j = k
 			}
 		}
@@ -415,25 +380,23 @@ func coreAssign(rows [][]soc.Cycles, order []int32, widths []int, bestKnown soc.
 		cursor[j] = p
 		best := int(order[p])
 		top := rows[best][c]
-		if tieBreaks {
-			// Line 15: if another unassigned core ties, look ahead to
-			// the widest narrower TAM. The tied cores follow the pick
-			// in index order, so a strict > keeps the first maximum.
-			// The target is found only once a tie shows.
-			k := -1
-			for q, end := p+1, (c+1)*n; q < end && rows[order[q]][c] == top; q++ {
-				i := int(order[q])
-				if tamOf[i] >= 0 {
-					continue
+		// Line 15: if another unassigned core ties, look ahead to the
+		// widest narrower TAM. The tied cores follow the pick in index
+		// order, so a strict > keeps the first maximum. The target is
+		// found only once a tie shows.
+		k := -1
+		for q, end := p+1, (c+1)*n; q < end && rows[order[q]][c] == top; q++ {
+			i := int(order[q])
+			if tamOf[i] >= 0 {
+				continue
+			}
+			if k < 0 {
+				if k = narrower(widths, j); k < 0 {
+					break
 				}
-				if k < 0 {
-					if k = narrower(widths, j); k < 0 {
-						break
-					}
-				}
-				if rows[i][col[k]] > rows[best][col[k]] {
-					best = i
-				}
+			}
+			if rows[i][col[k]] > rows[best][col[k]] {
+				best = i
 			}
 		}
 		// Line 17: assign.

@@ -95,11 +95,6 @@ func TestTieBreakLookAhead(t *testing.T) {
 	if a.Time != 30 {
 		t.Errorf("time = %d, want 30", a.Time)
 	}
-	// The plain variant ignores the look-ahead and pays for it.
-	p, _ := CoreAssignPlain(in, 0)
-	if p.Time != 50 {
-		t.Errorf("plain time = %d, want 50 (no look-ahead)", p.Time)
-	}
 }
 
 func TestCoreAssignSingleTAM(t *testing.T) {

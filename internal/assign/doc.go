@@ -14,7 +14,7 @@
 //     plus the line 15 lookahead's walk over runs of tied times.
 //     Orders sorts them once per solve for every TAM width, and its
 //     CoreAssign scores a width partition reading the time tables in
-//     place; the Instance forms sort them per call;
+//     place; CoreAssign on an Instance sorts them per call;
 //   - BuildILP / SolveILP, the Section 3.2 integer linear program (the
 //     role lpsolve played in the paper), with RelaxationBound and the
 //     reusable Relaxation bounding it through its LP relaxation, and

@@ -22,30 +22,26 @@ func (b *fuzzBytes) next() int {
 
 // abortsMustAbort fails t if Orders.Aborts rejects the partition at
 // bound although Core_assign on a fresh instance completes there.
-func abortsMustAbort(t *testing.T, orders *Orders, sc *Scratch, tables [][]soc.Cycles, widths []int, bound soc.Cycles, plain bool) {
+func abortsMustAbort(t *testing.T, orders *Orders, sc *Scratch, tables [][]soc.Cycles, widths []int, bound soc.Cycles) {
 	t.Helper()
-	if !orders.Aborts(sc, widths, bound, plain) {
+	if !orders.Aborts(sc, widths, bound) {
 		return
 	}
 	in, err := FromTimeTable(tables, widths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := CoreAssign
-	if plain {
-		run = CoreAssignPlain
-	}
-	if a, ok := run(in, bound); ok {
-		t.Fatalf("%v on %v, plain=%t: the lookahead rejects at bound %d, Core_assign completes at %d",
-			tables, widths, plain, bound, a.Time)
+	if a, ok := CoreAssign(in, bound); ok {
+		t.Fatalf("%v on %v: the lookahead rejects at bound %d, Core_assign completes at %d",
+			tables, widths, bound, a.Time)
 	}
 }
 
 // FuzzAborts draws from each input a time table with ties and zeros (at
 // most 12 cores × 8 widths, times 0–8, in no order across widths), a
-// partition of up to 10 widths in any order, the picks the orders keep,
-// a bound and a Core_assign variant, and requires Core_assign on a
-// fresh instance to abort wherever Orders.Aborts says it must.
+// partition of up to 10 widths in any order, the picks the orders keep
+// and a bound, and requires Core_assign on a fresh instance to abort
+// wherever Orders.Aborts says it must.
 func FuzzAborts(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 32; i++ {
@@ -70,33 +66,27 @@ func FuzzAborts(f *testing.F) {
 		orders := NewOrders(tables, b.next()%12)
 		bound := soc.Cycles(b.next() % (maxTime + 2))
 		var sc Scratch
-		abortsMustAbort(t, orders, &sc, tables, widths, bound, b.next()%2 == 1)
+		abortsMustAbort(t, orders, &sc, tables, widths, bound)
 	})
 }
 
 // TestAbortsStopsAtAZeroPick pins the rule's zero-time stop: a pick that
 // adds nothing leaves its TAM at load 0, so the next pick goes there
 // again, and the narrower TAM's times must not count. Both cores take 10
-// cycles at width 1 and none at width 2, so Core_assign completes in 0
-// cycles whenever it starts on the width-2 TAM.
+// cycles at width 1 and none at width 2, so Core_assign, which starts
+// on the wider TAM in either part order, completes in 0 cycles.
 func TestAbortsStopsAtAZeroPick(t *testing.T) {
 	tables := [][]soc.Cycles{{10, 0}, {10, 0}}
 	orders := NewOrders(tables, 2)
 	var sc Scratch
 	for _, widths := range [][]int{{1, 2}, {2, 1}} {
-		for _, plain := range []bool{false, true} {
-			in, err := FromTimeTable(tables, widths)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := CoreAssign
-			if plain {
-				run = CoreAssignPlain
-			}
-			_, ok := run(in, 5)
-			if got := orders.Aborts(&sc, widths, 5, plain); got == ok {
-				t.Errorf("%v plain=%t: Aborts %t, Core_assign completes %t", widths, plain, got, ok)
-			}
+		in, err := FromTimeTable(tables, widths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok := CoreAssign(in, 5)
+		if got := orders.Aborts(&sc, widths, 5); got == ok {
+			t.Errorf("%v: Aborts %t, Core_assign completes %t", widths, got, ok)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func grow(s []int, n int) []int {
 // replaced, kept verbatim as the oracle of TestCoreAssignMatchesReference:
 // every pick scans all unassigned cores, and the line 15 lookahead
 // target is computed eagerly for every TAM.
-func referenceCoreAssign(in *Instance, bestKnown soc.Cycles, tieBreaks bool, sc *referenceScratch) (Assignment, bool) {
+func referenceCoreAssign(in *Instance, bestKnown soc.Cycles, sc *referenceScratch) (Assignment, bool) {
 	n, nb := in.NumCores(), in.NumTAMs()
 	sc.tamOf = grow(sc.tamOf, n)
 	if cap(sc.loads) < nb {
@@ -67,7 +67,7 @@ func referenceCoreAssign(in *Instance, bestKnown soc.Cycles, tieBreaks bool, sc 
 			switch {
 			case a.Loads[k] < a.Loads[j]:
 				j = k
-			case tieBreaks && a.Loads[k] == a.Loads[j] && in.Widths[k] > in.Widths[j]:
+			case a.Loads[k] == a.Loads[j] && in.Widths[k] > in.Widths[j]:
 				j = k
 			}
 		}
@@ -86,7 +86,7 @@ func referenceCoreAssign(in *Instance, bestKnown soc.Cycles, tieBreaks bool, sc 
 				tied = true
 			}
 		}
-		if tieBreaks && tied && lookAhead[j] >= 0 {
+		if tied && lookAhead[j] >= 0 {
 			k := lookAhead[j]
 			top := in.Times[best][j]
 			for i := 0; i < n; i++ {
@@ -149,10 +149,10 @@ func tieWidths(r *rand.Rand, width int) []int {
 }
 
 // TestCoreAssignMatchesReference is the proof that the per-width
-// orders changed no pick: on random instances with forced ties, in both
-// tie-break modes and at bounds that abort at the first pick, halfway,
-// exactly at the final time and never, CoreAssign through the instance
-// feed (fresh and reused scratch) and through the partition feed
+// orders changed no pick: on random instances with forced ties and at
+// bounds that abort at the first pick, halfway, exactly at the final
+// time and never, CoreAssign through the instance feed (fresh and
+// reused scratch) and through the partition feed
 // (Orders over the tables) returns the reference body's TAMOf, Loads,
 // Time and ok — partial assignments included. The instance feed is
 // also run on an instance whose widths are drawn apart from its
@@ -177,39 +177,33 @@ func TestCoreAssignMatchesReference(t *testing.T) {
 			}
 		}
 		orders := NewOrders(tables, 0)
-		for _, tieBreaks := range []bool{true, false} {
-			fresh, warmed, byOrder := CoreAssign, CoreAssignWith, orders.CoreAssign
-			if !tieBreaks {
-				fresh, warmed, byOrder = CoreAssignPlain, CoreAssignPlainWith, orders.CoreAssignPlain
+		full, _ := referenceCoreAssign(in, 0, &ref)
+		t0 := full.Time
+		for _, bound := range []soc.Cycles{0, 1, t0 / 2, t0, t0 + 1} {
+			var want Assignment
+			var wantOK bool
+			check := func(feed string, in *Instance, got Assignment, ok bool) bool {
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d %s bound %d on %v:\n got %v %v %d ok=%t\nwant %v %v %d ok=%t",
+						seed, feed, bound, in.Widths,
+						got.TAMOf, got.Loads, got.Time, ok, want.TAMOf, want.Loads, want.Time, wantOK)
+					return false
+				}
+				return true
 			}
-			full, _ := referenceCoreAssign(in, 0, tieBreaks, &ref)
-			t0 := full.Time
-			for _, bound := range []soc.Cycles{0, 1, t0 / 2, t0, t0 + 1} {
-				var want Assignment
-				var wantOK bool
-				check := func(feed string, in *Instance, got Assignment, ok bool) bool {
-					if ok != wantOK || !reflect.DeepEqual(got, want) {
-						t.Logf("seed %d %s tieBreaks=%t bound %d on %v:\n got %v %v %d ok=%t\nwant %v %v %d ok=%t",
-							seed, feed, tieBreaks, bound, in.Widths,
-							got.TAMOf, got.Loads, got.Time, ok, want.TAMOf, want.Loads, want.Time, wantOK)
-						return false
-					}
-					return true
-				}
-				want, wantOK = referenceCoreAssign(in, bound, tieBreaks, &ref)
-				if a, ok := fresh(in, bound); !check("instance", in, a, ok) {
-					return false
-				}
-				if a, ok := warmed(&warm, in, bound); !check("instance/warm", in, a, ok) {
-					return false
-				}
-				if a, ok := byOrder(&warm, widths, bound); !check("partition", in, a, ok) {
-					return false
-				}
-				want, wantOK = referenceCoreAssign(loose, bound, tieBreaks, &ref)
-				if a, ok := warmed(&warm, loose, bound); !check("instance/loose", loose, a, ok) {
-					return false
-				}
+			want, wantOK = referenceCoreAssign(in, bound, &ref)
+			if a, ok := CoreAssign(in, bound); !check("instance", in, a, ok) {
+				return false
+			}
+			if a, ok := warm.instance(in, bound); !check("instance/warm", in, a, ok) {
+				return false
+			}
+			if a, ok := orders.CoreAssign(&warm, widths, bound); !check("partition", in, a, ok) {
+				return false
+			}
+			want, wantOK = referenceCoreAssign(loose, bound, &ref)
+			if a, ok := warm.instance(loose, bound); !check("instance/loose", loose, a, ok) {
+				return false
 			}
 		}
 		return true
@@ -225,8 +219,8 @@ func TestCoreAssignMatchesReference(t *testing.T) {
 
 // TestCoreAssignAllocations pins the kernel's allocations on p93791's
 // 32 cores: a warm scratch allocates nothing on either feed or in the
-// lookahead, in either tie-break mode, and a fresh one (the public
-// CoreAssign) allocates at most its three buffers.
+// lookahead, and a fresh one (the public CoreAssign) allocates at most
+// its three buffers.
 func TestCoreAssignAllocations(t *testing.T) {
 	s := socdata.P93791()
 	const width = 64
@@ -247,13 +241,10 @@ func TestCoreAssignAllocations(t *testing.T) {
 	const never = soc.Cycles(1) << 40 // no pick reaches it, so Aborts walks every one
 	var sc Scratch
 	for name, run := range map[string]func(){
-		"instance":           func() { CoreAssignWith(&sc, in, 0) },
-		"instance/plain":     func() { CoreAssignPlainWith(&sc, in, 0) },
+		"instance":           func() { sc.instance(in, 0) },
 		"partition":          func() { orders.CoreAssign(&sc, widths, 0) },
-		"partition/plain":    func() { orders.CoreAssignPlain(&sc, widths, 0) },
-		"lookahead":          func() { orders.Aborts(&sc, widths, never, false) },
-		"lookahead/unsorted": func() { orders.Aborts(&sc, unsorted, never, false) },
-		"lookahead/plain":    func() { orders.Aborts(&sc, unsorted, never, true) },
+		"lookahead":          func() { orders.Aborts(&sc, widths, never) },
+		"lookahead/unsorted": func() { orders.Aborts(&sc, unsorted, never) },
 	} {
 		run() // warm
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {

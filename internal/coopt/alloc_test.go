@@ -23,18 +23,15 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 	}
 	orders := assign.NewOrders(tables, 0)
 	parts := []int{4, 8, 8, 12}
-	for _, opt := range []Options{{}, {PlainCoreAssign: true}} {
-		var w worker
-		score := func() {
-			if _, ok := scoreOne(orders, &w.asg, parts, 0, opt, &w.stats); !ok {
-				t.Fatal("unbounded scoring aborted")
-			}
+	var w worker
+	score := func() {
+		if _, ok := scoreOne(orders, &w.asg, parts, 0, &w.stats); !ok {
+			t.Fatal("unbounded scoring aborted")
 		}
-		score() // warm
-		if allocs := testing.AllocsPerRun(100, score); allocs != 0 {
-			t.Errorf("scoreOne (plain=%v) allocates %.1f/op when warm, want 0",
-				opt.PlainCoreAssign, allocs)
-		}
+	}
+	score() // warm
+	if allocs := testing.AllocsPerRun(100, score); allocs != 0 {
+		t.Errorf("scoreOne allocates %.1f/op when warm, want 0", allocs)
 	}
 }
 
@@ -89,11 +86,11 @@ func BenchmarkPartitionScoring(b *testing.B) {
 	orders := assign.NewOrders(tables, 0)
 	var w worker
 	var last soc.Cycles
-	scoreOne(orders, &w.asg, parts, 0, Options{}, &w.stats) // warm the scratch
+	scoreOne(orders, &w.asg, parts, 0, &w.stats) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, ok := scoreOne(orders, &w.asg, parts, 0, Options{}, &w.stats)
+		a, ok := scoreOne(orders, &w.asg, parts, 0, &w.stats)
 		if !ok {
 			b.Fatal("unbounded scoring aborted")
 		}

@@ -9,10 +9,10 @@ import (
 	"soctam/internal/socdata"
 )
 
-// expired is a deadline that has always already passed: the harshest
-// possible budget. The anytime contract says even this returns the
-// first incumbent, never an error.
-var expired = time.Unix(1, 0)
+// expired is a budget spent before the scan's first poll that holds an
+// incumbent: the harshest possible budget. The anytime contract says
+// even this returns the first incumbent, never an error.
+const expired = time.Nanosecond
 
 // checkAnytimeResult asserts the anytime contract on a deadline-bounded
 // result: a complete valid architecture, a non-negative gap, and the
@@ -49,8 +49,8 @@ func checkAnytimeResult(t *testing.T, s *soc.SOC, width int, strat Strategy, res
 	}
 }
 
-// The tentpole contract: with a deadline that expired before the solve
-// even began, every backend still returns a complete valid architecture
+// The anytime contract: with a budget spent before the first poll,
+// every backend still returns a complete valid architecture
 // tagged with its optimality gap — never an error. Workers 1 and the
 // parallel pool both hold it (their deadline polls live in different
 // places).
@@ -69,7 +69,7 @@ func TestExpiredDeadlineReturnsIncumbent(t *testing.T) {
 		{"portfolio", Options{Strategy: StrategyPortfolio}},
 	} {
 		opt := tc.opt
-		opt.Deadline = expired
+		opt.Budget = expired
 		res, err := Solve(s, 32, opt)
 		if err != nil {
 			t.Fatalf("%s: deadline-bounded solve failed: %v", tc.name, err)
@@ -78,10 +78,10 @@ func TestExpiredDeadlineReturnsIncumbent(t *testing.T) {
 	}
 }
 
-// The fixed-TAM-count entry points thread deadlines too.
+// The fixed-TAM-count entry points thread budgets too.
 func TestExpiredDeadlineLegacyEntryPoints(t *testing.T) {
 	s := socdata.D695()
-	opt := Options{Workers: 1, Deadline: expired}
+	opt := Options{Workers: 1, Budget: expired}
 	for _, tc := range []struct {
 		name  string
 		solve func() (Result, error)
@@ -99,9 +99,9 @@ func TestExpiredDeadlineLegacyEntryPoints(t *testing.T) {
 	}
 }
 
-// A deadline far in the future must never fire: the result is
-// bit-for-bit the unbounded run's (the no-deadline determinism
-// guarantee, exercised through the deadline-polling code paths).
+// A generous budget must never run out: the result is bit-for-bit the
+// unbounded run's (the no-budget determinism guarantee, exercised
+// through the deadline-polling code paths).
 func TestGenerousDeadlineMatchesUnbounded(t *testing.T) {
 	s := socdata.D695()
 	for _, strat := range []Strategy{StrategyPartition, StrategyExhaustive, StrategyILP, StrategyPacking, StrategyDiagonal} {
@@ -113,12 +113,12 @@ func TestGenerousDeadlineMatchesUnbounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		bounded, err := Solve(s, width, Options{Strategy: strat, Workers: 1, Deadline: time.Now().Add(time.Hour)})
+		bounded, err := Solve(s, width, Options{Strategy: strat, Workers: 1, Budget: time.Hour})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
 		if bounded.Truncated {
-			t.Errorf("%v: generous deadline marked the run truncated", strat)
+			t.Errorf("%v: generous budget marked the run truncated", strat)
 		}
 		if base.Time != bounded.Time || base.NumTAMs != bounded.NumTAMs {
 			t.Errorf("%v: deadline-polled run differs: %d cycles / %d TAMs vs %d / %d",
@@ -131,30 +131,15 @@ func TestGenerousDeadlineMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// Budget is the relative spelling of Deadline: it must collapse into
-// the absolute form exactly once, keeping the earlier of the two.
+// Budget resolves into the one deadline the engines read, Budget from
+// now; no budget leaves no deadline.
 func TestResolveDeadline(t *testing.T) {
 	r := Options{Budget: time.Hour}.resolveDeadline()
-	if r.Budget != 0 || r.Deadline.IsZero() {
-		t.Errorf("budget did not collapse into a deadline: %+v", r)
-	}
-	if d := time.Until(r.Deadline); d < 59*time.Minute || d > 61*time.Minute {
+	if d := time.Until(r.deadline); d < 59*time.Minute || d > 61*time.Minute {
 		t.Errorf("deadline landed %s out, want ~1h", d)
 	}
-	early := time.Now().Add(time.Minute)
-	r = Options{Budget: time.Hour, Deadline: early}.resolveDeadline()
-	if !r.Deadline.Equal(early) {
-		t.Errorf("earlier absolute deadline lost to the budget: %v", r.Deadline)
-	}
-	r = Options{Budget: time.Minute, Deadline: time.Now().Add(time.Hour)}.resolveDeadline()
-	if d := time.Until(r.Deadline); d > 2*time.Minute {
-		t.Errorf("earlier budget lost to the absolute deadline: %s out", d)
-	}
-	if r2 := r.resolveDeadline(); !r2.Deadline.Equal(r.Deadline) || r2.Budget != 0 {
-		t.Error("resolveDeadline is not idempotent")
-	}
-	if r := (Options{}).resolveDeadline(); !r.Deadline.IsZero() {
-		t.Errorf("no budget, no deadline resolved to %v", r.Deadline)
+	if r := (Options{}).resolveDeadline(); !r.deadline.IsZero() {
+		t.Errorf("no budget resolved to deadline %v", r.deadline)
 	}
 }
 
@@ -193,7 +178,7 @@ func TestProgressFramingUnderDeadline(t *testing.T) {
 	} {
 		var events []ProgressEvent
 		opt := tc.opt
-		opt.Deadline = expired
+		opt.Budget = expired
 		// The sink serializes delivery, so a plain append is safe.
 		opt.Progress = func(ev ProgressEvent) { events = append(events, ev) }
 		res, err := Solve(s, 32, opt)

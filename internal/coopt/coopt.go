@@ -83,9 +83,6 @@ const (
 	// with its Line-1 upper-bound restriction — used to reproduce the
 	// Table 1 pruning statistics exactly as published.
 	EnumOdometer
-	// EnumNaive is the unrestricted nested-loop enumeration the paper
-	// describes as the strawman (ablation of the Line-1 bound).
-	EnumNaive
 )
 
 // String names the enumeration strategy.
@@ -95,8 +92,6 @@ func (e Enumeration) String() string {
 		return "canonical"
 	case EnumOdometer:
 		return "odometer"
-	case EnumNaive:
-		return "naive"
 	}
 	return fmt.Sprintf("Enumeration(%d)", uint8(e))
 }
@@ -112,14 +107,8 @@ type Options struct {
 	NodeLimit int64
 	// SkipFinal skips the exact final optimization step (ablation).
 	SkipFinal bool
-	// NoEarlyAbort disables the Core_assign lines 18–20 abort during
-	// partition evaluation (ablation of pruning level two), and with it
-	// the lookahead that skips the calls the abort would stop.
-	NoEarlyAbort bool
 	// Enumeration picks the partition generator (see the constants).
 	Enumeration Enumeration
-	// PlainCoreAssign drops the Figure 1 tie-break rules (ablation).
-	PlainCoreAssign bool
 	// Workers is the number of goroutines the partition engine scores
 	// partitions on: worker w of n enumerates every partition itself and
 	// scores those whose enumeration sequence number is w mod n. 0 uses
@@ -157,22 +146,18 @@ type Options struct {
 	// schedule would breach the ceiling; the packing backend never
 	// places a rectangle into a breaching position.
 	MaxPower int
-	// Deadline, when nonzero, makes the run anytime: once a backend
-	// holds a first incumbent it stops at the next poll after the
-	// instant passes and returns that incumbent — a valid schedule
-	// tagged with Result.Truncated and its optimality gap (Result.Gap)
-	// — instead of an error. Before a first incumbent exists the
-	// deadline never fires, so a feasible run always returns an answer.
-	// This is deliberately not a context deadline: cancelling
-	// SolveContext's ctx abandons the run and returns ctx's error,
-	// while Deadline keeps the best answer found. A zero Deadline never
-	// reads the clock, so no-deadline runs stay bit-for-bit identical.
-	// Normalized clears it — deadlines bound how long the work may
-	// take, never what the completed work computes.
-	Deadline time.Time
-	// Budget is the relative form of Deadline: > 0 behaves exactly like
-	// Deadline = now + Budget captured when the solve starts (the
-	// earlier instant wins when both are set). Normalized clears it.
+	// Budget, when > 0, makes the run anytime: once a backend holds a
+	// first incumbent it stops at the next poll after Budget has passed
+	// since the solve started and returns that incumbent — a valid
+	// schedule tagged with Result.Truncated and its optimality gap
+	// (Result.Gap) — instead of an error. Before a first incumbent
+	// exists the budget never runs out, so a feasible run always
+	// returns an answer. This is deliberately not a context deadline:
+	// cancelling SolveContext's ctx abandons the run and returns ctx's
+	// error, while Budget keeps the best answer found. A zero Budget
+	// never reads the clock, so runs without one stay bit-for-bit
+	// identical. Normalized clears it — a budget bounds how long the
+	// work may take, never what the completed work computes.
 	Budget time.Duration
 
 	// curves carries the SOC's memoized wrapper curves from the portfolio
@@ -185,21 +170,18 @@ type Options struct {
 	// exactly this B (problem P_PAW) — set only by the fixed-TAM-count
 	// entry points, so one B loop per engine serves both problems.
 	tams int
+	// deadline is the instant Budget runs out, zero for none: the one
+	// deadline the engines read, fixed by resolveDeadline.
+	deadline time.Time
 }
 
-// resolveDeadline collapses Budget (a relative duration) into Deadline
-// (an absolute instant), keeping the earlier of the two, and zeroes
-// Budget. SolveContext resolves once on the way in, so the engines
-// below only ever consult Deadline; resolving an already resolved
-// Options is a no-op. The clock is read only when a budget is
-// actually set — no-deadline runs never touch time.Now here.
+// resolveDeadline fixes the run's deadline at now + Budget. SolveContext
+// resolves once on the way in, so every engine and portfolio racer
+// below reads one instant. The clock is read only when a budget is set.
 func (o Options) resolveDeadline() Options {
 	if o.Budget > 0 {
-		if d := time.Now().Add(o.Budget); o.Deadline.IsZero() || d.Before(o.Deadline) {
-			o.Deadline = d
-		}
+		o.deadline = time.Now().Add(o.Budget)
 	}
-	o.Budget = 0
 	return o
 }
 
@@ -246,21 +228,20 @@ func (o Options) tables(s *soc.SOC, width int) ([][]soc.Cycles, error) {
 // default" sentinels collapse onto their defaults, and the Portfolio
 // subset collapses onto its canonical spelling — names folded, ordered
 // by rank, the default race spelled out, and the field
-// cleared entirely for non-portfolio strategies. Deadline and Budget
-// are cleared too: a deadline bounds how long a run may take, never
-// what a completed run computes, so cache keys must stay
-// deadline-independent — a result produced under any deadline answers
-// the same question. (The serving layer separately refuses to cache
-// Truncated results, so a deadline-bounded incumbent can never poison
-// the shared entry.) The serving layer (internal/serve) keys its cache
-// on this form so requests differing only in parallelism, observation,
-// deadline or subset spelling share one entry, while requests
-// differing in strategy or subset never do.
+// cleared entirely for non-portfolio strategies. Budget is cleared
+// too: a budget bounds how long a run may take, never what a completed
+// run computes, so cache keys must stay budget-independent — a result
+// produced under any budget answers the same question. (The serving
+// layer separately refuses to cache Truncated results, so a
+// budget-bounded incumbent can never poison the shared entry.) The
+// serving layer (internal/serve) keys its cache on this form so
+// requests differing only in parallelism, observation, budget or
+// subset spelling share one entry, while requests differing in
+// strategy or subset never do.
 func (o Options) Normalized() Options {
 	o.MaxTAMs = o.maxTAMs()
 	o.Workers = 0
 	o.Progress = nil
-	o.Deadline = time.Time{}
 	o.Budget = 0
 	if o.NodeLimit < 0 {
 		o.NodeLimit = 0
@@ -304,7 +285,7 @@ func (o Options) ParallelEvaluation() bool { return o.workers() > 1 }
 type Stats struct {
 	// Enumerated counts partitions generated by the enumeration: each
 	// unique partition once under the default canonical enumeration,
-	// the odometers' duplicates included under theirs.
+	// the odometer's duplicates included under EnumOdometer.
 	Enumerated int
 	// Completed counts partitions whose Core_assign evaluation ran to
 	// completion — the paper's p_eval.
@@ -368,10 +349,9 @@ type Result struct {
 	// or not — the bound is deterministic, so no-deadline results are
 	// unchanged by the annotation.
 	Gap float64
-	// Truncated reports that the run's deadline (Options.Deadline /
-	// Options.Budget) fired mid-search: this result is the best
-	// incumbent held at that point, not the run's natural end. Always
-	// false when no deadline was set.
+	// Truncated reports that the run's Options.Budget ran out
+	// mid-search: this result is the best incumbent held at that point,
+	// not the run's natural end. Always false when no budget was set.
 	Truncated bool
 	// Proven reports that Time is the proven-optimal SOC testing time
 	// for this width: it attains the architecture-independent lower
@@ -427,30 +407,16 @@ func curvesFor(s *soc.SOC, maxWidth int) (*wrapper.CurveSet, error) {
 	return cs, nil
 }
 
-// runCoreAssign dispatches to the configured heuristic variant. The
-// returned assignment owns its buffers — the form the cold paths
-// (finishResult) need, where the assignment outlives the call.
-func runCoreAssign(opt Options, in *assign.Instance, bound soc.Cycles) (assign.Assignment, bool) {
-	if opt.PlainCoreAssign {
-		return assign.CoreAssignPlain(in, bound)
-	}
-	return assign.CoreAssign(in, bound)
-}
-
-// scoreOne is the partition engine's per-partition kernel: it runs the
-// configured Core_assign variant on the partition straight from the
-// solve's orders under bound (0 = none) and books the evaluation into
-// stats. completed is false when the lines 18–20 abort fired. The
-// returned assignment aliases asg and is valid only until the next call
-// with the same asg — the assignment is consumed (time read, TAMOf
-// checked for power feasibility) before the next partition is scored.
-func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc.Cycles, opt Options, stats *Stats) (a assign.Assignment, completed bool) {
+// scoreOne is the partition engine's per-partition kernel: it runs
+// Core_assign on the partition straight from the solve's orders under
+// bound (0 = none) and books the evaluation into stats. completed is
+// false when the lines 18–20 abort fired. The returned assignment
+// aliases asg and is valid only until the next call with the same asg
+// — the assignment is consumed (time read, TAMOf checked for power
+// feasibility) before the next partition is scored.
+func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc.Cycles, stats *Stats) (a assign.Assignment, completed bool) {
 	stats.Enumerated++
-	if opt.PlainCoreAssign {
-		a, completed = orders.CoreAssignPlain(asg, parts, bound)
-	} else {
-		a, completed = orders.CoreAssign(asg, parts, bound)
-	}
+	a, completed = orders.CoreAssign(asg, parts, bound)
 	if !completed {
 		stats.Aborted++
 		return a, false
@@ -477,7 +443,7 @@ func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	heur, ok := runCoreAssign(opt, inst, 0)
+	heur, ok := assign.CoreAssign(inst, 0)
 	if !ok || heur.Time != best {
 		return Result{}, fmt.Errorf("coopt: heuristic replay mismatch on %v: got %d, recorded %d", bestPart, heur.Time, best)
 	}
@@ -532,11 +498,10 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 // uses to abandon in-flight solves on shutdown, and what the portfolio
 // combinator builds its consequence-free backend cancellation on.
 //
-// Options.Deadline/Budget are the anytime counterpart: instead of
-// abandoning the run, a deadline makes every backend return its best
-// incumbent, tagged Truncated with its optimality gap, once the
-// instant passes — never an error, provided a first incumbent exists.
-// See ARCHITECTURE.md §13.
+// Options.Budget is the anytime counterpart: instead of abandoning the
+// run, a budget makes every backend return its best incumbent, tagged
+// Truncated with its optimality gap, once it runs out — never an
+// error, provided a first incumbent exists. See ARCHITECTURE.md §13.
 //
 // Every run is framed on the progress stream: a single engine emits
 // start, its own improvement events, then exactly one done or
@@ -615,17 +580,14 @@ func solvePartition(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 	}
 	orders := assign.NewOrders(sc.tables, sc.maxParts)
 	score := func(w *worker, parts []int, seq int64) error {
-		var bound soc.Cycles
-		if !opt.NoEarlyAbort {
-			bound = sc.bound(seq)
-		}
-		if orders.Aborts(&w.asg, parts, bound, opt.PlainCoreAssign) {
+		bound := sc.bound(seq)
+		if orders.Aborts(&w.asg, parts, bound) {
 			// Core_assign would abort: book it so, without the call.
 			w.stats.Enumerated++
 			w.stats.Aborted++
 			return nil
 		}
-		if a, completed := scoreOne(orders, &w.asg, parts, bound, opt, &w.stats); completed {
+		if a, completed := scoreOne(orders, &w.asg, parts, bound, &w.stats); completed {
 			sc.offer(w, a.Time, parts, a.TAMOf, seq)
 		}
 		return nil

@@ -17,7 +17,7 @@ import (
 func packEngine(strategy Strategy, packer func(context.Context, *soc.SOC, int, pack.Options) (*pack.Schedule, error)) solveFunc {
 	return func(ctx context.Context, s *soc.SOC, width int, opt Options, _ *progressSink) (Result, error) {
 		started := time.Now()
-		sch, err := packer(ctx, s, width, pack.Options{MaxPower: opt.MaxPower, Curves: opt.curves, Deadline: opt.Deadline})
+		sch, err := packer(ctx, s, width, pack.Options{MaxPower: opt.MaxPower, Curves: opt.curves, Deadline: opt.deadline})
 		if err != nil {
 			return Result{}, err
 		}

@@ -15,7 +15,7 @@ import (
 // path (only the Completed/Aborted split of Stats may differ).
 func TestParallelMatchesSequential(t *testing.T) {
 	s := testSOC()
-	for _, enum := range []Enumeration{EnumCanonical, EnumOdometer, EnumNaive} {
+	for _, enum := range []Enumeration{EnumCanonical, EnumOdometer} {
 		seq, err := Solve(s, 14, Options{MaxTAMs: 4, Workers: 1, Enumeration: enum})
 		if err != nil {
 			t.Fatalf("sequential (%v): %v", enum, err)

@@ -111,7 +111,7 @@ func newScan(ctx context.Context, s *soc.SOC, width int, opt Options, sink *prog
 		return nil, err
 	}
 	_, hi := opt.tamRange(width)
-	sc := &scan{ctx: ctx, deadline: opt.Deadline, tables: tables, pc: pc, sink: sink, plan: plan,
+	sc := &scan{ctx: ctx, deadline: opt.deadline, tables: tables, pc: pc, sink: sink, plan: plan,
 		lb:      pack.LowerBound(s, tables, width, pc.maxPower()),
 		workers: make([]worker, plan.workers), maxParts: min(hi, width)}
 	sc.best.Store(-1)
@@ -306,36 +306,29 @@ func (sc *scan) exactResult(strategy Strategy, width int, a assign.Assignment, a
 	return res
 }
 
-// source is a worker's partition enumerator. next is a switch, not an
+// source is a worker's partition enumerator. next is a branch, not an
 // interface call, so stepping the canonical enumerator costs one direct
 // call; the canonical one is reset in place, so it allocates once per
-// solve, the paper's odometers once per TAM count.
+// solve, the paper's odometer once per TAM count.
 type source struct {
-	enum  Enumeration
-	lex   partition.Lex
-	odo   *partition.Odometer
-	naive *partition.NaiveOdometer
+	enum Enumeration
+	lex  partition.Lex
+	odo  *partition.Odometer
 }
 
 func (s *source) reset(enum Enumeration, width, numTAMs int) (err error) {
 	s.enum = enum
-	switch enum {
-	case EnumOdometer:
+	if enum == EnumOdometer {
 		s.odo, err = partition.NewOdometer(width, numTAMs)
-	case EnumNaive:
-		s.naive, err = partition.NewNaiveOdometer(width, numTAMs)
-	default:
+	} else {
 		s.lex.Reset(width, numTAMs)
 	}
 	return err
 }
 
 func (s *source) next() ([]int, bool) {
-	switch s.enum {
-	case EnumOdometer:
+	if s.enum == EnumOdometer {
 		return s.odo.Next()
-	case EnumNaive:
-		return s.naive.Next()
 	}
 	return s.lex.Next()
 }

@@ -19,31 +19,25 @@ import (
 // before Core_assign moved to per-width core orders, so a changed pick
 // or a changed abort point on any of the 296,320 W=64 partitions fails
 // here even when the winner survives it. Beside the canonical
-// enumeration's widest-first picks, the cells cover plain Core_assign's
-// index-order picks and the odometers' unsorted partitions, each
-// recorded before the lookahead skipped Core_assign on partitions it
-// must abort.
+// enumeration's sorted partitions, a cell covers the odometer's
+// unsorted ones; each was recorded before the lookahead skipped
+// Core_assign on partitions it must abort.
 func TestPartitionSearchPinned(t *testing.T) {
 	for _, tc := range []struct {
 		soc      string
 		width    int
-		plain    bool
 		enum     Enumeration
 		maxPower int
 		heur     int64
 		want     Stats
 	}{
-		{"d695", 64, false, EnumCanonical, 0, 11034, Stats{Enumerated: 296320, Completed: 47, Aborted: 296273, Improved: 47}},
-		{"p21241", 64, false, EnumCanonical, 0, 326184, Stats{Enumerated: 296320, Completed: 77, Aborted: 296243, Improved: 77}},
-		{"p31108", 64, false, EnumCanonical, 0, 602021, Stats{Enumerated: 296320, Completed: 48, Aborted: 296272, Improved: 48}},
-		{"p93791", 48, false, EnumCanonical, 0, 1745344, Stats{Enumerated: 49037, Completed: 40, Aborted: 48997, Improved: 40}},
-		{"p93791", 64, false, EnumCanonical, 0, 1501359, Stats{Enumerated: 296320, Completed: 55, Aborted: 296265, Improved: 55}},
-		{"p21241", 32, true, EnumCanonical, 0, 661480, Stats{Enumerated: 5013, Completed: 13, Aborted: 5000, Improved: 13}},
-		{"d695", 32, false, EnumCanonical, 1800, 29518, Stats{Enumerated: 5013, Completed: 873, Aborted: 4140, Improved: 10, PowerInfeasible: 863}},
-		{"d695", 64, true, EnumCanonical, 0, 13550, Stats{Enumerated: 296320, Completed: 27, Aborted: 296293, Improved: 27}},
-		{"p93791", 40, true, EnumOdometer, 0, 2522637, Stats{Enumerated: 3519554, Completed: 6, Aborted: 3519548, Improved: 6}},
-		{"p93791", 40, false, EnumOdometer, 0, 2195422, Stats{Enumerated: 3519554, Completed: 17, Aborted: 3519537, Improved: 17}},
-		{"d695", 20, false, EnumNaive, 0, 34684, Stats{Enumerated: 262144, Completed: 9, Aborted: 262135, Improved: 9}},
+		{"d695", 64, EnumCanonical, 0, 11034, Stats{Enumerated: 296320, Completed: 47, Aborted: 296273, Improved: 47}},
+		{"p21241", 64, EnumCanonical, 0, 326184, Stats{Enumerated: 296320, Completed: 77, Aborted: 296243, Improved: 77}},
+		{"p31108", 64, EnumCanonical, 0, 602021, Stats{Enumerated: 296320, Completed: 48, Aborted: 296272, Improved: 48}},
+		{"p93791", 48, EnumCanonical, 0, 1745344, Stats{Enumerated: 49037, Completed: 40, Aborted: 48997, Improved: 40}},
+		{"p93791", 64, EnumCanonical, 0, 1501359, Stats{Enumerated: 296320, Completed: 55, Aborted: 296265, Improved: 55}},
+		{"d695", 32, EnumCanonical, 1800, 29518, Stats{Enumerated: 5013, Completed: 873, Aborted: 4140, Improved: 10, PowerInfeasible: 863}},
+		{"p93791", 40, EnumOdometer, 0, 2195422, Stats{Enumerated: 3519554, Completed: 17, Aborted: 3519537, Improved: 17}},
 	} {
 		if testing.Short() && (tc.width == 64 || tc.enum == EnumOdometer) {
 			continue
@@ -52,8 +46,8 @@ func TestPartitionSearchPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("%s W=%d plain=%t %v P=%d", tc.soc, tc.width, tc.plain, tc.enum, tc.maxPower)
-		res, err := Solve(s, tc.width, Options{Workers: 1, SkipFinal: true, PlainCoreAssign: tc.plain, Enumeration: tc.enum, MaxPower: tc.maxPower})
+		name := fmt.Sprintf("%s W=%d %v P=%d", tc.soc, tc.width, tc.enum, tc.maxPower)
+		res, err := Solve(s, tc.width, Options{Workers: 1, SkipFinal: true, Enumeration: tc.enum, MaxPower: tc.maxPower})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -149,11 +143,11 @@ func TestPartitionFlowOnRandomSOCs(t *testing.T) {
 // engine's lookahead (assign.Orders.Aborts) on the random-SOC draw
 // (randomCases) and on a hand-built SOC at W=24 whose cores include two
 // of zero time and a tied pair. Every partition of each case's width
-// into at most 6 parts is asked under each enumeration's part order and
-// both Core_assign variants, at bounds of g quarters of its unbounded
-// time for g = 1..5, and wherever the lookahead rejects, Core_assign on
-// a fresh instance must abort at that bound. Each enumeration and
-// variant must see rejects, so no slice passes vacuously.
+// into at most 6 parts is asked under each enumeration's part order, at
+// bounds of g quarters of its unbounded time for g = 1..5, and wherever
+// the lookahead rejects, Core_assign on a fresh instance must abort at
+// that bound. Each enumeration must see rejects, so neither passes
+// vacuously.
 func TestLookaheadSound(t *testing.T) {
 	cases := randomCases(t)
 	if testing.Short() {
@@ -166,16 +160,15 @@ func TestLookaheadSound(t *testing.T) {
 		soc.Core{Name: "mem2", Inputs: 10, Outputs: 10, Patterns: 500})
 	cases = append(cases, randomCase{name: "hand-built", s: hand, width: 24})
 	const maxParts = 6
-	enums := []Enumeration{EnumCanonical, EnumOdometer, EnumNaive}
-	var rejects [3][2]int // by enumeration, then plain
+	enums := []Enumeration{EnumCanonical, EnumOdometer}
+	var rejects [2]int // by enumeration
 	for _, rc := range cases {
 		tables, err := TimeTables(rc.s, rc.width)
 		if err != nil {
 			t.Fatal(err)
 		}
 		orders := assign.NewOrders(tables, maxParts)
-		// sc serves the orders, ref the fresh instances.
-		var sc, ref assign.Scratch
+		var sc assign.Scratch
 		var src source
 		for e, enum := range enums {
 			for b := 1; b <= min(maxParts, rc.width); b++ {
@@ -183,56 +176,44 @@ func TestLookaheadSound(t *testing.T) {
 					t.Fatal(err)
 				}
 				for parts, ok := src.next(); ok; parts, ok = src.next() {
-					var in *assign.Instance
-					for p, plain := range []bool{false, true} {
-						score, fresh := orders.CoreAssign, assign.CoreAssignWith
-						if plain {
-							score, fresh = orders.CoreAssignPlain, assign.CoreAssignPlainWith
+					full, _ := orders.CoreAssign(&sc, parts, 0)
+					// Core_assign's picks do not depend on the bound, so a
+					// call that aborts at one bound aborts at every smaller
+					// one: the largest rejected bound is the one to check.
+					var top soc.Cycles
+					for g := soc.Cycles(1); g <= 5; g++ {
+						if bound := full.Time * g / 4; orders.Aborts(&sc, parts, bound) {
+							rejects[e]++
+							top = bound
 						}
-						full, _ := score(&sc, parts, 0)
-						// Core_assign's picks do not depend on the bound, so
-						// a call that aborts at one bound aborts at every
-						// smaller one: the largest rejected bound is the one
-						// to check.
-						var top soc.Cycles
-						for g := soc.Cycles(1); g <= 5; g++ {
-							if bound := full.Time * g / 4; orders.Aborts(&sc, parts, bound, plain) {
-								rejects[e][p]++
-								top = bound
-							}
-						}
-						if top == 0 {
-							continue
-						}
-						if in == nil {
-							if in, err = assign.FromTimeTable(tables, parts); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if a, ok := fresh(&ref, in, top); ok {
-							t.Fatalf("%s: %v (%v, plain=%t) rejected at bound %d, but Core_assign completes at %d",
-								rc.name, parts, enum, plain, top, a.Time)
-						}
+					}
+					if top == 0 {
+						continue
+					}
+					in, err := assign.FromTimeTable(tables, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, ok := assign.CoreAssign(in, top); ok {
+						t.Fatalf("%s: %v (%v) rejected at bound %d, but Core_assign completes at %d",
+							rc.name, parts, enum, top, a.Time)
 					}
 				}
 			}
 		}
 	}
 	for e, enum := range enums {
-		for p, n := range rejects[e] {
-			if n == 0 {
-				t.Errorf("%v, plain=%t: the lookahead rejected nothing", enum, p == 1)
-			}
+		if rejects[e] == 0 {
+			t.Errorf("%v: the lookahead rejected nothing", enum)
 		}
 	}
-	t.Logf("rejects (by enumeration, then plain): %v", rejects)
+	t.Logf("rejects (by enumeration): %v", rejects)
 }
 
 // TestOrdersSharedAcrossGoroutines scores every partition of p93791's
 // W=24 into at most 6 TAMs from several goroutines sharing one set of
-// per-width orders, each on its own scratch, in its own tie-break mode
-// and at its own bound, and holds every result to the instance feed's
-// on a fresh instance. It is the race detector's view of the worker
+// per-width orders, each on its own scratch and at its own bound, and
+// holds every result to the instance feed's on a fresh instance. It is the race detector's view of the worker
 // pool's sharing: run it with -race -count=10 after touching the orders
 // or the scoring kernel.
 func TestOrdersSharedAcrossGoroutines(t *testing.T) {
@@ -249,8 +230,8 @@ func TestOrdersSharedAcrossGoroutines(t *testing.T) {
 			return true
 		})
 	}
-	// Goroutine g runs the plain variant when g is odd, at a bound of
-	// g quarters of the partition's unbounded time (0 = none).
+	// Goroutine g runs at a bound of g quarters of the partition's
+	// unbounded time (0 = none).
 	const goroutines = 4
 	type outcome struct {
 		bound soc.Cycles
@@ -263,14 +244,10 @@ func TestOrdersSharedAcrossGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		full, _ := assign.CoreAssign(in, 0)
 		for g := range goroutines {
-			run := assign.CoreAssign
-			if g%2 == 1 {
-				run = assign.CoreAssignPlain
-			}
-			full, _ := run(in, 0)
 			bound := full.Time * soc.Cycles(g) / goroutines
-			a, ok := run(in, bound)
+			a, ok := assign.CoreAssign(in, bound)
 			want[k][g] = outcome{bound, a, ok}
 		}
 	}
@@ -282,11 +259,10 @@ func TestOrdersSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			var sc assign.Scratch
 			var stats Stats
-			opt := Options{PlainCoreAssign: g%2 == 1}
 			for step := range parts {
 				k := (step + g*len(parts)/goroutines) % len(parts) // start apart
 				w := want[k][g]
-				a, ok := scoreOne(orders, &sc, parts[k], w.bound, opt, &stats)
+				a, ok := scoreOne(orders, &sc, parts[k], w.bound, &stats)
 				if ok != w.ok || !reflect.DeepEqual(a, w.a) {
 					t.Errorf("goroutine %d, %v at bound %d: got %v %d ok=%t, want %v %d ok=%t",
 						g, parts[k], w.bound, a.TAMOf, a.Time, ok, w.a.TAMOf, w.a.Time, w.ok)

@@ -50,7 +50,7 @@ type Schedule struct {
 	// MaxPower is the peak-power ceiling the schedule was packed under;
 	// 0 means unconstrained. Validate enforces PeakPower <= MaxPower.
 	MaxPower int
-	// Truncated reports that the run's deadline (Options.Deadline)
+	// Truncated reports that the run's deadline (the Deadline option)
 	// stopped the budget sweep early: the schedule is the best of the
 	// attempts that ran, not of the full sweep. It is still a complete,
 	// valid packing of every core — only schedule quality is affected.

@@ -240,59 +240,3 @@ func fill(parts, vars []int, w int) []int {
 	parts[len(vars)] = w - used
 	return parts
 }
-
-// NaiveOdometer enumerates partitions the way the paper describes the
-// unrestricted nested loops (no Line-1 bound): every w_1..w_{B-1} from 1
-// while the remainder stays positive. It exists as the ablation baseline
-// quantifying how many repeated partitions the Line-1 bound prunes.
-type NaiveOdometer struct {
-	w, b  int
-	vars  []int
-	parts []int // the partition Next returns, refilled in place
-	done  bool
-	first bool
-}
-
-// NewNaiveOdometer returns the unrestricted odometer; same domain rules
-// as NewOdometer.
-func NewNaiveOdometer(w, b int) (*NaiveOdometer, error) {
-	if b < 1 || w < b {
-		return nil, fmt.Errorf("partition: invalid naive odometer W=%d B=%d", w, b)
-	}
-	o := &NaiveOdometer{w: w, b: b, vars: make([]int, b-1), parts: make([]int, b), first: true}
-	for i := range o.vars {
-		o.vars[i] = 1
-	}
-	return o, nil
-}
-
-// Next returns the next partition, or ok=false at exhaustion. The slice
-// is reused between calls.
-func (o *NaiveOdometer) Next() (parts []int, ok bool) {
-	if o.done {
-		return nil, false
-	}
-	if o.first {
-		o.first = false
-		return fill(o.parts, o.vars, o.w), true
-	}
-	j := o.b - 2
-	for j >= 0 {
-		// Digit j may grow while all later digits (reset to 1) and the
-		// remainder can still be >= 1.
-		used := 0
-		for i := 0; i < j; i++ {
-			used += o.vars[i]
-		}
-		if o.vars[j] < o.w-used-(o.b-1-j) {
-			o.vars[j]++
-			for t := j + 1; t < o.b-1; t++ {
-				o.vars[t] = 1
-			}
-			return fill(o.parts, o.vars, o.w), true
-		}
-		j--
-	}
-	o.done = true
-	return nil, false
-}

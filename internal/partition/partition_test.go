@@ -228,15 +228,13 @@ func TestOdometerCoversAllUniquePartitions(t *testing.T) {
 
 func TestOdometerPrunesVsNaive(t *testing.T) {
 	// The Line-1 bound must never enumerate more than the naive nested
-	// loops, and must cut the count substantially for b >= 3.
+	// loops, which step through every composition of w into b positive
+	// parts, C(w-1, b-1) of them, and must cut the count substantially
+	// for b >= 3.
 	for _, tc := range []struct{ w, b int }{{16, 3}, {20, 4}, {24, 5}} {
 		o, _ := NewOdometer(tc.w, tc.b)
 		n, _ := coversAllUnique(t, tc.w, tc.b, o.Next)
-		nv, _ := NewNaiveOdometer(tc.w, tc.b)
-		naive, uniqueNaive := coversAllUnique(t, tc.w, tc.b, nv.Next)
-		if int64(uniqueNaive) != Count(tc.w, tc.b) {
-			t.Errorf("W=%d B=%d: naive odometer missed partitions (%d unique)", tc.w, tc.b, uniqueNaive)
-		}
+		naive := binomial(tc.w-1, tc.b-1)
 		if n > naive {
 			t.Errorf("W=%d B=%d: bounded odometer enumerated %d > naive %d", tc.w, tc.b, n, naive)
 		}
@@ -246,24 +244,13 @@ func TestOdometerPrunesVsNaive(t *testing.T) {
 	}
 }
 
-func TestNaiveOdometerCountsCompositions(t *testing.T) {
-	// The naive odometer enumerates all compositions of w into b positive
-	// parts: C(w-1, b-1) of them.
-	nv, err := NewNaiveOdometer(10, 3)
-	if err != nil {
-		t.Fatalf("NewNaiveOdometer: %v", err)
+// binomial returns C(n, k).
+func binomial(n, k int) int {
+	c := 1
+	for i := 1; i <= k; i++ {
+		c = c * (n - k + i) / i
 	}
-	n := 0
-	for {
-		_, ok := nv.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 36 { // C(9,2)
-		t.Errorf("naive odometer enumerated %d compositions of 10 into 3, want 36", n)
-	}
+	return c
 }
 
 func TestOdometerSingleTAM(t *testing.T) {
@@ -286,9 +273,6 @@ func TestOdometerErrors(t *testing.T) {
 	}
 	if _, err := NewOdometer(3, 4); err == nil {
 		t.Error("NewOdometer(3,4) succeeded, want error")
-	}
-	if _, err := NewNaiveOdometer(3, 4); err == nil {
-		t.Error("NewNaiveOdometer(3,4) succeeded, want error")
 	}
 }
 
@@ -374,10 +358,6 @@ func TestNextZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NewNaiveOdometer(w, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var lex Lex
 	lex.Reset(w, b)
 	for _, tc := range []struct {
@@ -386,7 +366,6 @@ func TestNextZeroAlloc(t *testing.T) {
 	}{
 		{"Lex", lex.Next},
 		{"Odometer", odo.Next},
-		{"NaiveOdometer", naive.Next},
 	} {
 		tc.next() // warm
 		if allocs := testing.AllocsPerRun(1000, func() {

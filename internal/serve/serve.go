@@ -278,13 +278,13 @@ type Meta struct {
 // options must already be Normalized — the caller hashes the canonical
 // form so parallelism knobs and spelled-out defaults cannot split
 // cache entries. Every result-affecting Options field the service
-// solves with appears here; when a field is added to coopt.Options it
-// must be added to this fingerprint, rejected in solve, or
-// consciously excluded, like Workers — and like Deadline/Budget, which
-// bound how long a run may take but never what a completed run
-// computes, so keys stay deadline-independent and a deadline-free
-// client can hit an entry a deadline-bounded one populated, and vice
-// versa.
+// solves with appears here; every other field is rejected in solve or
+// result-neutral, like Workers, Progress and Budget — a budget bounds
+// how long a run may take but never what a completed run computes, so
+// keys stay budget-independent and a budget-free client can hit an
+// entry a budget-bounded one populated, and vice versa.
+// TestJobKeyFieldContract holds each field of coopt.Options to one of
+// the three classes, so a new field fails it until it is given one.
 func jobKey(digest string, width int, opt coopt.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|node=%d|maxpower=%d|portfolio=%s",
@@ -295,7 +295,7 @@ func jobKey(digest string, width int, opt coopt.Options) string {
 // errAblation rejects a job that sets one of coopt.Options' ablation
 // knobs: no wire request can set them, and the paper-table experiments
 // run them through coopt directly.
-var errAblation = errors.New("serve: ablation options (SkipFinal, NoEarlyAbort, PlainCoreAssign, a non-canonical Enumeration) are not served")
+var errAblation = errors.New("serve: ablation options (SkipFinal, a non-canonical Enumeration) are not served")
 
 // Solve answers one job: validate, canonicalize, consult the cache,
 // deduplicate against identical in-flight solves, and only then spend a
@@ -317,17 +317,17 @@ func (sv *Server) Solve(ctx context.Context, s *soc.SOC, width int, opt coopt.Op
 	return sv.solve(ctx, resolve(s), width, opt, nil)
 }
 
-// solve is the shared request path. Anytime jobs (a Deadline or Budget
-// set) and observed jobs (fn non-nil) bypass the in-flight
-// deduplication flights: a deadline-bounded leader could hand its
-// truncated incumbent to deadline-free followers (or a patient leader
-// could stall an aggressive-deadline follower past its deadline), and
-// a follower cannot observe a leader's progress — so those jobs solve
-// directly, and only complete (non-truncated) results are ever cached.
+// solve is the shared request path. Anytime jobs (a Budget set) and
+// observed jobs (fn non-nil) bypass the in-flight deduplication
+// flights: a budget-bounded leader could hand its truncated incumbent
+// to budget-free followers (or a patient leader could stall an
+// aggressive-budget follower past its deadline), and a follower cannot
+// observe a leader's progress — so those jobs solve directly, and only
+// complete (non-truncated) results are ever cached.
 func (sv *Server) solve(ctx context.Context, rs *resolvedSOC, width int, opt coopt.Options, fn coopt.ProgressFunc) (coopt.Result, Meta, error) {
 	t0 := time.Now()
 	meta := Meta{Digest: rs.digest}
-	if opt.SkipFinal || opt.NoEarlyAbort || opt.PlainCoreAssign || opt.Enumeration != coopt.EnumCanonical {
+	if opt.SkipFinal || opt.Enumeration != coopt.EnumCanonical {
 		sv.m.failed.Inc()
 		return coopt.Result{}, meta, errAblation
 	}
@@ -350,9 +350,9 @@ func (sv *Server) solve(ctx context.Context, rs *resolvedSOC, width int, opt coo
 	}
 	var res coopt.Result
 	var err error
-	if anytime := !opt.Deadline.IsZero() || opt.Budget > 0; anytime || fn != nil {
+	if opt.Budget > 0 || fn != nil {
 		run := norm
-		run.Deadline, run.Budget = opt.Deadline, opt.Budget
+		run.Budget = opt.Budget
 		run.Progress = fn
 		res, err = sv.solveCold(ctx, rs.canon, width, run)
 		if err == nil {

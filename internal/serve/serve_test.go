@@ -266,6 +266,89 @@ func TestJobKeyNormalization(t *testing.T) {
 	}
 }
 
+// TestJobKeyFieldContract puts every exported field of coopt.Options in
+// exactly one class and checks it: two values of a keyed field give two
+// cache keys after Normalized, a rejected field fails the job with
+// errAblation before anything is looked up or solved, and two values of
+// a result-neutral field give one key. A field added to coopt.Options
+// without a decision fails here.
+func TestJobKeyFieldContract(t *testing.T) {
+	type pair struct{ a, b coopt.Options }
+	keyed := map[string]pair{
+		"MaxTAMs":   {coopt.Options{MaxTAMs: 2}, coopt.Options{MaxTAMs: 3}},
+		"NodeLimit": {coopt.Options{NodeLimit: 100}, coopt.Options{NodeLimit: 200}},
+		"Strategy":  {coopt.Options{Strategy: coopt.StrategyPartition}, coopt.Options{Strategy: coopt.StrategyPacking}},
+		"Portfolio": {
+			coopt.Options{Strategy: coopt.StrategyPortfolio, Portfolio: "partition"},
+			coopt.Options{Strategy: coopt.StrategyPortfolio, Portfolio: "packing"},
+		},
+		"MaxPower": {coopt.Options{MaxPower: 1800}, coopt.Options{MaxPower: 2500}},
+	}
+	rejected := map[string]coopt.Options{
+		"SkipFinal":   {SkipFinal: true},
+		"Enumeration": {Enumeration: coopt.EnumOdometer},
+	}
+	neutral := map[string]pair{
+		"Workers":  {coopt.Options{Workers: 1}, coopt.Options{Workers: 4}},
+		"Progress": {coopt.Options{}, coopt.Options{Progress: func(coopt.ProgressEvent) {}}},
+		"Budget":   {coopt.Options{}, coopt.Options{Budget: time.Second}},
+	}
+
+	// differing names the exported fields in which a and b differ, so
+	// each case is checked to vary its own field and no other.
+	differing := func(a, b coopt.Options) []string {
+		va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+		var names []string
+		for i := range va.NumField() {
+			if f := va.Type().Field(i); f.IsExported() &&
+				!reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+				names = append(names, f.Name)
+			}
+		}
+		return names
+	}
+	classes := map[string]int{}
+	for name, p := range keyed {
+		classes[name]++
+		if got := differing(p.a, p.b); !reflect.DeepEqual(got, []string{name}) {
+			t.Errorf("keyed %s: the pair differs in %v", name, got)
+		}
+		if jobKey("d", 16, p.a.Normalized()) == jobKey("d", 16, p.b.Normalized()) {
+			t.Errorf("keyed %s: two values share one cache key", name)
+		}
+	}
+	for name, p := range neutral {
+		classes[name]++
+		if got := differing(p.a, p.b); !reflect.DeepEqual(got, []string{name}) {
+			t.Errorf("result-neutral %s: the pair differs in %v", name, got)
+		}
+		if jobKey("d", 16, p.a.Normalized()) != jobKey("d", 16, p.b.Normalized()) {
+			t.Errorf("result-neutral %s: two values split the cache key", name)
+		}
+	}
+	for name, opt := range rejected {
+		classes[name]++
+		if got := differing(coopt.Options{}, opt); !reflect.DeepEqual(got, []string{name}) {
+			t.Errorf("rejected %s: the case sets %v", name, got)
+		}
+		sv := New(Config{})
+		if _, _, err := sv.Solve(context.Background(), socdata.D695(), 16, opt); !errors.Is(err, errAblation) {
+			t.Errorf("rejected %s: err %v, want errAblation", name, err)
+		}
+		if st := sv.Stats(); st.Jobs.Solved != 0 || st.Cache.Misses != 0 {
+			t.Errorf("rejected %s: jobs %+v, cache %+v; want nothing solved or looked up", name, st.Jobs, st.Cache)
+		}
+		sv.Close()
+	}
+
+	fields := reflect.TypeFor[coopt.Options]()
+	for i := range fields.NumField() {
+		if f := fields.Field(i); f.IsExported() && classes[f.Name] != 1 {
+			t.Errorf("coopt.Options.%s is in %d classes, want exactly 1 (keyed, rejected or result-neutral)", f.Name, classes[f.Name])
+		}
+	}
+}
+
 // A closed server fails fast instead of hanging on the pool.
 func TestSolveAfterClose(t *testing.T) {
 	sv := New(Config{})
@@ -297,8 +380,6 @@ func TestSolveRejectsAblationOptions(t *testing.T) {
 	defer sv.Close()
 	for i, opt := range []coopt.Options{
 		{SkipFinal: true},
-		{NoEarlyAbort: true},
-		{PlainCoreAssign: true},
 		{Enumeration: coopt.EnumOdometer},
 	} {
 		if _, _, err := sv.Solve(context.Background(), socdata.D695(), 16, opt); !errors.Is(err, errAblation) {

@@ -21,9 +21,9 @@
 //     with partition evaluation parallelized across Options.Workers, an
 //     optional peak-power ceiling enforced via Options.MaxPower (or the
 //     SOC's own MaxPower), live observability via Options.Progress, and
-//     anytime solving via Options.Deadline/Options.Budget (past the
-//     cutoff the best incumbent so far is returned, tagged Truncated
-//     with its optimality gap in Result.Gap, never an error);
+//     anytime solving via Options.Budget (once it runs out the best
+//     incumbent so far is returned, tagged Truncated with its
+//     optimality gap in Result.Gap, never an error);
 //   - CoOptimizeFixedTAMs / Exhaustive: the partition flow (problem
 //     P_PAW) and the exact enumerate-and-solve baseline of the earlier
 //     JETTA 2002 paper [8] with the TAM count fixed — Solve with the
@@ -241,13 +241,12 @@ func Solve(s *SOC, totalWidth int, opt Options) (Result, error) {
 // SolveContext is Solve with cancellation: every backend polls ctx and
 // returns its error once it fires. Cancellation never alters the result
 // of a run that completes; the wtamd solver service uses it to abandon
-// in-flight solves on shutdown. Distinct from cancellation, a deadline
-// (Options.Deadline or Options.Budget) makes the solve anytime: past
-// the cutoff the backend returns its best incumbent so far — a valid
-// architecture tagged Result.Truncated with its optimality gap in
-// Result.Gap — instead of an error. Runs without a deadline are
-// bit-for-bit identical to runs before deadlines existed; see
-// ARCHITECTURE.md §13.
+// in-flight solves on shutdown. Distinct from cancellation, a budget
+// (Options.Budget) makes the solve anytime: once it runs out the
+// backend returns its best incumbent so far — a valid architecture
+// tagged Result.Truncated with its optimality gap in Result.Gap —
+// instead of an error. Runs without a budget are bit-for-bit identical
+// to runs before budgets existed; see ARCHITECTURE.md §13.
 func SolveContext(ctx context.Context, s *SOC, totalWidth int, opt Options) (Result, error) {
 	return coopt.SolveContext(ctx, s, totalWidth, opt)
 }
