@@ -230,10 +230,10 @@ func NewOrders(tables [][]soc.Cycles, picks int) *Orders {
 //
 // The rule: while every earlier pick added a positive time, pick j goes
 // to a TAM still at load 0, the j-th widest, since lines 10–12 take the
-// least load and break ties to the widest TAM, then the lowest index. Pick j takes the largest time
-// left among N−j+1 cores at that TAM's width, at least the j-th largest
-// time of all cores there, and that TAM's load is then the running
-// makespan's floor. So if for some j ≤ min(B, N) the j-th largest time
+// least load and break ties to the widest TAM, then the lowest index.
+// Pick j takes the largest time left among N−j+1 cores at that TAM's
+// width, at least the j-th largest time of all cores there, and that
+// TAM's load is then the running makespan's floor. So if for some j ≤ min(B, N) the j-th largest time
 // at the j-th TAM's width reaches bestKnown, lines 18–20 abort by pick
 // j. A zero order statistic ends the argument: a pick that adds nothing
 // leaves its TAM at load 0, the next pick's target.
@@ -259,17 +259,13 @@ func (o *Orders) Aborts(sc *Scratch, widths []int, bestKnown soc.Cycles) bool {
 	return false
 }
 
-// CoreAssign is the package-level CoreAssign on the instance
-// FromTimeTable(tables, widths) would build for the width partition
-// widths, with the same result, scored without building it: the
-// partition feed. TAM j reads column widths[j]-1 of the tables and
-// walks that width's shared order. Every width must lie in 1..W.
-//
-// The returned assignment's TAMOf and Loads alias sc and are valid
-// only until the next call with the same scratch; callers keeping a
-// result must copy it. The scratch is grown for up to W TAMs at once —
-// no partition of W has more — so a sweep over TAM counts sizes it a
-// single time, and a warm sc makes the call allocate nothing.
+// CoreAssign is the partition feed: CoreAssign on the instance that
+// FromTimeTable(tables, widths) would build, with the same result,
+// scored without building it. TAM j reads column widths[j]-1 of the
+// tables and walks that width's shared order. Every width must lie in
+// 1..W. The result's TAMOf and Loads alias sc until its next call;
+// callers keeping a result copy it. sc is grown for up to W TAMs at
+// once, no partition of W having more, so a warm sc allocates nothing.
 func (o *Orders) CoreAssign(sc *Scratch, widths []int, bestKnown soc.Cycles) (a Assignment, ok bool) {
 	col := sc.prepare(len(o.tables), len(widths), max(len(widths), o.width))
 	for j, w := range widths {

@@ -128,7 +128,7 @@ func (pc *powerContext) peak(tables [][]soc.Cycles, parts []int, tamOf []int, ps
 			clock += ct.dur
 		}
 	}
-	return soc.PeakConcurrent(ps.events)
+	return peakEvents(ps.events)
 }
 
 // growInts returns s resized to n, reallocating only when capacity is
@@ -154,4 +154,30 @@ func sortPowerTests(tests []powerTest) {
 			break
 		}
 	}
+}
+
+// peakEvents returns the maximum running power sum of the events — what
+// soc.PeakConcurrent computes, but sorting in place with an insertion
+// sort (the lists are a few dozen events) so the hot path allocates
+// nothing. Events tied on both time and delta are interchangeable, so
+// the running maximum is order-independent among them.
+func peakEvents(events []soc.PowerEvent) int {
+	for i := 1; i < len(events); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &events[j], &events[j-1]
+			if a.At < b.At || (a.At == b.At && a.Delta < b.Delta) {
+				*a, *b = *b, *a
+				continue
+			}
+			break
+		}
+	}
+	cur, peak := 0, 0
+	for _, e := range events {
+		cur += e.Delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
 }

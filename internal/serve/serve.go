@@ -278,13 +278,10 @@ type Meta struct {
 // options must already be Normalized — the caller hashes the canonical
 // form so parallelism knobs and spelled-out defaults cannot split
 // cache entries. Every result-affecting Options field the service
-// solves with appears here; every other field is rejected in solve or
-// result-neutral, like Workers, Progress and Budget — a budget bounds
-// how long a run may take but never what a completed run computes, so
-// keys stay budget-independent and a budget-free client can hit an
-// entry a budget-bounded one populated, and vice versa.
-// TestJobKeyFieldContract holds each field of coopt.Options to one of
-// the three classes, so a new field fails it until it is given one.
+// solves with appears here; the others are rejected in solve or are
+// result-neutral, like Workers, Progress and Budget (a budget bounds
+// how long a run may take, never what a completed run computes).
+// TestJobKeyFieldContract holds every field to one of these classes.
 func jobKey(digest string, width int, opt coopt.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|w=%d|strat=%d|maxtams=%d|node=%d|maxpower=%d|portfolio=%s",

@@ -1,9 +1,8 @@
 package soc
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"sort"
 )
 
 // PowerEvent is one step of a concurrent-power profile: at time At the
@@ -17,13 +16,12 @@ type PowerEvent struct {
 // SortPowerEvents orders a profile by time with downward steps first at
 // equal times — the invariant every profile consumer relies on so that
 // a test starting exactly where another ends never reads as concurrent.
-// It sorts in place and allocates nothing.
 func SortPowerEvents(events []PowerEvent) {
-	slices.SortFunc(events, func(a, b PowerEvent) int {
-		if a.At != b.At {
-			return cmp.Compare(a.At, b.At)
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].At != events[j].At {
+			return events[i].At < events[j].At
 		}
-		return cmp.Compare(a.Delta, b.Delta)
+		return events[i].Delta < events[j].Delta
 	})
 }
 
