@@ -213,9 +213,9 @@ func TestLookaheadSound(t *testing.T) {
 // TestOrdersSharedAcrossGoroutines scores every partition of p93791's
 // W=24 into at most 6 TAMs from several goroutines sharing one set of
 // per-width orders, each on its own scratch and at its own bound, and
-// holds every result to the instance feed's on a fresh instance. It is the race detector's view of the worker
-// pool's sharing: run it with -race -count=10 after touching the orders
-// or the scoring kernel.
+// holds every result to the instance feed's on a fresh instance. It is
+// the race detector's view of the worker pool's sharing: run it with
+// -race -count=10 after touching the orders or the scoring kernel.
 func TestOrdersSharedAcrossGoroutines(t *testing.T) {
 	s := socdata.P93791()
 	const width = 24
