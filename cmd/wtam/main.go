@@ -27,8 +27,8 @@
 // LP-pruned branch and bound, both proven optimal. With -tams 0 (the
 // default) the TAM count is optimized too (problem P_NPAW); a fixed
 // -tams solves P_PAW with the partition or exhaustive strategy.
-// -strategy portfolio races every heuristic backend concurrently and
-// reports the winner with per-backend attribution; a subset spec
+// -strategy portfolio races every heuristic backend, one after another,
+// and reports the winner with per-backend attribution; a subset spec
 // (portfolio:partition,exhaustive) races exactly the named backends —
 // the only way an exact engine joins a race. Ties go to the backend
 // Solvers lists first whatever the spec's order.
@@ -37,7 +37,8 @@
 // records the same events as a span tree — one child span per backend,
 // incumbent improvements as timestamped events — and prints it to
 // stderr once the solve returns (with -strategy portfolio the tree
-// shows the whole race; see ARCHITECTURE.md §16). -workers
+// shows the whole race, one racer after another; see ARCHITECTURE.md
+// §16). -workers
 // parallelizes partition evaluation (0 = all CPUs, 1 = the paper's
 // sequential order). -max-power imposes a peak-power ceiling on
 // concurrently running tests (0 uses the SOC's own maxpower attribute;

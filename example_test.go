@@ -27,8 +27,8 @@ func ExampleSolve() {
 // turn — the partition flow, the two rectangle bin-packing
 // heuristics, the exact exhaustive baseline, the pruning exact ILP
 // engine — and finally the portfolio combinator that races the
-// heuristics concurrently and returns the winner, never worse than the
-// best single backend, deterministically at any Workers setting.
+// heuristics one after another and returns the winner, never worse than
+// the best single backend, deterministically at any Workers setting.
 // Solvers lists every selectable backend with its capability flags; the
 // exact engines are marked and stay out of the bare portfolio race.
 func ExampleSolve_strategies() {

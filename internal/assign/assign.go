@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"time"
 
 	"soctam/internal/ilp"
 	"soctam/internal/lp"
@@ -414,11 +415,16 @@ type ExactOptions struct {
 	// NodeLimit caps the branch-and-bound search; <= 0 uses the package
 	// sched default.
 	NodeLimit int64
+	// Deadline, when non-zero, stops the search once it has passed, as
+	// the node limit does: the best assignment found so far is returned,
+	// not proven optimal. A zero Deadline reads no clock.
+	Deadline time.Time
 }
 
 // SolveExact solves the instance to optimality with the combinatorial
 // branch-and-bound, warm-started by CoreAssign plus local search.
-// optimal reports whether the node budget sufficed to prove optimality.
+// optimal reports whether the node budget and the deadline sufficed to
+// prove optimality.
 func SolveExact(in *Instance, opt ExactOptions) (Assignment, bool, error) {
 	greedy, _ := CoreAssign(in, 0)
 	a, _, optimal, err := SolveExactCutoff(in, opt, 0, greedy)
@@ -444,6 +450,7 @@ func SolveExactCutoff(in *Instance, opt ExactOptions, cutoff soc.Cycles, greedy 
 		WarmAssign: LocalImprove(in, greedy).TAMOf,
 		NodeLimit:  opt.NodeLimit,
 		Cutoff:     cutoff,
+		Deadline:   opt.Deadline,
 	})
 	if err != nil {
 		return Assignment{}, false, false, err

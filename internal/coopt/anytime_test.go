@@ -1,10 +1,12 @@
 package coopt
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"soctam/internal/assign"
 	"soctam/internal/soc"
 	"soctam/internal/socdata"
 )
@@ -131,6 +133,61 @@ func TestGenerousDeadlineMatchesUnbounded(t *testing.T) {
 	}
 }
 
+// A budget bounds the partition flow's exact final step too. On
+// p93791/W=16 the scan ends well inside a budget that the node-capped
+// step would overrun many times over, so the step stops at the deadline
+// with its best assignment in hand: the solve returns long before an
+// unbounded one, and the result is truncated, unproven, valid and no
+// slower than the heuristic's.
+func TestBudgetBoundsExactStep(t *testing.T) {
+	s := socdata.P93791()
+	const width = 16
+	t0 := time.Now()
+	scanned, err := Solve(s, width, Options{SkipFinal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanTime := time.Since(t0)
+	t0 = time.Now()
+	full, err := Solve(s, width, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullTime := time.Since(t0)
+	if full.AssignmentOptimal || fullTime < 20*scanTime {
+		t.Fatalf("premise: the step is node-capped (optimal %t) and far slower than the scan (%s against %s)",
+			full.AssignmentOptimal, fullTime, scanTime)
+	}
+	budget := time.Duration(math.Sqrt(float64(scanTime) * float64(fullTime)))
+	res, err := Solve(s, width, Options{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnytimeResult(t, s, width, StrategyPartition, res)
+	if res.Elapsed > fullTime/2 {
+		t.Errorf("budget %s: the solve took %s, the unbounded one %s; the step ran on past the deadline",
+			budget, res.Elapsed, fullTime)
+	}
+	if res.HeuristicTime != scanned.HeuristicTime {
+		t.Errorf("budget %s cut the scan (heuristic %d, unbounded %d); want only the step cut",
+			budget, res.HeuristicTime, scanned.HeuristicTime)
+	}
+	if res.AssignmentOptimal || res.Time > res.HeuristicTime {
+		t.Errorf("cut step: time %d against heuristic %d, optimal %t", res.Time, res.HeuristicTime, res.AssignmentOptimal)
+	}
+	tables, err := TimeTables(s, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := assign.FromTimeTable(tables, res.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, span, err := in.Times.Makespan(res.Assignment.TAMOf); err != nil || span != res.Time {
+		t.Errorf("cut step's assignment spans %d (%v), result reports %d", span, err, res.Time)
+	}
+}
+
 // Budget resolves into the one deadline the engines read, Budget from
 // now; no budget leaves no deadline.
 func TestResolveDeadline(t *testing.T) {
@@ -211,8 +268,9 @@ func TestProgressFramingUnderDeadline(t *testing.T) {
 		}
 		if tc.opt.Strategy != StrategyPortfolio {
 			// A single engine truncating is a success: its one terminal
-			// event must be "done" carrying the returned time. (Portfolio
-			// racers can legitimately be cancelled by the incumbent bound.)
+			// event must be "done" carrying the returned time. (A portfolio
+			// racer can legitimately be skipped once an earlier one attains
+			// the lower bound.)
 			name := tc.opt.Strategy.String()
 			found := false
 			for _, ev := range events {

@@ -30,8 +30,8 @@ type BackendInfo struct {
 	// (Options.MaxPower or the SOC's own MaxPower).
 	PowerAware bool
 	// Cancellable reports that the backend polls its context and stops
-	// early once it fires — the property the portfolio's consequence-free
-	// cancellation builds on.
+	// early once it fires, so cancelling a solve (or a portfolio race
+	// running it) stops it promptly.
 	Cancellable bool
 	// Exact reports that the backend proves the optimality of what it
 	// returns (and typically pays exponential time for it). Exact
@@ -136,7 +136,7 @@ func portfolioInfo() BackendInfo {
 	return BackendInfo{
 		Name:        portfolioName,
 		Strategy:    StrategyPortfolio,
-		Description: "races a subset of the registered backends concurrently and returns the winner (spec: portfolio:name,name,...)",
+		Description: "races a subset of the registered backends, one after another, and returns the winner (spec: portfolio:name,name,...)",
 		PowerAware:  true,
 		Cancellable: true,
 		Combinator:  true,

@@ -2,8 +2,10 @@ package coopt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -168,11 +170,13 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// registerBlockerForTest appends a table row for an engine that blocks
-// until its context fires — the deterministic cancellation victim for
-// the attribution tests. It is marked Exact so the bare portfolio's
-// default subset never picks it up; only an explicit spec races it. The
-// row is truncated away at test cleanup.
+// registerBlockerForTest appends a table row for an engine that must
+// never run — the deterministic cancellation victim for the attribution
+// tests, raced after a racer that attains the lower bound. Run anyway,
+// it fails at once, so a missed skip reads as an error rather than a
+// hang. It is marked Exact so the bare portfolio's default subset never
+// picks it up; only an explicit spec races it. The row is truncated
+// away at test cleanup.
 func registerBlockerForTest(t *testing.T) {
 	t.Helper()
 	n := len(engines)
@@ -180,13 +184,12 @@ func registerBlockerForTest(t *testing.T) {
 		info: BackendInfo{
 			Name:        "blocker",
 			Strategy:    Strategy(200),
-			Description: "test-only engine that blocks until cancelled",
+			Description: "test-only engine that the portfolio must skip",
 			Cancellable: true,
 			Exact:       true,
 		},
 		solve: func(ctx context.Context, s *soc.SOC, width int, opt Options, sink *progressSink) (Result, error) {
-			<-ctx.Done()
-			return Result{}, ctx.Err()
+			return Result{}, errors.New("blocker ran: an earlier racer attained the bound")
 		},
 	})
 	t.Cleanup(func() { engines = engines[:n] })
@@ -196,8 +199,7 @@ func registerBlockerForTest(t *testing.T) {
 // architecture-independent lower bound exactly at the given width:
 // 2*width identical single-chain cores whose time tables are flat in w,
 // so W width-1 TAMs with two cores each meet the wire-volume bound. A
-// racer that completes at the bound makes the portfolio monitor's
-// cancellation test fire deterministically against any still-running
+// racer that completes at the bound makes the portfolio skip every
 // higher-rank racer.
 func lbTightSOC(width int) *soc.SOC {
 	s := &soc.SOC{Name: "lbtight"}
@@ -211,9 +213,9 @@ func lbTightSOC(width int) *soc.SOC {
 	return s
 }
 
-// TestPortfolioDeterministicCancellationAttribution is the satellite
-// acceptance test: a racer that provably cannot win is cancelled, its
-// cancellation is recorded in Result.Portfolio, and the winner's
+// TestPortfolioDeterministicCancellationAttribution checks that a racer
+// that provably cannot win is skipped, that the skip is recorded in
+// Result.Portfolio the same way on every run, and that the winner's
 // architecture is bit-for-bit the winner's standalone result.
 func TestPortfolioDeterministicCancellationAttribution(t *testing.T) {
 	registerBlockerForTest(t)
@@ -268,6 +270,44 @@ func TestPortfolioDeterministicCancellationAttribution(t *testing.T) {
 		if alone.Time != res.Time || !reflect.DeepEqual(alone.Partition, res.Partition) ||
 			!reflect.DeepEqual(alone.Assignment.TAMOf, res.Assignment.TAMOf) {
 			t.Errorf("subset %q: winner differs from its standalone run", subset)
+		}
+	}
+
+	// The skip is decided before a racer starts, so it is the same on
+	// every run: each racer before the first that attains the bound
+	// completes, and each after it is cancelled without running.
+	for _, subset := range []string{"partition,packing,diagonal", "partition,packing,diagonal,blocker"} {
+		var first []BackendRun
+		for rep := 0; rep < 20; rep++ {
+			res, err := Solve(s, width, Options{Strategy: StrategyPortfolio, Portfolio: subset})
+			if err != nil {
+				t.Fatalf("subset %q: %v", subset, err)
+			}
+			attained := -1
+			for i, run := range res.Portfolio {
+				switch {
+				case attained >= 0:
+					if !run.Cancelled || run.Elapsed != 0 || run.Time != 0 {
+						t.Errorf("subset %q: %s ranks after the bound's attainer but ran: %+v", subset, run.Strategy, run)
+					}
+				case run.Cancelled || run.Err != "" || run.Time == 0:
+					t.Errorf("subset %q: %s ranks before the bound's attainer but did not complete: %+v", subset, run.Strategy, run)
+				case run.Time == lb:
+					attained = i
+				}
+			}
+			if attained < 0 {
+				t.Fatalf("subset %q: no racer attained the bound %d", subset, lb)
+			}
+			entries := slices.Clone(res.Portfolio)
+			for i := range entries {
+				entries[i].Elapsed = 0
+			}
+			if rep == 0 {
+				first = entries
+			} else if !reflect.DeepEqual(entries, first) {
+				t.Fatalf("subset %q: repeat %d attribution %+v, first %+v", subset, rep, entries, first)
+			}
 		}
 	}
 }

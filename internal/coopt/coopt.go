@@ -33,11 +33,12 @@ const (
 	// heuristic of arXiv:1008.4446: best-fit-decreasing placement ordered
 	// and tie-broken by the rectangle diagonal sqrt(w²+t²) (pack.PackDiagonal).
 	StrategyDiagonal
-	// StrategyPortfolio races a subset of the backend table's engines on
-	// concurrent goroutines against a shared incumbent bound and returns
-	// the winner — the best answer of any racing backend in roughly the
-	// wall-clock of the slowest still-relevant one, with per-backend
-	// attribution in Result.Portfolio. Options.Portfolio picks the
+	// StrategyPortfolio races a subset of the backend table's engines
+	// and returns the winner — the best answer of any racing backend,
+	// with per-backend attribution in Result.Portfolio. The racers run
+	// one after another in rank order on the caller's goroutine, so a
+	// race costs the sum of the racers it runs; once one attains the
+	// lower bound the rest are skipped. Options.Portfolio picks the
 	// subset; empty races every non-exact engine.
 	StrategyPortfolio
 	// StrategyExhaustive is the exact enumerate-and-solve baseline of
@@ -134,9 +135,11 @@ type Options struct {
 	// start/finish/cancellation, incumbent improvements) while a Solve
 	// runs. Events are delivered synchronously on the solver's own
 	// goroutines but serialized — the hook never runs concurrently with
-	// itself — and must return promptly. Purely observational: results
-	// are bit-for-bit identical with or without a hook, and Normalized
-	// clears it. See ARCHITECTURE.md §11 for the ordering guarantees.
+	// itself — and must return promptly; a portfolio's racers report one
+	// after another, each racer's events in one block. Purely
+	// observational: results are bit-for-bit identical with or without a
+	// hook, and Normalized clears it. See ARCHITECTURE.md §11 for the
+	// ordering guarantees.
 	Progress ProgressFunc
 	// MaxPower is the SOC-level peak-power ceiling: the summed test
 	// power of concurrently running tests may never exceed it. <= 0
@@ -152,7 +155,11 @@ type Options struct {
 	// schedule tagged with Result.Truncated and its optimality gap
 	// (Result.Gap) — instead of an error. Before a first incumbent
 	// exists the budget never runs out, so a feasible run always
-	// returns an answer. This is deliberately not a context deadline:
+	// returns an answer. The exact solves (the partition flow's final
+	// step, every partition of the exact engines) stop at the deadline
+	// too, with their best assignment so far. One budget covers a whole
+	// portfolio race: a racer that starts after it has run out returns
+	// its first incumbent. This is deliberately not a context deadline:
 	// cancelling SolveContext's ctx abandons the run and returns ctx's
 	// error, while Budget keeps the best answer found. A zero Budget
 	// never reads the clock, so runs without one stay bit-for-bit
@@ -202,9 +209,10 @@ func (o Options) tamRange(width int) (lo, hi int) {
 	return 1, min(o.maxTAMs(), width)
 }
 
-// exact is the budget of every exact P_AW solve the run makes.
+// exact is the budget of every exact P_AW solve the run makes: the node
+// limit and the run's deadline.
 func (o Options) exact() assign.ExactOptions {
-	return assign.ExactOptions{NodeLimit: o.NodeLimit}
+	return assign.ExactOptions{NodeLimit: o.NodeLimit, Deadline: o.deadline}
 }
 
 // tables returns the run's testing-time tables: the curves a portfolio
@@ -427,9 +435,10 @@ func scoreOne(orders *assign.Orders, asg *assign.Scratch, parts []int, bound soc
 
 // finishResult replays the heuristic on the partition engine's winning
 // partition (for the assignment witness) and runs the exact final step,
-// assembling Result. A truncated run skips the exact final step — the
-// deadline has already passed, and the step can add unbounded
-// branch-and-bound time — and reports the heuristic incumbent as is.
+// assembling Result. A truncated scan skips the exact final step — the
+// deadline has already passed — and reports the heuristic incumbent as
+// is. The step itself stops at the deadline too: one it cuts short keeps
+// its best assignment, unproven, and truncates the Result.
 func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result, error) {
 	tables, pc, bestPart := sc.tables, sc.pc, sc.bestPart
 	best, _ := sc.incumbent()
@@ -463,6 +472,7 @@ func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result,
 		if err != nil {
 			return Result{}, err
 		}
+		res.Truncated = sc.cut(optimal)
 		// The exact step can only improve on the heuristic; keep the
 		// better of the two (they are equal when the heuristic was
 		// already optimal) — unless its reshuffled schedule would breach
@@ -484,7 +494,7 @@ func (sc *scan) finishResult(opt Options, width int, started time.Time) (Result,
 // partition flow, the two rectangle bin-packing engines (package pack),
 // the exact engines (the exhaustive baseline of [8] and the ILP branch
 // and bound) — or to the portfolio combinator that races a subset of
-// them (Options.Portfolio) concurrently.
+// them (Options.Portfolio) one after another.
 func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 	return SolveContext(context.Background(), s, width, opt)
 }
@@ -492,11 +502,10 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 // SolveContext is Solve with cancellation: every backend polls ctx (the
 // partition flow once per 1024 of each worker's own partitions, the
 // packers at each placement budget, the exact engines at every
-// partition, the portfolio through each racer's derived context) and
-// returns ctx's error once it fires. Cancellation never alters the result of a run
+// partition; a portfolio runs each racer under ctx) and returns ctx's
+// error once it fires. Cancellation never alters the result of a run
 // that completes — it is the seam the serving layer (internal/serve)
-// uses to abandon in-flight solves on shutdown, and what the portfolio
-// combinator builds its consequence-free backend cancellation on.
+// uses to abandon in-flight solves on shutdown.
 //
 // Options.Budget is the anytime counterpart: instead of abandoning the
 // run, a budget makes every backend return its best incumbent, tagged
@@ -505,7 +514,8 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 //
 // Every run is framed on the progress stream: a single engine emits
 // start, its own improvement events, then exactly one done or
-// cancelled; a portfolio race frames each racer the same way.
+// cancelled; a portfolio race frames each racer the same way, one racer
+// after another in rank order.
 func SolveContext(ctx context.Context, s *soc.SOC, width int, opt Options) (Result, error) {
 	opt = opt.resolveDeadline()
 	sink := newProgressSink(opt.Progress)
@@ -630,6 +640,9 @@ func solveExhaustive(ctx context.Context, s *soc.SOC, width int, opt Options, si
 		// partition is not searched for).
 		if sc.offer(w, a.Time, parts, a.TAMOf, seq) {
 			bestAssign = a
+		}
+		if sc.cut(optimal) {
+			return errStop
 		}
 		return nil
 	}

@@ -8,8 +8,8 @@
 // baseline of the earlier JETTA 2002 work [8] (StrategyExhaustive),
 // the exact LP-pruned branch and bound over the same partitions
 // (StrategyILP), and the portfolio combinator (StrategyPortfolio) that
-// races any subset of them concurrently against a shared incumbent
-// bound and returns the winner. Solve/SolveContext is the one way to
+// races any subset of them, one after another on the caller's
+// goroutine, and returns the winner. Solve/SolveContext is the one way to
 // run any of them; PartitionEvaluate and Exhaustive are Solve with the
 // engine's TAM-count sweep narrowed to one B. Options.Progress streams
 // backend lifecycle and incumbent-improvement events from any run
@@ -31,6 +31,6 @@
 // Steps 2–3 are the scan (scan.go), the one enumerate/poll/incumbent
 // loop that the exhaustive and ILP engines run too; the partition
 // engine runs Options.Workers strided copies of it. Results are
-// bit-for-bit identical at any worker count, including under the
-// portfolio racer (ARCHITECTURE.md §3 has the determinism argument).
+// bit-for-bit identical at any worker count, including as a portfolio
+// racer (ARCHITECTURE.md §3 has the determinism argument).
 package coopt

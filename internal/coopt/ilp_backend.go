@@ -119,6 +119,9 @@ func solveILP(ctx context.Context, s *soc.SOC, width int, opt Options, sink *pro
 		if found && sc.offer(w, a.Time, parts, a.TAMOf, seq) {
 			bestAssign = a
 		}
+		if sc.cut(proven) {
+			return errStop
+		}
 		return nil
 	}
 	// One sweep per TAM count, so a search that attains the bound at the

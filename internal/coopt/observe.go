@@ -11,8 +11,8 @@ import (
 // it into Options.Progress, run the solve, Finish with the outcome,
 // then WriteTree. Each backend's start/done/cancelled events frame a
 // span under the solve's root; incumbent improvements become events
-// inside that backend's span, so a portfolio race reads as parallel
-// children racing toward the winning time. Safe for the solver's
+// inside that backend's span, so a portfolio race reads as one child
+// per racer, one after another in rank order. Safe for the solver's
 // concurrent emitters (the progress stream is serialized, but the
 // tracer does not rely on it).
 type SolveTrace struct {

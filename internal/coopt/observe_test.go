@@ -164,7 +164,8 @@ func TestSolveObservedCountsErrors(t *testing.T) {
 // TestSolveObservedChainsProgress checks what lets an observer chain a
 // caller's hook behind its own with no lock: a portfolio race delivers
 // every event to the chain one at a time, each backend in causal order
-// (start, strictly falling incumbents, then one done or cancelled).
+// (start, strictly falling incumbents, then one done or cancelled), and
+// each backend's events in one block, in rank order.
 func TestSolveObservedChainsProgress(t *testing.T) {
 	var inFlight atomic.Int32
 	type state struct {
@@ -217,6 +218,26 @@ func TestSolveObservedChainsProgress(t *testing.T) {
 		if !st.ended {
 			t.Errorf("%s: never reported done or cancelled", name)
 		}
+	}
+	// The racers run one after another in rank order, so the stream is
+	// each racer's framed block in turn: start, its improvements, then
+	// one done or cancelled.
+	i := 0
+	for _, run := range res.Portfolio {
+		name := run.Strategy.String()
+		if i == len(evs) || evs[i].Backend != name || evs[i].Kind != ProgressBackendStart {
+			t.Fatalf("event %d: want %s's start, stream %+v", i, name, evs)
+		}
+		for i++; i < len(evs) && evs[i].Backend == name && evs[i].Kind == ProgressImproved; i++ {
+		}
+		if i == len(evs) || evs[i].Backend != name ||
+			evs[i].Kind != ProgressBackendDone && evs[i].Kind != ProgressBackendCancelled {
+			t.Fatalf("event %d: want %s's done or cancelled, stream %+v", i, name, evs)
+		}
+		i++
+	}
+	if i != len(evs) {
+		t.Errorf("%d events after the last racer's block: %+v", len(evs)-i, evs[i:])
 	}
 }
 

@@ -178,30 +178,3 @@ func TestCoOptimizeCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestIncumbentEncoding exercises the atomic incumbent's lexicographic
-// (time, order) minimum and its saturation guard.
-func TestIncumbentEncoding(t *testing.T) {
-	in := newIncumbent()
-	if in.beats(100, 0) {
-		t.Error("empty incumbent beats something")
-	}
-	in.offer(100, 2)
-	if !in.beats(100, 3) {
-		t.Error("(100,2) should beat (100,3)")
-	}
-	if in.beats(100, 1) {
-		t.Error("(100,2) must not beat (100,1)")
-	}
-	if in.beats(99, 3) {
-		t.Error("(100,2) must not beat a strictly better time")
-	}
-	in.offer(100, 1) // same time, earlier order: takes over
-	if !in.beats(100, 2) {
-		t.Error("(100,1) should beat (100,2)")
-	}
-	in.offer(maxEncodable, 0) // saturates: must not clobber
-	if !in.beats(100, 2) {
-		t.Error("saturated offer clobbered the incumbent")
-	}
-}

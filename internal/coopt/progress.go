@@ -17,8 +17,10 @@ import (
 // solver's own goroutines but serialized through one mutex per Solve
 // call, so the hook never runs concurrently with itself and per-backend
 // events arrive in causal order (start, then improvements with
-// non-increasing times, then exactly one done or cancelled). The hook
-// must return promptly — it runs on the solver's critical path.
+// non-increasing times, then exactly one done or cancelled). A
+// portfolio runs its racers one after another, so each racer's events
+// arrive as one block, in rank order. The hook must return promptly —
+// it runs on the solver's critical path.
 
 // ProgressKind classifies a ProgressEvent.
 type ProgressKind uint8
@@ -31,9 +33,9 @@ const (
 	// ProgressBackendDone fires when a backend completes, with its final
 	// testing time (or Err on failure).
 	ProgressBackendDone
-	// ProgressBackendCancelled fires when a portfolio racer is stopped
-	// because the incumbent proved it could no longer win, or when the
-	// caller's context stopped it.
+	// ProgressBackendCancelled fires right after the start of a
+	// portfolio racer that is skipped because an earlier racer attained
+	// the lower bound, or when the caller's context stopped a backend.
 	ProgressBackendCancelled
 	// ProgressImproved fires when a backend's running best testing time
 	// improves, with the new incumbent time and the partitions

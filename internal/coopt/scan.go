@@ -205,6 +205,17 @@ func (sc *scan) poll() bool {
 	return true
 }
 
+// cut reports whether the deadline stopped an exact solve, one that did
+// not prove its answer, and if so marks the scan truncated. A run with
+// no deadline reads no clock.
+func (sc *scan) cut(proven bool) bool {
+	if proven || sc.deadline.IsZero() || !time.Now().After(sc.deadline) {
+		return false
+	}
+	sc.truncated.Store(true)
+	return true
+}
+
 // incumbent returns the incumbent's time, ok=false before one exists.
 func (sc *scan) incumbent() (t soc.Cycles, ok bool) {
 	b := sc.best.Load()

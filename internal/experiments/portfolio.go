@@ -25,8 +25,8 @@ func raceableBackends() []coopt.BackendInfo {
 // backend on each benchmark SOC over the width sweep: the race must
 // return the best single-backend time (the portfolio invariant), and
 // the interesting question is which backend wins where and what the
-// race costs in wall clock against running the backends one after
-// another. This experiment has no counterpart in the source paper — it
+// race costs in wall clock against the standalone runs it repeats one
+// after another. This experiment has no counterpart in the source paper — it
 // quantifies the multi-backend scenario the ROADMAP's north star asks
 // for. The racing set comes from the backend table, so the tables grow
 // a column per heuristic added to it.
@@ -45,7 +45,7 @@ func PortfolioVsSingle(opt Options) ([]*report.Table, error) {
 		}
 		header = append(header, "T_portfolio", "winner", "t_serial (s)", "t_race (s)")
 		t := &report.Table{
-			Title: fmt.Sprintf("Portfolio vs single backends: %s, best-of-%d race with incumbent cancellation",
+			Title: fmt.Sprintf("Portfolio vs single backends: %s, best-of-%d race in rank order with the lower-bound skip",
 				name, len(backends)),
 			Header: header,
 		}
@@ -78,7 +78,7 @@ func PortfolioVsSingle(opt Options) ([]*report.Table, error) {
 			t.AddRow(row...)
 		}
 		t.AddNote("T_portfolio is always the minimum of the single-backend times; ties go to the earlier-registered backend")
-		t.AddNote("t_serial sums the standalone runs; t_race is the concurrent portfolio wall clock")
+		t.AddNote("t_serial sums the standalone runs; t_race is the portfolio's wall clock: the same racers one after another, less any skipped once an earlier one attains the lower bound")
 		tables = append(tables, t)
 	}
 	return tables, nil

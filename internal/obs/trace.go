@@ -9,8 +9,8 @@ import (
 )
 
 // Trace collects a tree of timed spans for one logical operation (one
-// solve, one request). It is safe for concurrent use: portfolio races
-// emit span events from several goroutines at once. Timestamps are
+// solve, one request). It is safe for concurrent use: the partition
+// flow's workers report from several goroutines. Timestamps are
 // recorded as offsets from the trace's start, so a rendered tree is
 // self-contained.
 type Trace struct {

@@ -69,8 +69,8 @@ func TestEndIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrency exercises the mutex paths under -race: portfolio
-// backends annotate their spans from separate goroutines.
+// TestTraceConcurrency exercises the mutex paths under -race: spans
+// annotated from separate goroutines.
 func TestTraceConcurrency(t *testing.T) {
 	tr := NewTrace("race")
 	root := tr.Span("portfolio")

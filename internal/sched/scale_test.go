@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"soctam/internal/assign"
 	"soctam/internal/sched"
@@ -55,6 +56,42 @@ func TestBranchAndBoundMatchesReferenceOnP93791(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A deadline is checked only where the node cap is. One an hour out
+// must leave p93791's capped W=16 search node for node as it was, across
+// many clock reads; one already past stops it early with its incumbent,
+// a valid schedule no worse than the warm start, and no optimality
+// claim.
+func TestBranchAndBoundDeadline(t *testing.T) {
+	in, err := assign.NewInstance(socdata.P93791(), []int{3, 3, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, _ := assign.CoreAssign(in, 0)
+	warm := assign.LocalImprove(in, greedy)
+	const limit = 200_000
+	opt := sched.Options{WarmAssign: warm.TAMOf, NodeLimit: limit}
+	want, err := sched.BranchAndBound(in.Times, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Deadline = time.Now().Add(time.Hour)
+	if got, err := sched.BranchAndBound(in.Times, opt); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("distant deadline changed the search:\n got %+v (%v)\nwant %+v", got, err, want)
+	}
+	opt.Deadline = time.Now().Add(-time.Second)
+	got, err := sched.BranchAndBound(in.Times, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Optimal || got.Nodes >= limit {
+		t.Errorf("past deadline: %d nodes, optimal %t; want an early stop", got.Nodes, got.Optimal)
+	}
+	if _, span, err := in.Times.Makespan(got.Assign); err != nil || span != got.Makespan || span > warm.Time {
+		t.Errorf("past deadline: schedule %v spans %d (%v), reported %d, warm start %d",
+			got.Assign, span, err, got.Makespan, warm.Time)
 	}
 }
 

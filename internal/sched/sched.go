@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"time"
 
 	"soctam/internal/soc"
 )
@@ -186,7 +187,17 @@ type Options struct {
 	// incumbent of exactly 0 cycles cannot be expressed — real
 	// testing-time makespans are always positive.
 	Cutoff soc.Cycles
+	// Deadline, when non-zero, stops the search once it has passed, as
+	// the node cap does: Result.Optimal is then false and the incumbent
+	// stands. The clock is read once per deadlineStride nodes, where the
+	// cap is checked, so a zero Deadline reads no clock and visits
+	// exactly the nodes a search without one visits.
+	Deadline time.Time
 }
+
+// deadlineStride is how many nodes a search with a deadline visits
+// between clock reads: well under a millisecond of search.
+const deadlineStride = 1 << 14
 
 // Result is the outcome of BranchAndBound. Assign is a complete, valid
 // schedule achieving Makespan — except under Options.Cutoff, where a
@@ -200,21 +211,25 @@ type Result struct {
 	Optimal bool
 }
 
-// BranchAndBound solves R||Cmax exactly (within the node budget). Jobs
-// are branched in decreasing order of minimum time; machines are tried in
-// increasing order of resulting load, ties in machine-index order;
-// subtrees are pruned against the incumbent with a remaining-work lower
-// bound, and interchangeable machines (identical time columns) with equal
-// current loads are searched only once. All search state is allocated
-// once per call, so a node allocates nothing.
+// BranchAndBound solves R||Cmax exactly (within the node budget and the
+// deadline). Jobs are branched in decreasing order of minimum time;
+// machines are tried in increasing order of resulting load, ties in
+// machine-index order; subtrees are pruned against the incumbent with a
+// remaining-work lower bound, and interchangeable machines (identical
+// time columns) with equal current loads are searched only once. All
+// search state is allocated once per call, so a node allocates nothing.
 func BranchAndBound(m Matrix, opt Options) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
 	n, nm := m.NumJobs(), m.NumMachines()
-	nodeLimit := opt.NodeLimit
-	if nodeLimit <= 0 {
-		nodeLimit = 5_000_000
+	nodeCap := opt.NodeLimit
+	if nodeCap <= 0 {
+		nodeCap = 5_000_000
+	}
+	nodeLimit := nodeCap
+	if !opt.Deadline.IsZero() {
+		nodeLimit = min(nodeCap, deadlineStride)
 	}
 
 	// Seed the incumbent with the greedy schedule, improved by the
@@ -286,6 +301,8 @@ func BranchAndBound(m Matrix, opt Options) (Result, error) {
 		// bound applies.
 		nodes:     1,
 		nodeLimit: nodeLimit,
+		nodeCap:   nodeCap,
+		deadline:  opt.Deadline,
 		complete:  true,
 	}
 	if suffixMin[0] <= s.pruneAbove {
@@ -321,8 +338,12 @@ type search struct {
 	pruneAbove soc.Cycles
 	found      bool
 	nodes      int64
-	nodeLimit  int64
-	complete   bool
+	// nodeLimit is the node count at which branch next calls stop: the
+	// cap, or with a deadline the next clock read, at most the cap.
+	nodeLimit int64
+	nodeCap   int64
+	deadline  time.Time
+	complete  bool
 }
 
 // branch expands a node at depth d that is already counted and has
@@ -360,8 +381,7 @@ func (s *search) branch(d int, total, span soc.Cycles) {
 	}
 	// The first child's cap check. Each later child's is the check
 	// after its elder sibling, which returns once the cap is reached.
-	if n > 0 && s.nodes >= s.nodeLimit {
-		s.complete = false
+	if n > 0 && s.nodes >= s.nodeLimit && s.stop() {
 		return
 	}
 	leaf := d+1 == len(s.order)
@@ -391,11 +411,24 @@ func (s *search) branch(d int, total, span soc.Cycles) {
 			s.branch(d+1, total+t, childSpan)
 			loads[j] = k - t
 		}
-		if s.nodes >= s.nodeLimit {
-			s.complete = false
+		if s.nodes >= s.nodeLimit && s.stop() {
 			return
 		}
 	}
+}
+
+// stop is branch's cold path, taken when the node count reaches
+// nodeLimit: it ends the search at the cap or once the deadline has
+// passed, and otherwise re-arms nodeLimit deadlineStride nodes ahead.
+// Without a deadline nodeLimit is the cap, so stop ends the search
+// without reading the clock.
+func (s *search) stop() bool {
+	if s.nodes < s.nodeCap && !time.Now().After(s.deadline) {
+		s.nodeLimit = min(s.nodeCap, s.nodes+deadlineStride)
+		return false
+	}
+	s.complete = false
+	return true
 }
 
 // improve makes the current complete path, of makespan span, the

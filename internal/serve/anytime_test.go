@@ -279,9 +279,9 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Error("stream never reported a backend done")
 	}
 
-	// A portfolio's racers report from their own goroutines, any of
-	// which may write the first line and with it the 200 header; every
-	// line must still arrive whole, before the one terminal line.
+	// A portfolio's racers report one after another, the first racer's
+	// start writing the 200 header; every line must still arrive whole,
+	// before the one terminal line.
 	lines = readStreamLines(t, ts.URL, `{"benchmark":"d695","width":24,"options":{"strategy":"portfolio"}}`)
 	if last := lines[len(lines)-1]; last.Event != "result" || last.Result == nil {
 		t.Fatalf("portfolio stream ended with %+v, want a result", last)

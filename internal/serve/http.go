@@ -214,6 +214,13 @@ func writeError(w http.ResponseWriter, he *httpError) {
 	writeJSON(w, he.status, errorJSON{Error: *he.body()})
 }
 
+// maxWidth is the most TAM wires a request may ask for: 16 times the
+// widest width that any paper table, test or benchmark workload uses.
+// The wrapper curves hold buffers and a table per core as long as the
+// width, so a request for a billion wires would run the daemon out of
+// memory, which no handler can recover from.
+const maxWidth = 1024
+
 // parseJob turns a request into a solvable job, its SOC resolved: an
 // inline SOC gets its one canonical pass here (the parser has validated
 // it), and a named benchmark is the process-wide entry of namedSOC.
@@ -239,6 +246,9 @@ func parseJob(req *solveRequest) (*resolvedSOC, int, coopt.Options, *httpError) 
 	}
 	if req.Width < 1 {
 		return nil, 0, coopt.Options{}, badRequest("width %d < 1", req.Width)
+	}
+	if req.Width > maxWidth {
+		return nil, 0, coopt.Options{}, badRequest("width %d > %d, the widest a request may ask for", req.Width, maxWidth)
 	}
 	var opt coopt.Options
 	if o := req.Options; o != nil {

@@ -156,6 +156,35 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestWidthCap checks that a width past maxWidth is refused before any
+// work: 400 bad_request, counted in jobs.failed, and nothing solved —
+// the wrapper curves of a billion-wire request would exhaust memory.
+// The cap itself is a valid width.
+func TestWidthCap(t *testing.T) {
+	const huge = 1_000_000_000
+	// Parse first: were either width accepted, posting it below would
+	// start a solve, and at the huge one allocate gigabytes.
+	for _, width := range []int{maxWidth + 1, huge} {
+		if _, _, _, he := parseJob(&solveRequest{Benchmark: "d695", Width: width}); he == nil || he.code != "bad_request" {
+			t.Fatalf("width %d parsed (%v), want bad_request", width, he)
+		}
+	}
+	if _, _, _, he := parseJob(&solveRequest{Benchmark: "d695", Width: maxWidth}); he != nil {
+		t.Errorf("width %d refused: %v", maxWidth, he)
+	}
+	sv, ts := newTestServer(t, Config{})
+	for _, width := range []int{maxWidth + 1, huge} {
+		resp, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{"benchmark":"d695","width":%d}`, width))
+		var e errorJSON
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != "bad_request" {
+			t.Errorf("width %d: status %d body %s, want 400 bad_request", width, resp.StatusCode, body)
+		}
+	}
+	if st := sv.Stats(); st.Jobs.Failed != 2 || st.Jobs.Solved != 0 || st.Jobs.Completed != 0 {
+		t.Errorf("jobs failed %d solved %d completed %d, want 2 0 0", st.Jobs.Failed, st.Jobs.Solved, st.Jobs.Completed)
+	}
+}
+
 func TestBatchTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchJobs: 3})
 	jobs := `{"jobs":[` + strings.Repeat(`{"benchmark":"d695","width":16},`, 3) + `{"benchmark":"d695","width":16}]}`

@@ -15,8 +15,8 @@
 //     a co-optimization — any backend of the backend table (the paper's
 //     partition flow, the two rectangle bin-packing heuristics, the
 //     exact exhaustive baseline and the exact ILP branch and bound) or
-//     the portfolio combinator that races a subset of them and returns
-//     the winner, selected by
+//     the portfolio combinator that runs a subset of them one after
+//     another and returns the winner, selected by
 //     Options.Strategy (and Options.Portfolio for the race subset),
 //     with partition evaluation parallelized across Options.Workers, an
 //     optional peak-power ceiling enforced via Options.MaxPower (or the
@@ -131,9 +131,9 @@ const (
 	// heuristic of arXiv:1008.4446.
 	StrategyDiagonal = coopt.StrategyDiagonal
 	// StrategyPortfolio races a subset of the backend table's engines
-	// concurrently (Options.Portfolio; by default every non-exact
-	// engine) and returns the winner, with per-backend attribution in
-	// Result.Portfolio.
+	// (Options.Portfolio; by default every non-exact engine), one after
+	// another in rank order, and returns the winner, with per-backend
+	// attribution in Result.Portfolio.
 	StrategyPortfolio = coopt.StrategyPortfolio
 	// StrategyExhaustive is the exact enumerate-and-solve baseline of
 	// [8] behind Solve: proven optimal, exponential cost, raceable only
@@ -153,7 +153,7 @@ const (
 	ProgressBackendStart = coopt.ProgressBackendStart
 	// ProgressBackendDone fires when a backend completes.
 	ProgressBackendDone = coopt.ProgressBackendDone
-	// ProgressBackendCancelled fires when a racer is stopped because it
+	// ProgressBackendCancelled fires when a racer is skipped because it
 	// provably could no longer win (or the caller's context fired).
 	ProgressBackendCancelled = coopt.ProgressBackendCancelled
 	// ProgressImproved fires when a backend's running best improves.
@@ -226,14 +226,14 @@ func SolveAssignment(in *Instance, nodeLimit int64) (Assignment, bool, error) {
 // of the two rectangle bin-packing heuristics of arXiv:1008.3320 and
 // arXiv:1008.4446 (whose schedule is returned in Result.Packing), one
 // of the two exact engines, or the portfolio racer that runs a subset
-// concurrently and returns the winner — never worse than the best
-// single backend, with ties broken in fixed strategy order and
-// per-backend attribution in Result.Portfolio. Partition evaluation
-// runs on Options.Workers goroutines (0 = all CPUs; 1 reproduces the
-// paper's sequential evaluation order exactly), and inside the
-// portfolio the partition racer gets every resolved worker while the
-// single-threaded packers run beside it. Results are bit-for-bit
-// identical at any worker count.
+// one after another on the caller's goroutine and returns the winner —
+// never worse than the best single backend, with ties broken in fixed
+// strategy order and per-backend attribution in Result.Portfolio. A
+// race costs the sum of the racers it runs; once one attains the lower
+// bound, the later ones are skipped. Partition evaluation runs on
+// Options.Workers goroutines (0 = all CPUs; 1 reproduces the paper's
+// sequential evaluation order exactly), the partition racer's included.
+// Results are bit-for-bit identical at any worker count.
 func Solve(s *SOC, totalWidth int, opt Options) (Result, error) {
 	return coopt.Solve(s, totalWidth, opt)
 }
@@ -245,8 +245,9 @@ func Solve(s *SOC, totalWidth int, opt Options) (Result, error) {
 // (Options.Budget) makes the solve anytime: once it runs out the
 // backend returns its best incumbent so far — a valid architecture
 // tagged Result.Truncated with its optimality gap in Result.Gap —
-// instead of an error. Runs without a budget are bit-for-bit identical
-// to runs before budgets existed; see ARCHITECTURE.md §13.
+// instead of an error; the exact steps stop at it too. Runs without a
+// budget check no deadline and are bit-for-bit identical to runs before
+// budgets existed; see ARCHITECTURE.md §13.
 func SolveContext(ctx context.Context, s *SOC, totalWidth int, opt Options) (Result, error) {
 	return coopt.SolveContext(ctx, s, totalWidth, opt)
 }
