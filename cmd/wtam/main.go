@@ -168,14 +168,19 @@ func run(args []string) error {
 		printPortfolio(res)
 	}
 	if res.Packing != nil {
-		return printPacking(s, res, *verbose, *gantt)
+		err = printPacking(s, res, *verbose)
+	} else {
+		// Only the partition flow evaluates on a pool (inside a portfolio
+		// too, where it gets every resolved worker); the Stats reported
+		// are those of the engine that produced res, and the exact
+		// engines enumerate sequentially.
+		parallelStats := res.Strategy == soctam.StrategyPartition && opt.ParallelEvaluation()
+		err = printPartitionResult(s, res, parallelStats, *verbose)
 	}
-	// Only the partition flow evaluates on a pool (inside a portfolio
-	// too, where it gets every resolved worker); the Stats reported are
-	// those of the engine that produced res, and the exact engines
-	// enumerate sequentially.
-	parallelStats := res.Strategy == soctam.StrategyPartition && opt.ParallelEvaluation()
-	return printPartitionResult(s, res, parallelStats, *verbose, *gantt)
+	if err != nil || !*gantt {
+		return err
+	}
+	return printGantt(s, res)
 }
 
 // solverNames lists every -strategy name, in Solvers order.
@@ -217,9 +222,9 @@ func progressPrinter(w io.Writer) soctam.ProgressFunc {
 
 // unusableFlags lists, per strategy, the flags it cannot use and why.
 // The packers have no fixed TAMs, no exact step and no partition
-// enumeration; -gantt and -max-power stay meaningful everywhere (a
-// packed schedule renders as a wire-band chart and every backend honors
-// the power ceiling).
+// enumeration; -gantt and -max-power stay meaningful everywhere (every
+// schedule renders as a wire-band chart and every backend honors the
+// power ceiling).
 var unusableFlags = map[soctam.Strategy]struct {
 	reason string
 	names  []string
@@ -249,10 +254,10 @@ func rejectFlags(flags *flag.FlagSet, strat soctam.Strategy) error {
 }
 
 // printPartitionResult reports a partition-flow result: the chosen
-// architecture, the evaluation statistics and the optional wrapper and
-// Gantt detail. parallelStats says whether the evaluation that produced
-// Stats ran on a worker pool (its split is then order dependent).
-func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, verbose, gantt bool) error {
+// architecture, the evaluation statistics and the optional wrapper
+// detail. parallelStats says whether the evaluation that produced Stats
+// ran on a worker pool (its split is then order dependent).
+func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, verbose bool) error {
 	fmt.Printf("SOC:              %s\n", s)
 	fmt.Printf("total TAM width:  %d\n", res.TotalWidth)
 	fmt.Printf("TAMs:             %d\n", res.NumTAMs)
@@ -281,14 +286,7 @@ func printPartitionResult(s *soctam.SOC, res soctam.Result, parallelStats, verbo
 	fmt.Printf("elapsed:          %s\n", res.Elapsed)
 
 	if verbose {
-		if err := printWrappers(s, res); err != nil {
-			return err
-		}
-	}
-	if gantt {
-		if err := printGantt(s, res); err != nil {
-			return err
-		}
+		return printWrappers(s, res)
 	}
 	return nil
 }
@@ -315,17 +313,15 @@ func printPortfolio(res soctam.Result) {
 	fmt.Println()
 }
 
-// printPacking reports a rectangle bin-packing result: one row per
-// placed rectangle plus the bin-level summary (and, with gantt, the
-// wire-band chart).
-func printPacking(s *soctam.SOC, res soctam.Result, verbose, gantt bool) error {
+// printPacking reports a rectangle bin-packing result: the bin-level
+// summary plus one row per placed rectangle.
+func printPacking(s *soctam.SOC, res soctam.Result, verbose bool) error {
 	sch := res.Packing
 	fmt.Printf("SOC:              %s\n", s)
 	fmt.Printf("strategy:         %s\n", res.Strategy)
 	fmt.Printf("total TAM width:  %d\n", res.TotalWidth)
 	fmt.Printf("testing time:     %d cycles\n", res.Time)
 	fmt.Printf("lower bound:      %d cycles\n", sch.Bound)
-	fmt.Printf("wire-cycles:      %.1f%% busy\n", 100*sch.BusyFraction())
 	printGrade(res)
 	printPower(res)
 	fmt.Printf("elapsed:          %s\n", res.Elapsed)
@@ -334,10 +330,6 @@ func printPacking(s *soctam.SOC, res soctam.Result, verbose, gantt bool) error {
 		r := &sch.Rects[i]
 		fmt.Printf("  core %-10s wires [%2d,%2d)  cycles [%8d,%-8d) (%2d × %d)\n",
 			s.Cores[r.Core].Name, r.Wire, r.Wire+r.Width, r.Start, r.End, r.Width, r.Duration())
-	}
-	if gantt {
-		fmt.Println("\ntest schedule (wire bands):")
-		fmt.Print(sch.Gantt(72, func(core int) string { return s.Cores[core].Name }))
 	}
 	if verbose {
 		fmt.Println("\nper-core wrapper designs:")
@@ -377,24 +369,20 @@ func printPower(res soctam.Result) {
 	}
 }
 
-// printGantt renders the architecture's test schedule and its wire-cycle
-// utilization.
+// printGantt renders the answer's test schedule as a wire-band chart —
+// a packing's own rectangles, or a fixed-TAM architecture's one band
+// per TAM — with its wire-cycle utilization.
 func printGantt(s *soctam.SOC, res soctam.Result) error {
-	tl, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
-	if err != nil {
-		return err
+	sch := res.Packing
+	if sch == nil {
+		var err error
+		if sch, err = soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf); err != nil {
+			return err
+		}
 	}
-	fmt.Println("\ntest schedule:")
-	fmt.Print(tl.Gantt(72, func(core int) string { return s.Cores[core].Name }))
-	u := tl.Utilize()
-	fmt.Printf("wire-cycles:      %.1f%% busy, %.1f%% idle in wrappers, %.1f%% idle tails\n",
-		100*u.BusyFraction(),
-		100*float64(u.WrapperIdle)/float64(u.TotalWireCycles),
-		100*float64(u.TailIdle)/float64(u.TotalWireCycles))
-	if u.PeakPower > 0 {
-		fmt.Printf("power profile:    peak %d power units over %d steps\n",
-			u.PeakPower, len(tl.PowerProfile()))
-	}
+	fmt.Println("\ntest schedule (wire bands):")
+	fmt.Print(sch.Gantt(72, func(core int) string { return s.Cores[core].Name }))
+	fmt.Printf("wire-cycles:      %.1f%% busy\n", 100*sch.BusyFraction())
 	return nil
 }
 

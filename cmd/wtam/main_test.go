@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -119,6 +120,31 @@ func TestStatsNoteFollowsReportedEngine(t *testing.T) {
 	}
 	if alone := runStdout(t, "-benchmark", "d695", "-width", "32", "-workers", "2"); !strings.Contains(alone, note) {
 		t.Errorf("partition flow on two workers lost %q:\n%s", note, alone)
+	}
+}
+
+// TestGanttDrawsWireBands runs -gantt on d695/W=32 with the default
+// strategy and with packing: both schedules print as one row per wire
+// with a makespan line equal to the testing time, and the partition
+// flow's schedule keeps 98.2% of its wire-cycles busy.
+func TestGanttDrawsWireBands(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		busy string
+	}{
+		{[]string{"-benchmark", "d695", "-width", "32", "-gantt"}, "wire-cycles:      98.2% busy"},
+		{[]string{"-benchmark", "d695", "-width", "32", "-gantt", "-strategy", "packing"}, "% busy"},
+	} {
+		out := runStdout(t, tc.args...)
+		var cycles int
+		for _, line := range strings.Split(out, "\n") {
+			fmt.Sscanf(line, "testing time: %d cycles", &cycles)
+		}
+		for _, want := range []string{"wire  0 |", "wire 31 |", fmt.Sprintf("makespan: %d cycles", cycles), tc.busy} {
+			if cycles == 0 || !strings.Contains(out, want) {
+				t.Errorf("run(%v) output missing %q:\n%s", tc.args, want, out)
+			}
+		}
 	}
 }
 

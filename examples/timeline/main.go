@@ -3,8 +3,9 @@
 //
 // The example co-optimizes d695 under a 32-wire budget twice — once
 // forced to a single TAM, once with the TAM count free — and renders both
-// schedules as Gantt charts with their wire-cycle utilization. The single
-// bus wastes wires on small cores (the paper's "unnecessary (idle) TAM
+// schedules as wire-band Gantt charts (one row per TAM wire, '.' for an
+// idle wire-cycle) with their wire-cycle utilization. The single bus
+// wastes wires on small cores (the paper's "unnecessary (idle) TAM
 // wires"); the partitioned architecture keeps them busy.
 //
 // Run with:
@@ -46,17 +47,13 @@ func show(s *soctam.SOC, width, fixedTAMs int, title string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tl, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
+	sch, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	u := tl.Utilize()
 
 	fmt.Printf("--- %s ---\n", title)
 	fmt.Printf("partition %v, testing time %d cycles\n", res.Partition, res.Time)
-	fmt.Print(tl.Gantt(72, func(core int) string { return s.Cores[core].Name }))
-	fmt.Printf("wire-cycle utilization: %.1f%% busy, %.1f%% idle inside wrappers, %.1f%% idle tails\n\n",
-		100*u.BusyFraction(),
-		100*float64(u.WrapperIdle)/float64(u.TotalWireCycles),
-		100*float64(u.TailIdle)/float64(u.TotalWireCycles))
+	fmt.Print(sch.Gantt(72, func(core int) string { return s.Cores[core].Name }))
+	fmt.Printf("wire-cycle utilization: %.1f%% busy\n\n", 100*sch.BusyFraction())
 }

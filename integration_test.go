@@ -65,9 +65,9 @@ func TestLowerBoundHoldsOnAllBenchmarks(t *testing.T) {
 	}
 }
 
-// TestScheduleConsistentWithResult closes the loop: the schedule built
-// from a co-optimization result must reproduce the result's testing time
-// exactly, for every benchmark SOC.
+// TestScheduleConsistentWithResult closes the loop: a co-optimization
+// result must validate against its SOC, its schedule reproducing the
+// result's testing time exactly, for every benchmark SOC.
 func TestScheduleConsistentWithResult(t *testing.T) {
 	for name, get := range map[string]func() *soctam.SOC{
 		"d695": soctam.D695, "p31108": soctam.P31108,
@@ -77,16 +77,15 @@ func TestScheduleConsistentWithResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Solve: %v", name, err)
 		}
-		tl, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
+		if err := coopt.Validate(s, 24, res); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		sch, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
 		if err != nil {
 			t.Fatalf("%s: BuildSchedule: %v", name, err)
 		}
-		if tl.Makespan != res.Time {
-			t.Errorf("%s: schedule makespan %d != result time %d", name, tl.Makespan, res.Time)
-		}
-		u := tl.Utilize()
-		if u.BusyFraction() <= 0.3 {
-			t.Errorf("%s: co-optimized architecture only %.0f%% busy", name, 100*u.BusyFraction())
+		if sch.BusyFraction() <= 0.3 {
+			t.Errorf("%s: co-optimized architecture only %.0f%% busy", name, 100*sch.BusyFraction())
 		}
 	}
 }
@@ -109,11 +108,11 @@ func TestPartitionedBeatsSingleBus(t *testing.T) {
 		t.Fatalf("multi-TAM %d not better than single bus %d", multi.Time, single.Time)
 	}
 	busy := func(res soctam.Result) float64 {
-		tl, err := schedule.Build(s, res.Partition, res.Assignment.TAMOf)
+		sch, err := schedule.Build(s, res.Partition, res.Assignment.TAMOf)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		return tl.Utilize().BusyFraction()
+		return sch.BusyFraction()
 	}
 	if bs, bm := busy(single), busy(multi); bm <= bs {
 		t.Errorf("multi-TAM utilization %.2f not above single-bus %.2f", bm, bs)

@@ -17,8 +17,8 @@ import (
 const expired = time.Nanosecond
 
 // checkAnytimeResult asserts the anytime contract on a deadline-bounded
-// result: a complete valid architecture, a non-negative gap, and the
-// truncation tag.
+// result: a complete architecture that validates, a non-negative gap,
+// and the truncation tag.
 func checkAnytimeResult(t *testing.T, s *soc.SOC, width int, strat Strategy, res Result) {
 	t.Helper()
 	if res.Time <= 0 {
@@ -33,21 +33,16 @@ func checkAnytimeResult(t *testing.T, s *soc.SOC, width int, strat Strategy, res
 	if res.Proven {
 		t.Errorf("%v: truncated result claims proven optimality with gap %f", strat, res.Gap)
 	}
-	if res.Packing != nil {
-		if err := res.Packing.Validate(len(s.Cores)); err != nil {
-			t.Errorf("%v: truncated packing invalid: %v", strat, err)
-		}
-		return
+	if err := Validate(s, width, res); err != nil {
+		t.Errorf("%v: truncated answer invalid: %v", strat, err)
 	}
+	// Validate lets a partition leave wires unused; an engine's never does.
 	total := 0
 	for _, w := range res.Partition {
 		total += w
 	}
-	if total != width {
+	if res.Packing == nil && total != width {
 		t.Errorf("%v: partition %v sums to %d, want %d", strat, res.Partition, total, width)
-	}
-	if len(res.Assignment.TAMOf) != len(s.Cores) {
-		t.Errorf("%v: assignment covers %d cores, want %d", strat, len(res.Assignment.TAMOf), len(s.Cores))
 	}
 }
 

@@ -13,7 +13,8 @@
 // run any of them; PartitionEvaluate and Exhaustive are Solve with the
 // engine's TAM-count sweep narrowed to one B. Options.Progress streams
 // backend lifecycle and incumbent-improvement events from any run
-// (progress.go).
+// (progress.go). Validate checks any engine's Result against the SOC
+// alone (validate.go).
 //
 // The partition flow mirrors the paper exactly:
 //

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
-	"soctam/internal/assign"
 	"soctam/internal/pack"
-	"soctam/internal/schedule"
 	"soctam/internal/soc"
 	"soctam/internal/socdata"
 )
@@ -272,38 +271,16 @@ func (rc randomCase) solveAs(t *testing.T, strategy Strategy) Result {
 	return res
 }
 
-// validate checks a random case's answer as a schedule: a fixed-TAM
-// answer's assignment must validate against its partition and rebuild
-// through schedule.Build to its time within the ceiling; a packing
-// must validate as one, with its makespan the time.
+// validate checks a random case's answer with Validate, against the
+// case's own ceiling: Validate holds the peak to the ceiling the answer
+// reports.
 func (rc randomCase) validate(t *testing.T, res Result) {
 	t.Helper()
-	if res.Packing != nil {
-		if err := res.Packing.Validate(len(rc.s.Cores)); err != nil || res.Packing.Makespan != res.Time {
-			t.Errorf("%s %v: packing of makespan %d answers %d: %v", rc.name, res.Strategy, res.Packing.Makespan, res.Time, err)
-		}
-		return
+	if err := Validate(rc.s, rc.width, res); err != nil {
+		t.Errorf("%s %v: %v", rc.name, res.Strategy, err)
 	}
-	tables, err := TimeTables(rc.s, rc.width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := assign.FromTimeTable(tables, res.Partition)
-	if err != nil {
-		t.Fatalf("%s %v: partition %v: %v", rc.name, res.Strategy, res.Partition, err)
-	}
-	if err := res.Assignment.Validate(in); err != nil {
-		t.Errorf("%s %v: assignment on %v: %v", rc.name, res.Strategy, res.Partition, err)
-	}
-	tl, err := schedule.Build(rc.s, res.Partition, res.Assignment.TAMOf)
-	if err != nil {
-		t.Fatalf("%s %v: %v", rc.name, res.Strategy, err)
-	}
-	if tl.Makespan != res.Time {
-		t.Errorf("%s %v: schedule makespan %d, answer %d", rc.name, res.Strategy, tl.Makespan, res.Time)
-	}
-	if peak := tl.PeakPower(); rc.opt.MaxPower > 0 && peak > rc.opt.MaxPower {
-		t.Errorf("%s %v: schedule peak %d over the ceiling %d", rc.name, res.Strategy, peak, rc.opt.MaxPower)
+	if want := rc.s.PowerCeiling(rc.opt.MaxPower); res.MaxPower != want {
+		t.Errorf("%s %v: ceiling %d, the case's is %d", rc.name, res.Strategy, res.MaxPower, want)
 	}
 }
 
@@ -348,10 +325,11 @@ func TestProvenNeverBeatenUnderCeiling(t *testing.T) {
 	}
 }
 
-// TestLowerBoundSoundOnRandomSOCs holds the one lower bound, under each
-// case's effective ceiling, below every validated answer of the
-// partition, packing, diagonal and ILP engines, and requires every
-// engine to grade its answer against that same bound.
+// TestLowerBoundSoundOnRandomSOCs runs every row of the backend table
+// and the default portfolio on each case, unbounded and under a budget
+// spent before the first poll. Every answer must validate, which holds
+// the one lower bound under the case's effective ceiling below its time,
+// and must grade its gap against that same bound.
 func TestLowerBoundSoundOnRandomSOCs(t *testing.T) {
 	for _, rc := range randomCases(t) {
 		tables, err := TimeTables(rc.s, rc.width)
@@ -359,14 +337,15 @@ func TestLowerBoundSoundOnRandomSOCs(t *testing.T) {
 			t.Fatal(err)
 		}
 		lb := pack.LowerBound(rc.s, tables, rc.width, rc.s.PowerCeiling(rc.opt.MaxPower))
-		for _, strategy := range []Strategy{StrategyPartition, StrategyPacking, StrategyDiagonal, StrategyILP} {
-			res := rc.solveAs(t, strategy)
-			rc.validate(t, res)
-			if res.Time < lb {
-				t.Errorf("%s %v: %d cycles below the lower bound %d", rc.name, strategy, res.Time, lb)
-			}
-			if res.Gap != gapOf(res.Time, lb) {
-				t.Errorf("%s %v: gap %f, %f against the lower bound %d", rc.name, strategy, res.Gap, gapOf(res.Time, lb), lb)
+		for _, budget := range []time.Duration{0, expired} {
+			rc.opt.Budget = budget
+			for _, info := range Solvers() {
+				res := rc.solveAs(t, info.Strategy)
+				rc.validate(t, res)
+				if res.Gap != gapOf(res.Time, lb) {
+					t.Errorf("%s %v budget %v: gap %f, %f against the lower bound %d",
+						rc.name, info.Strategy, budget, res.Gap, gapOf(res.Time, lb), lb)
+				}
 			}
 		}
 	}

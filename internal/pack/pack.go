@@ -39,16 +39,21 @@ type Schedule struct {
 	// TotalWidth is W, the bin height in TAM wires.
 	TotalWidth int
 	// Rects holds one placed rectangle per core, ordered by start time
-	// then first wire.
+	// then first wire. A fixed-TAM architecture's schedule
+	// (schedule.Build) keeps each TAM's rectangles inside its own band
+	// of wires.
 	Rects []Rect
 	// Makespan is the SOC testing time: the latest rectangle end.
 	Makespan soc.Cycles
 	// Bound is the one lower bound on the SOC testing time at this
 	// width and ceiling (LowerBound), the figure every backend's
-	// Result.Gap is measured against; Makespan >= Bound always.
+	// Result.Gap is measured against; Makespan >= Bound always. It is
+	// zero in a fixed-TAM schedule, which no packer graded.
 	Bound soc.Cycles
 	// MaxPower is the peak-power ceiling the schedule was packed under;
 	// 0 means unconstrained. Validate enforces PeakPower <= MaxPower.
+	// It is zero in a fixed-TAM schedule: the partition flow checks its
+	// ceiling on the assignment instead.
 	MaxPower int
 	// Truncated reports that the run's deadline (the Deadline option)
 	// stopped the budget sweep early: the schedule is the best of the

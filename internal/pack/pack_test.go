@@ -345,3 +345,12 @@ func TestPackGantt(t *testing.T) {
 		t.Errorf("no core label rendered:\n%s", out)
 	}
 }
+
+// TestEmptyGantt renders a schedule with nothing to draw as a note
+// instead of a chart.
+func TestEmptyGantt(t *testing.T) {
+	sch := &pack.Schedule{TotalWidth: 4}
+	if out := sch.Gantt(40, nil); !strings.Contains(out, "empty") {
+		t.Errorf("empty schedule rendering: %q", out)
+	}
+}

@@ -1,19 +1,14 @@
-// Package schedule derives the test schedule implied by a wrapper/TAM
-// architecture (the paper's Section 1 motivation; ARCHITECTURE.md §1).
-// Cores assigned to one TAM are tested serially — the test bus is a
-// shared resource — while the TAMs themselves run in parallel; the SOC
-// testing time is the finish time of the busiest TAM.
+// Package schedule derives the test schedule implied by a fixed-TAM
+// wrapper/TAM architecture (the paper's Section 1 motivation;
+// ARCHITECTURE.md §1). Cores assigned to one TAM are tested serially —
+// the test bus is a shared resource — while the TAMs themselves run in
+// parallel; the SOC testing time is the finish time of the busiest TAM.
 //
-// Beyond the timeline itself, the package quantifies the two effects the
-// paper uses to motivate multi-TAM architectures (Section 1): idle TAM
-// wires (a core whose wrapper uses fewer chains than its TAM is wide
-// wastes the remaining wires for its whole test) and idle TAM tail time
-// (TAMs that finish before the busiest one). Both shrink when the width
-// partition matches the cores' needs. The power accounting
-// (PowerProfile, PeakPower; ARCHITECTURE.md §5a) exposes the
-// concurrent-power profile the peak-power ceiling constrains.
-//
-// Packed architectures (rectangle bin-packing; ARCHITECTURE.md §5, §8)
-// carry their schedule directly in pack.Schedule, which renders its own
-// wire-band Gantt chart — this package covers fixed-bus architectures.
+// The schedule is a pack.Schedule, the one schedule type every
+// architecture shares (ARCHITECTURE.md §5, §8): the rectangle packing
+// whose rectangles stay inside one horizontal wire band per TAM. Its
+// PeakPower, BusyFraction and Gantt chart are pack's, so the two effects
+// the paper uses to motivate multi-TAM architectures show in one chart:
+// wires a core's wrapper leaves idle during its test, and TAMs that
+// finish before the busiest one, both drawn as idle '.' cells.
 package schedule

@@ -3,46 +3,22 @@ package schedule
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"soctam/internal/pack"
 	"soctam/internal/soc"
 	"soctam/internal/wrapper"
 )
 
-// Slot is one core's test occupying its TAM for [Start, End) cycles.
-type Slot struct {
-	// Core is the 0-based core index in the SOC.
-	Core int
-	// TAM is the 0-based TAM index.
-	TAM int
-	// Start and End delimit the test in clock cycles.
-	Start, End soc.Cycles
-	// UsedWires is how many of the TAM's wires the core's wrapper
-	// actually consumes.
-	UsedWires int
-	// Power is the test power the core draws while the slot runs (0
-	// when the SOC carries no power data).
-	Power int
-}
-
-// Duration returns the slot length in cycles.
-func (s *Slot) Duration() soc.Cycles { return s.End - s.Start }
-
-// Timeline is the complete test schedule of an SOC on a TAM architecture.
-type Timeline struct {
-	// Partition holds the TAM widths.
-	Partition []int
-	// Slots lists every core's test, ordered by TAM then start time.
-	Slots []Slot
-	// Makespan is the SOC testing time.
-	Makespan soc.Cycles
-}
-
 // Build schedules the SOC's cores on the given architecture: partition
-// holds the TAM widths and tamOf the 0-based TAM of every core. Within a
-// TAM, longer tests run first (ties by core index) — the order does not
-// change the makespan, only the timeline shape.
-func Build(s *soc.SOC, partition []int, tamOf []int) (*Timeline, error) {
+// holds the TAM widths and tamOf the 0-based TAM of every core. TAM j is
+// the band of partition[j] wires that starts after TAMs 0..j-1. Its
+// cores run back to back from cycle 0, longer tests first (ties by core
+// index) — the order does not change the makespan, only the schedule's
+// shape. Each core's rectangle is as wide as the wrapper chains it uses
+// at its TAM's width, so the wires its wrapper leaves idle stay free.
+// The schedule's TotalWidth is the partition's sum; Bound and MaxPower
+// stay zero.
+func Build(s *soc.SOC, partition []int, tamOf []int) (*pack.Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,13 +30,7 @@ func Build(s *soc.SOC, partition []int, tamOf []int) (*Timeline, error) {
 			return nil, fmt.Errorf("schedule: TAM width %d < 1", w)
 		}
 	}
-	type coreTest struct {
-		core  int
-		time  soc.Cycles
-		wires int
-		power int
-	}
-	perTAM := make([][]coreTest, len(partition))
+	perTAM := make([][]pack.Rect, len(partition))
 	for i := range s.Cores {
 		j := tamOf[i]
 		if j < 0 || j >= len(partition) {
@@ -70,201 +40,30 @@ func Build(s *soc.SOC, partition []int, tamOf []int) (*Timeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("schedule: core %d: %w", i+1, err)
 		}
-		perTAM[j] = append(perTAM[j], coreTest{core: i, time: d.Time, wires: d.UsedWidth(), power: s.Cores[i].Power})
+		perTAM[j] = append(perTAM[j], pack.Rect{Core: i, Width: d.UsedWidth(), End: d.Time, Power: s.Cores[i].Power})
 	}
-	tl := &Timeline{Partition: append([]int(nil), partition...)}
-	for j, tests := range perTAM {
-		sort.SliceStable(tests, func(a, b int) bool {
-			if tests[a].time != tests[b].time {
-				return tests[a].time > tests[b].time
+	sch := &pack.Schedule{Rects: make([]pack.Rect, 0, len(s.Cores))}
+	for j, rects := range perTAM {
+		sort.Slice(rects, func(a, b int) bool {
+			if rects[a].End != rects[b].End {
+				return rects[a].End > rects[b].End
 			}
-			return tests[a].core < tests[b].core
+			return rects[a].Core < rects[b].Core
 		})
 		var clock soc.Cycles
-		for _, ct := range tests {
-			tl.Slots = append(tl.Slots, Slot{
-				Core:      ct.core,
-				TAM:       j,
-				Start:     clock,
-				End:       clock + ct.time,
-				UsedWires: ct.wires,
-				Power:     ct.power,
-			})
-			clock += ct.time
+		for _, r := range rects {
+			r.Wire, r.Start, r.End = sch.TotalWidth, clock, clock+r.Duration()
+			clock = r.End
+			sch.Rects = append(sch.Rects, r)
 		}
-		if clock > tl.Makespan {
-			tl.Makespan = clock
+		sch.Makespan = max(sch.Makespan, clock)
+		sch.TotalWidth += partition[j]
+	}
+	sort.Slice(sch.Rects, func(a, b int) bool {
+		if sch.Rects[a].Start != sch.Rects[b].Start {
+			return sch.Rects[a].Start < sch.Rects[b].Start
 		}
-	}
-	return tl, nil
-}
-
-// TAMFinish returns the finish time of each TAM.
-func (tl *Timeline) TAMFinish() []soc.Cycles {
-	finish := make([]soc.Cycles, len(tl.Partition))
-	for _, s := range tl.Slots {
-		if s.End > finish[s.TAM] {
-			finish[s.TAM] = s.End
-		}
-	}
-	return finish
-}
-
-// PowerStep is one piece of a piecewise-constant power profile: the SOC
-// draws Power test-power units over the cycles [Start, End).
-type PowerStep struct {
-	Start, End soc.Cycles
-	Power      int
-}
-
-// PowerProfile returns the per-cycle power accounting of the timeline as
-// a piecewise-constant profile covering [0, Makespan), gaps included.
-// Slots drawing zero power (no power data) contribute nothing; tests
-// meeting at an instant never count as concurrent.
-func (tl *Timeline) PowerProfile() []PowerStep {
-	events := make([]soc.PowerEvent, 0, 2*len(tl.Slots))
-	for i := range tl.Slots {
-		s := &tl.Slots[i]
-		if s.Power == 0 || s.Duration() == 0 {
-			continue
-		}
-		events = append(events, soc.PowerEvent{At: s.Start, Delta: s.Power},
-			soc.PowerEvent{At: s.End, Delta: -s.Power})
-	}
-	soc.SortPowerEvents(events)
-	var steps []PowerStep
-	cur := 0
-	var at soc.Cycles
-	for k := 0; k < len(events); {
-		next := events[k].At
-		if next > at {
-			steps = append(steps, PowerStep{Start: at, End: next, Power: cur})
-		}
-		for k < len(events) && events[k].At == next {
-			cur += events[k].Delta
-			k++
-		}
-		at = next
-	}
-	if at < tl.Makespan {
-		steps = append(steps, PowerStep{Start: at, End: tl.Makespan, Power: cur})
-	}
-	return steps
-}
-
-// PeakPower returns the maximum summed test power of concurrently
-// running tests anywhere in the timeline.
-func (tl *Timeline) PeakPower() int {
-	events := make([]soc.PowerEvent, 0, 2*len(tl.Slots))
-	for i := range tl.Slots {
-		s := &tl.Slots[i]
-		if s.Power == 0 || s.Duration() == 0 {
-			continue
-		}
-		events = append(events, soc.PowerEvent{At: s.Start, Delta: s.Power},
-			soc.PowerEvent{At: s.End, Delta: -s.Power})
-	}
-	return soc.PeakConcurrent(events)
-}
-
-// Utilization quantifies how well the architecture keeps its TAM wires
-// busy over the whole testing session.
-type Utilization struct {
-	// TotalWireCycles is Σ_j width_j × makespan: everything the
-	// architecture could theoretically deliver.
-	TotalWireCycles int64
-	// BusyWireCycles counts wire-cycles actually driven by some core's
-	// wrapper (slot duration × wires its wrapper uses).
-	BusyWireCycles int64
-	// TailIdle counts wire-cycles lost after a TAM finishes while the
-	// busiest TAM is still testing.
-	TailIdle int64
-	// WrapperIdle counts wire-cycles lost during tests because a core's
-	// wrapper uses fewer wires than its TAM provides — the paper's
-	// "unnecessary (idle) TAM wires assigned to cores".
-	WrapperIdle int64
-	// PeakPower is the maximum summed test power of concurrently running
-	// tests (0 when the SOC carries no power data).
-	PeakPower int
-}
-
-// BusyFraction returns BusyWireCycles / TotalWireCycles (0 when the
-// architecture is degenerate).
-func (u Utilization) BusyFraction() float64 {
-	if u.TotalWireCycles == 0 {
-		return 0
-	}
-	return float64(u.BusyWireCycles) / float64(u.TotalWireCycles)
-}
-
-// Utilize computes the wire-cycle accounting of a timeline.
-func (tl *Timeline) Utilize() Utilization {
-	var u Utilization
-	finish := tl.TAMFinish()
-	for j, w := range tl.Partition {
-		u.TotalWireCycles += int64(w) * int64(tl.Makespan)
-		u.TailIdle += int64(w) * int64(tl.Makespan-finish[j])
-	}
-	for _, s := range tl.Slots {
-		dur := int64(s.Duration())
-		u.BusyWireCycles += dur * int64(s.UsedWires)
-		u.WrapperIdle += dur * int64(tl.Partition[s.TAM]-s.UsedWires)
-	}
-	u.PeakPower = tl.PeakPower()
-	return u
-}
-
-// Gantt renders the timeline as an ASCII chart, one row per TAM, at most
-// cols characters wide. Each slot is labelled with its 1-based core
-// number where space permits; '.' marks idle bus time.
-func (tl *Timeline) Gantt(cols int, nameOf func(core int) string) string {
-	if cols < 10 {
-		cols = 10
-	}
-	if tl.Makespan == 0 {
-		return "(empty schedule)\n"
-	}
-	scale := float64(cols) / float64(tl.Makespan)
-	var b strings.Builder
-	for j, w := range tl.Partition {
-		fmt.Fprintf(&b, "TAM %d (%2d wires) |", j+1, w)
-		row := make([]byte, cols)
-		for i := range row {
-			row[i] = '.'
-		}
-		for _, s := range tl.Slots {
-			if s.TAM != j {
-				continue
-			}
-			from := int(float64(s.Start) * scale)
-			to := int(float64(s.End) * scale)
-			if to > cols {
-				to = cols
-			}
-			if to == from && from < cols {
-				to = from + 1
-			}
-			label := fmt.Sprintf("%d", s.Core+1)
-			if nameOf != nil {
-				label = nameOf(s.Core)
-			}
-			fill(row, from, to, label)
-		}
-		b.Write(row)
-		b.WriteString("|\n")
-	}
-	fmt.Fprintf(&b, "%*s makespan: %d cycles\n", 18, "", tl.Makespan)
-	return b.String()
-}
-
-// fill writes a slot's span into the row: a bracketed label when it
-// fits, '=' bars otherwise.
-func fill(row []byte, from, to int, label string) {
-	for i := from; i < to && i < len(row); i++ {
-		row[i] = '='
-	}
-	if to-from >= len(label)+2 {
-		at := from + (to-from-len(label))/2
-		copy(row[at:], label)
-	}
+		return sch.Rects[a].Wire < sch.Rects[b].Wire
+	})
+	return sch, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"soctam/internal/assign"
+	"soctam/internal/pack"
 	"soctam/internal/soc"
 	"soctam/internal/socdata"
 	"soctam/internal/wrapper"
@@ -27,9 +28,21 @@ func testArchitecture(t *testing.T) (*soc.SOC, []int, []int) {
 	return s, partition, a.TAMOf
 }
 
+// tamOfRect returns the TAM whose wire band holds the rectangle.
+func tamOfRect(partition []int, r *pack.Rect) int {
+	first := 0
+	for j, w := range partition {
+		if r.Wire < first+w {
+			return j
+		}
+		first += w
+	}
+	return -1
+}
+
 func TestBuildMatchesAssignmentMakespan(t *testing.T) {
 	s, partition, tamOf := testArchitecture(t)
-	tl, err := Build(s, partition, tamOf)
+	sch, err := Build(s, partition, tamOf)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -40,75 +53,78 @@ func TestBuildMatchesAssignmentMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Makespan: %v", err)
 	}
-	if tl.Makespan != span {
-		t.Errorf("timeline makespan %d != assignment %d", tl.Makespan, span)
+	if sch.Makespan != span {
+		t.Errorf("schedule makespan %d != assignment %d", sch.Makespan, span)
 	}
-	if len(tl.Slots) != len(s.Cores) {
-		t.Errorf("%d slots for %d cores", len(tl.Slots), len(s.Cores))
+	if sch.TotalWidth != 16 {
+		t.Errorf("schedule spans %d wires, the partition 16", sch.TotalWidth)
+	}
+	if err := sch.Validate(len(s.Cores)); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
 func TestBuildSlotsAreSerialPerTAM(t *testing.T) {
 	s, partition, tamOf := testArchitecture(t)
-	tl, err := Build(s, partition, tamOf)
+	sch, err := Build(s, partition, tamOf)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// Slots on the same TAM never overlap and leave no gaps.
-	var lastEnd = map[int]soc.Cycles{}
-	for _, slot := range tl.Slots {
-		if slot.Start != lastEnd[slot.TAM] {
-			t.Errorf("TAM %d: slot for core %d starts at %d, want %d (no gaps)",
-				slot.TAM+1, slot.Core+1, slot.Start, lastEnd[slot.TAM])
+	// Each core's rectangle starts at its TAM's first wire, and the
+	// rectangles on one TAM leave no gaps, longest first. Rects are
+	// ordered by start time, so each TAM's tests come in order.
+	firstWire := []int{0, 8}
+	lastEnd := map[int]soc.Cycles{}
+	prev := map[int]soc.Cycles{}
+	for i := range sch.Rects {
+		r := &sch.Rects[i]
+		j := tamOfRect(partition, r)
+		if j != tamOf[r.Core] || r.Wire != firstWire[j] {
+			t.Errorf("core %d on wires [%d,%d), assigned to TAM %d", r.Core+1, r.Wire, r.Wire+r.Width, tamOf[r.Core]+1)
 		}
-		if slot.End < slot.Start {
-			t.Errorf("negative slot %+v", slot)
+		if r.Start != lastEnd[j] {
+			t.Errorf("TAM %d: core %d starts at %d, want %d (no gaps)", j+1, r.Core+1, r.Start, lastEnd[j])
 		}
-		lastEnd[slot.TAM] = slot.End
-	}
-	// Longest-first order per TAM.
-	var prev = map[int]soc.Cycles{}
-	for _, slot := range tl.Slots {
-		if p, ok := prev[slot.TAM]; ok && slot.Duration() > p {
-			t.Errorf("TAM %d not longest-first: %d after %d", slot.TAM+1, slot.Duration(), p)
+		if p, ok := prev[j]; ok && r.Duration() > p {
+			t.Errorf("TAM %d not longest-first: %d after %d", j+1, r.Duration(), p)
 		}
-		prev[slot.TAM] = slot.Duration()
+		lastEnd[j], prev[j] = r.End, r.Duration()
 	}
 }
 
 func TestBuildSlotDurationsMatchWrapper(t *testing.T) {
 	s, partition, tamOf := testArchitecture(t)
-	tl, _ := Build(s, partition, tamOf)
-	for _, slot := range tl.Slots {
-		want, err := wrapper.Time(&s.Cores[slot.Core], partition[slot.TAM])
+	sch, _ := Build(s, partition, tamOf)
+	for i := range sch.Rects {
+		r := &sch.Rects[i]
+		d, err := wrapper.DesignWrapper(&s.Cores[r.Core], partition[tamOf[r.Core]])
 		if err != nil {
-			t.Fatalf("wrapper.Time: %v", err)
+			t.Fatalf("DesignWrapper: %v", err)
 		}
-		if slot.Duration() != want {
-			t.Errorf("core %d: slot %d cycles, wrapper says %d", slot.Core+1, slot.Duration(), want)
+		if r.Duration() != d.Time || r.Width != d.UsedWidth() {
+			t.Errorf("core %d: %d × %d, wrapper says %d × %d", r.Core+1, r.Width, r.Duration(), d.UsedWidth(), d.Time)
+		}
+		// The wrapper's chains attain its TAM's time on their own: the
+		// rectangle's width costs nothing.
+		if at, _ := wrapper.Time(&s.Cores[r.Core], r.Width); at != d.Time {
+			t.Errorf("core %d: %d cycles on its %d wires, %d on its TAM", r.Core+1, at, r.Width, d.Time)
 		}
 	}
 }
 
+// TestUtilizationAccounting holds the busy fraction to the wire-cycles
+// the wrappers drive over everything the partition's wires deliver.
 func TestUtilizationAccounting(t *testing.T) {
 	s, partition, tamOf := testArchitecture(t)
-	tl, _ := Build(s, partition, tamOf)
-	u := tl.Utilize()
-	if u.TotalWireCycles != int64(16)*int64(tl.Makespan) {
-		t.Errorf("total wire-cycles %d, want %d", u.TotalWireCycles, int64(16)*int64(tl.Makespan))
+	sch, _ := Build(s, partition, tamOf)
+	var busy int64
+	for i := range s.Cores {
+		d, _ := wrapper.DesignWrapper(&s.Cores[i], partition[tamOf[i]])
+		busy += int64(d.UsedWidth()) * int64(d.Time)
 	}
-	// Busy + wrapper idle + tail idle + scheduling gaps = total. Our
-	// schedule has no gaps, so the three components must not exceed the
-	// total, and busy must be positive.
-	if u.BusyWireCycles <= 0 {
-		t.Error("no busy wire-cycles")
-	}
-	if got := u.BusyWireCycles + u.WrapperIdle + u.TailIdle; got != u.TotalWireCycles {
-		t.Errorf("accounting leak: busy %d + wrapperIdle %d + tailIdle %d = %d, want %d",
-			u.BusyWireCycles, u.WrapperIdle, u.TailIdle, got, u.TotalWireCycles)
-	}
-	if f := u.BusyFraction(); f <= 0 || f > 1 {
-		t.Errorf("busy fraction %v out of (0,1]", f)
+	want := float64(busy) / (16 * float64(sch.Makespan))
+	if got := sch.BusyFraction(); got != want || got <= 0 || got > 1 {
+		t.Errorf("busy fraction %v, want %v in (0,1]", got, want)
 	}
 }
 
@@ -125,13 +141,11 @@ func TestUtilizationRandomArchitectures(t *testing.T) {
 		for i := range tamOf {
 			tamOf[i] = r.Intn(nb)
 		}
-		tl, err := Build(s, partition, tamOf)
-		if err != nil {
+		sch, err := Build(s, partition, tamOf)
+		if err != nil || sch.Validate(len(s.Cores)) != nil {
 			return false
 		}
-		u := tl.Utilize()
-		return u.BusyWireCycles+u.WrapperIdle+u.TailIdle == u.TotalWireCycles &&
-			u.BusyFraction() > 0 && u.BusyFraction() <= 1
+		return sch.BusyFraction() > 0 && sch.BusyFraction() <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -140,22 +154,22 @@ func TestUtilizationRandomArchitectures(t *testing.T) {
 
 func TestGanttRendering(t *testing.T) {
 	s, partition, tamOf := testArchitecture(t)
-	tl, _ := Build(s, partition, tamOf)
-	out := tl.Gantt(60, nil)
+	sch, _ := Build(s, partition, tamOf)
+	out := sch.Gantt(60, nil)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 { // two TAM rows + makespan line
-		t.Fatalf("Gantt has %d lines, want 3:\n%s", len(lines), out)
+	if len(lines) != 17 { // 16 wire rows + makespan line
+		t.Fatalf("Gantt has %d lines, want 17:\n%s", len(lines), out)
 	}
-	for _, l := range lines[:2] {
-		if !strings.HasPrefix(l, "TAM ") || !strings.HasSuffix(l, "|") {
+	for _, l := range lines[:16] {
+		if !strings.HasPrefix(l, "wire ") || !strings.HasSuffix(l, "|") {
 			t.Errorf("bad Gantt row: %q", l)
 		}
 	}
-	if !strings.Contains(lines[2], "makespan") {
-		t.Errorf("missing makespan line: %q", lines[2])
+	if !strings.Contains(lines[16], "makespan") {
+		t.Errorf("missing makespan line: %q", lines[16])
 	}
 	// Custom names appear.
-	named := tl.Gantt(120, func(core int) string { return s.Cores[core].Name })
+	named := sch.Gantt(120, func(core int) string { return s.Cores[core].Name })
 	if !strings.Contains(named, "s38584") {
 		t.Errorf("named Gantt missing core name:\n%s", named)
 	}
@@ -179,13 +193,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestEmptyGantt(t *testing.T) {
-	tl := &Timeline{Partition: []int{4}}
-	if out := tl.Gantt(40, nil); !strings.Contains(out, "empty") {
-		t.Errorf("empty schedule rendering: %q", out)
-	}
-}
-
 // powerSOC is a hand-sized SOC with power data whose schedule shape on
 // one TAM per core is easy to reason about.
 func powerSOC() *soc.SOC {
@@ -196,54 +203,39 @@ func powerSOC() *soc.SOC {
 	}}
 }
 
+// TestPowerProfile checks the schedule's concurrent-power profile with
+// one TAM per core: all three tests start at cycle 0 in parallel, so
+// the peak is the sum of the three powers.
 func TestPowerProfile(t *testing.T) {
 	s := powerSOC()
-	// One TAM per core: all three tests start at cycle 0 in parallel.
-	tl, err := Build(s, []int{4, 4, 4}, []int{0, 1, 2})
+	sch, err := Build(s, []int{4, 4, 4}, []int{0, 1, 2})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	steps := tl.PowerProfile()
-	if len(steps) == 0 {
-		t.Fatal("empty power profile")
-	}
-	if steps[0].Start != 0 || steps[0].Power != 600+400+300 {
-		t.Errorf("first step = %+v, want start 0 power 1300", steps[0])
-	}
-	if got := tl.PeakPower(); got != 1300 {
-		t.Errorf("PeakPower = %d, want 1300", got)
-	}
-	// The profile must cover [0, makespan) contiguously and end at 0...
-	// makespan with the last test's power.
-	var at soc.Cycles
-	for _, st := range steps {
-		if st.Start != at || st.End <= st.Start {
-			t.Fatalf("profile not contiguous at %+v (expected start %d)", st, at)
+	for i := range sch.Rects {
+		if r := &sch.Rects[i]; r.Start != 0 || r.Power != s.Cores[r.Core].Power {
+			t.Errorf("core %d starts at %d drawing %d, want 0 and %d", r.Core+1, r.Start, r.Power, s.Cores[r.Core].Power)
 		}
-		at = st.End
 	}
-	if at != tl.Makespan {
-		t.Errorf("profile ends at %d, makespan %d", at, tl.Makespan)
-	}
-	if u := tl.Utilize(); u.PeakPower != 1300 {
-		t.Errorf("Utilize().PeakPower = %d, want 1300", u.PeakPower)
+	if got := sch.PeakPower(); got != 600+400+300 {
+		t.Errorf("PeakPower = %d, want 1300", got)
 	}
 }
 
+// TestPowerProfileSerial puts everything on one TAM: the tests run
+// serially, so the peak is the largest single core power.
 func TestPowerProfileSerial(t *testing.T) {
 	s := powerSOC()
-	// Everything on one TAM: tests run serially, so the peak is the
-	// largest single core power and the profile steps down between tests.
-	tl, err := Build(s, []int{8}, []int{0, 0, 0})
+	sch, err := Build(s, []int{8}, []int{0, 0, 0})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := tl.PeakPower(); got != 600 {
+	if got := sch.PeakPower(); got != 600 {
 		t.Errorf("serial PeakPower = %d, want 600", got)
 	}
-	for _, st := range tl.PowerProfile() {
-		if st.Power != 600 && st.Power != 400 && st.Power != 300 {
-			t.Errorf("serial profile has concurrent power %d", st.Power)
+	for i := 1; i < len(sch.Rects); i++ {
+		if sch.Rects[i].Start != sch.Rects[i-1].End {
+			t.Errorf("serial tests overlap or leave a gap: %+v then %+v", sch.Rects[i-1], sch.Rects[i])
 		}
 	}
 }
@@ -253,15 +245,11 @@ func TestPowerProfileNoData(t *testing.T) {
 	for i := range s.Cores {
 		s.Cores[i].Power = 0
 	}
-	tl, err := Build(s, []int{4, 4}, []int{0, 1, 0})
+	sch, err := Build(s, []int{4, 4}, []int{0, 1, 0})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := tl.PeakPower(); got != 0 {
+	if got := sch.PeakPower(); got != 0 {
 		t.Errorf("PeakPower without power data = %d, want 0", got)
-	}
-	steps := tl.PowerProfile()
-	if len(steps) != 1 || steps[0].Power != 0 || steps[0].Start != 0 || steps[0].End != tl.Makespan {
-		t.Errorf("power-free profile = %+v, want one zero step over the whole makespan", steps)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"soctam"
+	"soctam/internal/coopt"
 )
 
 // d695Unconstrained pins today's d695 results (the EXPERIMENTS.md
@@ -76,21 +77,8 @@ func TestPowerConstrainedD695(t *testing.T) {
 				if res.PeakPower <= 0 {
 					t.Errorf("%v W=%d Pmax=%d: no peak power reported on a powered SOC", strategy, w, pmax)
 				}
-				if strategy == soctam.StrategyPacking {
-					if res.Packing == nil {
-						t.Fatalf("packing W=%d Pmax=%d: nil schedule", w, pmax)
-					}
-					if err := res.Packing.Validate(len(s.Cores)); err != nil {
-						t.Errorf("packing W=%d Pmax=%d: invalid schedule: %v", w, pmax, err)
-					}
-				} else {
-					tl, err := soctam.BuildSchedule(s, res.Partition, res.Assignment.TAMOf)
-					if err != nil {
-						t.Fatalf("BuildSchedule W=%d Pmax=%d: %v", w, pmax, err)
-					}
-					if got := tl.PeakPower(); got != res.PeakPower {
-						t.Errorf("partition W=%d Pmax=%d: Timeline peak %d, Result peak %d", w, pmax, got, res.PeakPower)
-					}
+				if err := coopt.Validate(s, w, res); err != nil {
+					t.Errorf("%v W=%d Pmax=%d: %v", strategy, w, pmax, err)
 				}
 				// Ceilings tighten monotonically after the unconstrained
 				// run: a smaller power budget can never test faster.

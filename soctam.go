@@ -105,20 +105,12 @@ type (
 	// (what `wtam -trace` prints).
 	SolveTrace = coopt.SolveTrace
 
-	// PackingSchedule is a rectangle bin-packing of an SOC's tests.
+	// PackingSchedule is a rectangle schedule of an SOC's tests: a
+	// bin-packing, or a fixed-TAM architecture's wire bands
+	// (BuildSchedule).
 	PackingSchedule = pack.Schedule
 	// PackingRect is one core's test placed in the W×T bin.
 	PackingRect = pack.Rect
-
-	// Timeline is the test schedule implied by an architecture.
-	Timeline = schedule.Timeline
-	// TestSlot is one core's test on its TAM within a Timeline.
-	TestSlot = schedule.Slot
-	// Utilization is the wire-cycle accounting of a Timeline.
-	Utilization = schedule.Utilization
-	// PowerStep is one piece of a Timeline's piecewise-constant
-	// concurrent-power profile.
-	PowerStep = schedule.PowerStep
 )
 
 // Backend choices for Options.Strategy.
@@ -275,9 +267,11 @@ func Exhaustive(s *SOC, totalWidth, numTAMs int, opt Options) (Result, error) {
 }
 
 // BuildSchedule derives the test schedule of an SOC on a concrete
-// architecture: partition holds the TAM widths and tamOf the 0-based TAM
-// of every core (e.g. Result.Partition and Result.Assignment.TAMOf).
-func BuildSchedule(s *SOC, partition []int, tamOf []int) (*Timeline, error) {
+// fixed-TAM architecture: partition holds the TAM widths and tamOf the
+// 0-based TAM of every core (e.g. Result.Partition and
+// Result.Assignment.TAMOf). The schedule is a PackingSchedule with one
+// wire band per TAM, whose cores run back to back from cycle 0.
+func BuildSchedule(s *SOC, partition []int, tamOf []int) (*PackingSchedule, error) {
 	return schedule.Build(s, partition, tamOf)
 }
 
