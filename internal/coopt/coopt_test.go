@@ -77,8 +77,8 @@ func TestPartitionEvaluateFixedB(t *testing.T) {
 	if !res.AssignmentOptimal {
 		t.Error("final step did not prove optimality on this tiny instance")
 	}
-	if err := res.Assignment.Validate(mustInstance(t, res)); err != nil {
-		t.Errorf("final assignment invalid: %v", err)
+	if err := Validate(testSOC(), 12, res); err != nil {
+		t.Errorf("final answer invalid: %v", err)
 	}
 }
 

@@ -235,11 +235,8 @@ func TestSolveDispatch(t *testing.T) {
 	if packed.Strategy != StrategyPacking || packed.Packing == nil {
 		t.Fatalf("Solve(packing) returned no schedule: %+v", packed)
 	}
-	if err := packed.Packing.Validate(len(s.Cores)); err != nil {
-		t.Errorf("packing schedule invalid: %v", err)
-	}
-	if packed.Time != packed.Packing.Makespan {
-		t.Errorf("packing Time %d != makespan %d", packed.Time, packed.Packing.Makespan)
+	if err := Validate(s, 12, packed); err != nil {
+		t.Errorf("packing answer invalid: %v", err)
 	}
 	if packed.Partition != nil || packed.Packing.TotalWidth != 12 {
 		t.Errorf("packing result carries partition %v / width %d", packed.Partition, packed.Packing.TotalWidth)
